@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .graphs import MAX_VERTICES, SimpleGraph
-from .path_matching import DEFAULT_DEFICIENCY_CAP, pm_order_of_rows
+from .path_matching import pm_order_of_rows
 
 MAX_COLORS = 64
 
@@ -195,16 +195,9 @@ def core_lift_coloring(core: EdgeColoring, x: Sequence[int]) -> EdgeColoring:
     return coloring_from_edge_colors(n, core.r, color)
 
 
-def mono_pm_profile(c: EdgeColoring, cap: int = DEFAULT_DEFICIENCY_CAP) -> tuple[int, ...]:
+def mono_pm_profile(c: EdgeColoring) -> tuple[int, ...]:
     """Per-color maximum path-matching orders."""
-    out = []
-    for color in range(1, c.r + 1):
-        rows = c.color_rows(color)
-        support = sum(1 for row in rows if row)
-        if support > cap:
-            raise ValueError(f"color {color} touches {support} vertices, above cap {cap}")
-        out.append(pm_order_of_rows(rows, c.n))
-    return tuple(out)
+    return tuple(pm_order_of_rows(c.color_rows(color), c.n) for color in range(1, c.r + 1))
 
 
 def mono_core_profile(c: EdgeColoring) -> tuple[int, ...]:

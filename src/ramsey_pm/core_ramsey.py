@@ -18,7 +18,8 @@ from typing import Optional, Sequence
 from .bounds import ceil_div, core_upper_edgecount, core_upper_main, covering_lower_eh, covering_lower_schonheim
 from .coloring import EdgeColoring, coloring_from_edge_colors
 from .graphs import MAX_VERTICES
-from .results import BudgetExceededError, PROOF_SEARCH, RamseyResult, SearchStats
+from .results import (BudgetExceededError, PROOF_SEARCH, RamseyResult,
+                      RouteDisagreementError, SearchStats)
 
 DEFAULT_NODE_BUDGET = 100_000_000
 
@@ -408,8 +409,9 @@ def exact_core_ramsey(targets: Sequence[int], *,
         witness = cover
         n += 1
         if n > bound:
-            raise AssertionError(
-                f"scan for {ts} ran past the proven upper bound {bound}")
+            raise RouteDisagreementError(
+                f"scan for {ts} ran past the proven upper bound {bound}",
+                {"targets": ts, "n": n, "bound": bound})
     stats.millis = int((time.monotonic() - started) * 1000)
     return RamseyResult(ts, n, PROOF_SEARCH, witness, stats)
 

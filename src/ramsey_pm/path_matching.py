@@ -10,20 +10,22 @@ path-matching, satisfies the minimax identity
 
     pd(G) = max over X of  (# isolated vertices of G - X) - 2|X|
 
-and a set X attaining the maximum is called an LV set.  We compute pd by
-direct subset enumeration of X with two prunes: only |X| < n/3 can beat
-the empty set, and size k is skipped once n - 3k cannot beat the incumbent.
+and a set X attaining the maximum is called an LV set.  The same
+identity is Hall's condition for stars with one or two leaves (Amahashi
+and Kano), so pd(G) is the deficiency of a bipartite matching: left copies
+of the vertices, each matched at most once, into right copies, each taking
+at most two, along the edges of G.  One augmenting-path routine computes
+it in polynomial time, and the alternating paths from the unmatched left
+vertices give the least LV set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 
-from .graphs import SimpleGraph, VertexSet, bits
+from .graphs import SimpleGraph, VertexSet, bits, mask_of
 
-DEFAULT_DEFICIENCY_CAP = 24
 ORACLE_CAP = 10
 
 
@@ -50,81 +52,67 @@ class DeficiencyCertificate:
                 raise ValueError(f"witness vertex {v} has a neighbour outside the LV set")
 
 
-def _isolated_after_removal(rows: tuple[int, ...], full: int, xm: int) -> tuple[int, int]:
-    """(count, mask) of vertices outside xm whose neighbours all lie in xm."""
-    rest = full ^ xm
-    q = 0
-    wit = 0
-    mm = rest
-    while mm:
-        b = mm & -mm
-        if rows[b.bit_length() - 1] & rest == 0:
-            q += 1
-            wit |= b
-        mm ^= b
-    return q, wit
+def _isolated_after_removal(rows: tuple[int, ...], xm: VertexSet) -> VertexSet:
+    """Vertices outside xm whose neighbours all lie in xm."""
+    rest = ((1 << len(rows)) - 1) ^ xm
+    return mask_of(v for v in bits(rest) if rows[v] & rest == 0)
 
 
-def deficiency(g: SimpleGraph, cap: int = DEFAULT_DEFICIENCY_CAP) -> tuple[int, DeficiencyCertificate]:
+def _star_matching(rows: tuple[int, ...]) -> tuple[int, VertexSet]:
+    """(pd, least LV set) of the graph given by rows.
+
+    A maximum matching of left copies (capacity 1) into right copies
+    (capacity 2) along the edges, grown one left vertex at a time by
+    depth-first augmenting paths; pd counts the left vertices that stay
+    unmatched.  The right vertices that alternating paths reach from the
+    unmatched ones form an LV set contained in every other, hence the
+    unique one of minimum size.  A failed search never reaches a vertex
+    that a later augmenting path changes, so that set is the union of the
+    right vertices each failed search saw.
+    """
+    held = [0] * len(rows)  # right vertex -> mask of the left vertices it holds
+    full = seen = 0  # right vertices holding two; seen by the current search
+
+    def augment(u: int) -> bool:
+        nonlocal full, seen
+        todo = rows[u] & ~seen
+        seen |= todo
+        spare = todo & ~full
+        if spare:
+            v = (spare & -spare).bit_length() - 1
+            if held[v]:
+                full |= 1 << v
+            held[v] |= 1 << u
+            return True
+        for v in bits(todo):
+            for w in bits(held[v]):
+                if augment(w):
+                    held[v] ^= 1 << w | 1 << u
+                    return True
+        return False
+
+    pd = lv = 0
+    for u in range(len(rows)):
+        seen = 0
+        if not augment(u):
+            pd += 1
+            lv |= seen
+    return pd, lv
+
+
+def deficiency(g: SimpleGraph) -> tuple[int, DeficiencyCertificate]:
     """Exact pd(g) with a certificate.
 
-    Ties are broken toward the lexicographically least LV set of minimum
-    size, so certificates are stable across runs.
+    The LV set is the least one, so certificates are stable across runs.
     """
-    n = g.n
-    if n > cap:
-        raise ValueError(f"graph on {n} vertices exceeds deficiency cap {cap}")
-    rows = g.rows
-    full = (1 << n) - 1
-
-    best_q, best_wit = _isolated_after_removal(rows, full, 0)
-    best_val = best_q
-    best_x = 0
-
-    # k >= n/3 gives value <= n - 3k <= 0 <= best, so it can never win.
-    k_max = (n + 2) // 3 - 1
-    for k in range(1, k_max + 1):
-        if n - 3 * k <= best_val:
-            break
-        for xs in combinations(range(n), k):
-            xm = 0
-            for v in xs:
-                xm |= 1 << v
-            q, wit = _isolated_after_removal(rows, full, xm)
-            if q - 2 * k > best_val:
-                best_val = q - 2 * k
-                best_x = xm
-                best_wit = wit
-    return best_val, DeficiencyCertificate(best_x, best_val, best_wit)
+    pd, lv = _star_matching(g.rows)
+    return pd, DeficiencyCertificate(lv, pd, _isolated_after_removal(g.rows, lv))
 
 
 @lru_cache(maxsize=1 << 18)
 def _pm_order_compressed(rows: tuple[int, ...]) -> int:
     """Max path-matching order of the graph given by rows (m vertices)."""
-    m = len(rows)
-    if m == 0:
-        return 0
-    full = (1 << m) - 1
-    best = sum(1 for r in rows if r == 0)
-    k_max = (m + 2) // 3 - 1
-    for k in range(1, k_max + 1):
-        if m - 3 * k <= best:
-            break
-        for xs in combinations(range(m), k):
-            xm = 0
-            for v in xs:
-                xm |= 1 << v
-            rest = full ^ xm
-            q = 0
-            mm = rest
-            while mm:
-                b = mm & -mm
-                if rows[b.bit_length() - 1] & rest == 0:
-                    q += 1
-                mm ^= b
-            if q - 2 * k > best:
-                best = q - 2 * k
-    return m - best
+    return len(rows) - _star_matching(rows)[0]
 
 
 def pm_order_of_rows(rows, n: int) -> int:
@@ -153,18 +141,13 @@ def pm_order_of_rows(rows, n: int) -> int:
     return _pm_order_compressed(tuple(comp))
 
 
-def max_pm_order(g: SimpleGraph, cap: int = DEFAULT_DEFICIENCY_CAP) -> int:
+def max_pm_order(g: SimpleGraph) -> int:
     """Maximum order of a path-matching in g, as n - pd(g)."""
-    support = sum(1 for r in g.rows if r)
-    if support > cap:
-        raise ValueError(f"graph support {support} exceeds deficiency cap {cap}")
     return pm_order_of_rows(g.rows, g.n)
 
 
-def has_perfect_pm(g: SimpleGraph, cap: int = DEFAULT_DEFICIENCY_CAP) -> bool:
+def has_perfect_pm(g: SimpleGraph) -> bool:
     """True iff some path-matching covers every vertex, i.e. pd(g) = 0."""
-    if g.n > cap:
-        raise ValueError(f"graph on {g.n} vertices exceeds deficiency cap {cap}")
     return pm_order_of_rows(g.rows, g.n) == g.n
 
 

@@ -253,10 +253,7 @@ def find_lower_witness(n: int, targets: Sequence[int], *,
             return lifted
 
     # last resort: search for any bad coloring directly
-    try:
-        cex = verify_upper(n, ts, **kw)
-    except BudgetExceededError:
-        return None
+    cex = verify_upper(n, ts, **kw)
     if cex is not None and _witness_valid(cex, n, ts):
         return cex
     return None

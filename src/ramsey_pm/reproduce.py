@@ -119,9 +119,10 @@ def _check_rows(workers: int = 1) -> list[tuple[str, str, Callable[[], tuple[str
                  diagonal_rows, False))
 
     # slow rows
-    rows.append(("C(13,5) [slow]", "10",
-                 lambda: (str(covering_number(13, 5, **kw)), covering_number(13, 5, **kw) == 10),
-                 True))
+    def c13_5():
+        c = covering_number(13, 5, **kw)
+        return str(c), c == 10
+    rows.append(("C(13,5) [slow]", "10", c13_5, True))
 
     def search_555_at_7():
         cex = verify_upper(7, (5, 5, 5), **kw)

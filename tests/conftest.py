@@ -1,8 +1,9 @@
 import random
+from itertools import combinations
 
 import pytest
 
-from ramsey_pm.graphs import SimpleGraph
+from ramsey_pm.graphs import SimpleGraph, mask_of
 
 
 def random_graph(n: int, rng: random.Random, p: float = 0.5) -> SimpleGraph:
@@ -22,6 +23,29 @@ def graph_from_mask(n: int, mask: int) -> SimpleGraph:
                 rows[v] |= 1 << u
             k += 1
     return SimpleGraph(n, tuple(rows))
+
+
+def subset_deficiency(g: SimpleGraph) -> tuple[int, int, int]:
+    """(pd, lv_set, isolated_witness) by enumerating every X directly.
+
+    pd(G) = max over X of i(G - X) - 2|X|; ties go to the least X of
+    minimum size, in lexicographic order of its sorted vertices.  Only
+    |X| < n/3 can beat the empty set, and size k is skipped once n - 3k
+    cannot beat the incumbent.  Exponential; for testing only.
+    """
+    n = g.n
+    best = None
+    for k in range((n + 2) // 3):
+        if best is not None and n - 3 * k <= best[0]:
+            break
+        for xs in combinations(range(n), k):
+            xm = mask_of(xs)
+            wit = mask_of(v for v in range(n)
+                          if not xm >> v & 1 and g.rows[v] & ~xm == 0)
+            val = wit.bit_count() - 2 * k
+            if best is None or val > best[0]:
+                best = (val, xm, wit)
+    return best
 
 
 @pytest.fixture

@@ -1,15 +1,14 @@
 """Acceptance criteria, one test per criterion.
 
-Every expected value is exact (tolerance zero); slow-marked variants cover
-the long searches that the default run may satisfy by the reduction route.
+Every expected value is exact (tolerance zero); the `slow_` variants run
+the longer searches that the other criteria may settle by the reduction
+route.
 """
 
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import ceil
-
-import pytest
 
 from ramsey_pm.bounds import (ceil_third, pm_all3, pm_lowers,
                               pm_standard_value, pm_upper, techfact_holds)
@@ -58,7 +57,6 @@ def test_criterion_02_exact_pm_values():
     _report("2", "published values and the full two-color table via search")
 
 
-@pytest.mark.slow
 def test_criterion_02_slow_555_upper_by_search():
     assert verify_upper(7, (5, 5, 5)) is None
     _report("2s", "(5,5,5) upper step at n=7 by exhaustive search")
@@ -76,7 +74,6 @@ def test_criterion_03_exact_core_values():
     _report("3", "1-core values, two-color table, uniform threes, C(9,5)=5")
 
 
-@pytest.mark.slow
 def test_criterion_03_slow_c13_5():
     assert covering_number(13, 5) == 10
     _report("3s", "C(13,5) = 10")

@@ -79,7 +79,6 @@ def test_covering_numbers():
     assert covering_number(4, 3, max_blocks=2) is None
 
 
-@pytest.mark.slow
 def test_covering_c13_5():
     assert covering_number(13, 5) == 10
 

@@ -2,11 +2,12 @@ import json
 
 import pytest
 
-from ramsey_pm import files
+from ramsey_pm import core_ramsey, files, pm_ramsey
 from ramsey_pm.cli import main, parse_targets
 from ramsey_pm.coloring import EdgeColoring, layered_coloring
 from ramsey_pm.core_ramsey import BlockCover, exact_core_ramsey
 from ramsey_pm.pm_ramsey import exact_pm_ramsey
+from ramsey_pm.results import BudgetExceededError, RouteDisagreementError
 
 from conftest import random_graph
 
@@ -136,6 +137,35 @@ def test_cli_exit_codes(tmp_path, capsys):
     code = main(["exact", "core", "--targets", "6,6,6,6", "--cache", "none",
                  "--node-budget", "3"])
     assert code == 2
+    capsys.readouterr()
+
+
+def test_cli_exact_pm_beyond_24_vertices(capsys):
+    assert main(["exact", "pm", "--targets", "26,3", "--no-cache", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["value"] == 26
+
+
+def test_witness_search_budget_exits_2(monkeypatch, capsys):
+    # reject every constructed witness so the search falls through to the
+    # exhaustive last resort, which then runs out of budget
+    def exhausted(n, targets, **kw):
+        raise BudgetExceededError(f"upper verification at n={n} exhausted its budget")
+    monkeypatch.setattr(pm_ramsey, "_witness_valid", lambda col, n, ts: False)
+    monkeypatch.setattr(pm_ramsey, "verify_upper", exhausted)
+    with pytest.raises(BudgetExceededError):
+        exact_pm_ramsey((5, 5, 5))
+    assert main(["exact", "pm", "--targets", "5,5,5", "--cache", "none"]) == 2
+    capsys.readouterr()
+
+
+def test_core_scan_past_bound_exits_3(monkeypatch, capsys):
+    # a bound below the true value 5 of (4,4,4) makes the scan overrun it
+    monkeypatch.setattr(core_ramsey, "core_upper_edgecount", lambda ts: ts[0])
+    monkeypatch.setattr(core_ramsey, "core_upper_main", lambda ts: ts[0])
+    with pytest.raises(RouteDisagreementError) as err:
+        exact_core_ramsey((4, 4, 4))
+    assert err.value.details == {"targets": (4, 4, 4), "n": 5, "bound": 4}
+    assert main(["exact", "core", "--targets", "4,4,4", "--cache", "none"]) == 3
     capsys.readouterr()
 
 

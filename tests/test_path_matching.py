@@ -6,7 +6,7 @@ from ramsey_pm.graphs import SimpleGraph, complete_graph
 from ramsey_pm.path_matching import (deficiency, has_perfect_pm, max_pm_order,
                                      packing_oracle)
 
-from conftest import graph_from_mask, random_graph
+from conftest import graph_from_mask, random_graph, subset_deficiency
 
 
 def star(leaves: int) -> SimpleGraph:
@@ -44,9 +44,29 @@ def test_packing_oracle_too_large():
         packing_oracle(SimpleGraph.empty(11))
 
 
-def test_deficiency_cap():
-    with pytest.raises(ValueError):
-        deficiency(SimpleGraph.empty(25))
+def test_deficiency_beyond_24_vertices():
+    assert deficiency(SimpleGraph.empty(25))[0] == 25
+    g = random_graph(64, random.Random(15), p=0.03)
+    pd, cert = deficiency(g)
+    cert.check(g)
+    assert cert.deficiency == pd
+
+
+def test_deficiency_matches_subset_oracle_random():
+    # G(n,p) rarely needs a non-empty LV set; leaves hanging off up to
+    # three hubs of a random core usually do
+    rng = random.Random(16)
+    for i in range(400):
+        n = rng.randint(6, 14)
+        if i % 2:
+            g = random_graph(n, rng, p=rng.random() * 0.5)
+        else:
+            h = rng.randint(1, n - 1)
+            edges = [(u, v) for u in range(h) for v in range(u + 1, h) if rng.random() < 0.4]
+            edges += [(rng.randrange(min(h, 3)), v) for v in range(h, n) if rng.random() < 0.9]
+            g = SimpleGraph.from_edges(n, edges)
+        pd, cert = deficiency(g)
+        assert (pd, cert.lv_set, cert.isolated_witness) == subset_deficiency(g), g.edges()
 
 
 def test_oracle_equivalence_exhaustive_small():
@@ -54,6 +74,8 @@ def test_oracle_equivalence_exhaustive_small():
         for mask in range(1 << (n * (n - 1) // 2)):
             g = graph_from_mask(n, mask)
             assert max_pm_order(g) == packing_oracle(g), g.edges()
+            pd, cert = deficiency(g)
+            assert (pd, cert.lv_set, cert.isolated_witness) == subset_deficiency(g), g.edges()
 
 
 def test_oracle_equivalence_random():

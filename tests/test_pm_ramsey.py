@@ -33,6 +33,13 @@ def test_exact_values_match_published_table():
             assert exact_pm_ramsey(tv, strategy=strategy).value == want
 
 
+def test_exact_pm_beyond_24_vertices():
+    res = exact_pm_ramsey((26, 3))
+    assert res.value == 26
+    assert res.lower_witness.n == 25
+    assert all(q < p for q, p in zip(mono_pm_profile(res.lower_witness), (26, 3)))
+
+
 def test_verify_upper_examples():
     assert verify_upper(4, (3, 3, 3)) is None
     cex = verify_upper(3, (3, 3, 3))
