@@ -372,11 +372,14 @@ def exact_core_ramsey(targets: Sequence[int], *,
                       node_budget: int = DEFAULT_NODE_BUDGET,
                       time_budget: Optional[float] = None,
                       workers: int = 1) -> RamseyResult:
-    """Exact 1-core Ramsey value of the targets by upward scan.
+    """Exact 1-core Ramsey value of the targets by bisection.
 
-    Scans n = p1, p1+1, ... testing whether K_n can still be covered by
-    blocks of sizes p_i - 1; the first infeasible n is the value and the
-    last feasible cover is kept as the lower witness.  Entries at most 2
+    K_n can be covered by blocks of sizes p_i - 1 for every n below the
+    value and for none from it on, so the value is found by bisecting
+    between n = p1 - 1 (one block swallows K_n) and the smaller proven
+    upper bound (edge count, three-term bound).  The value always rests
+    on a completed infeasibility verdict at that size, and the cover at
+    the size below is kept as the lower witness.  Entries at most 2
     contribute nothing (their blocks hold at most one vertex).
     """
     started = time.monotonic()
@@ -389,31 +392,31 @@ def exact_core_ramsey(targets: Sequence[int], *,
         # in K_2 the single edge already forms a 1-core of order 2
         stats.millis = int((time.monotonic() - started) * 1000)
         return RamseyResult(ts, 2, PROOF_SEARCH, _trivial_cover(caps), stats)
+    kw = dict(node_budget=node_budget, time_budget=time_budget, workers=workers)
 
-    n = ts[0]
-    if n - 1 >= 2:
-        witness, _ = cover_feasible_with_stats(n - 1, caps, node_budget=node_budget,
-                                               time_budget=time_budget, workers=workers)
-    else:
-        witness = _trivial_cover(caps)
+    lo = ts[0] - 1
+    witness = cover_feasible_with_stats(lo, caps, **kw)[0] if lo >= 2 else _trivial_cover(caps)
     bound = core_upper_edgecount(ts)
     if len(ts) >= 2:
-        bound = max(bound, core_upper_main(ts))
-    while True:
-        cover, nodes = cover_feasible_with_stats(
-            n, caps, node_budget=node_budget, time_budget=time_budget,
-            workers=workers)
+        bound = min(bound, core_upper_main(ts))
+    hi, refuted = bound, False
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        cover, nodes = cover_feasible_with_stats(mid, caps, **kw)
         stats.nodes += nodes
         if cover is None:
-            break
-        witness = cover
-        n += 1
-        if n > bound:
+            hi, refuted = mid, True
+        else:
+            lo, witness = mid, cover
+    if not refuted:
+        cover, nodes = cover_feasible_with_stats(hi, caps, **kw)
+        stats.nodes += nodes
+        if cover is not None:  # so the value would be at least hi + 1
             raise RouteDisagreementError(
-                f"scan for {ts} ran past the proven upper bound {bound}",
-                {"targets": ts, "n": n, "bound": bound})
+                f"{ts} is coverable at its proven upper bound {bound}",
+                {"targets": ts, "n": hi + 1, "bound": bound})
     stats.millis = int((time.monotonic() - started) * 1000)
-    return RamseyResult(ts, n, PROOF_SEARCH, witness, stats)
+    return RamseyResult(ts, hi, PROOF_SEARCH, witness, stats)
 
 
 def covering_number(v: int, k: int, max_blocks: int = 64, *,

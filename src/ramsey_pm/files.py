@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import tempfile
 import time
 from typing import Optional
@@ -153,6 +154,8 @@ class ResultCache:
     """A single JSON document of computed values, replaced atomically.
 
     Entries map the canonical key to {"value", "method", "created"}.
+    A file that is not a JSON object is never overwritten: the cache warns
+    on stderr, then neither answers nor records anything.
     """
 
     def __init__(self, path: str):
@@ -161,11 +164,20 @@ class ResultCache:
         self.load()
 
     def load(self) -> None:
-        if os.path.exists(self.path):
-            with open(self.path, "r", encoding="utf-8") as fh:
-                self.entries = json.load(fh)
+        self.entries, self.writable = {}, True
+        if not os.path.exists(self.path):
+            return
+        with open(self.path, "r", encoding="utf-8") as fh:
+            try:
+                entries = json.load(fh)
+            except ValueError:  # malformed JSON or undecodable bytes
+                entries = None
+        if isinstance(entries, dict):
+            self.entries = entries
         else:
-            self.entries = {}
+            self.writable = False
+            print(f"warning: cache file {self.path} is not a JSON object; "
+                  "running uncached and leaving it untouched", file=sys.stderr)
 
     def save(self) -> None:
         directory = os.path.dirname(os.path.abspath(self.path)) or "."
@@ -184,6 +196,8 @@ class ResultCache:
         return self.entries.get(key)
 
     def put(self, key: str, value: int, method: str) -> None:
+        if not self.writable:
+            return
         self.entries[key] = {
             "value": value,
             "method": method,

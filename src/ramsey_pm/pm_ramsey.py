@@ -4,7 +4,11 @@ Two independent routes compute the same number:
 
 * reduction: the value equals the maximum over integer shifts
   0 <= x_i < p_i/3 of (1-core value of the shifted targets) + sum x_i,
-  with the 1-core values obtained exactly from the covering search;
+  with the 1-core values obtained exactly from the covering search.  The
+  grid is walked once per distinct shifted multiset, in descending order
+  of the proven 1-core upper bound plus shift, and a point is solved only
+  while that bound can still beat the best value so far (f_d keeps the
+  full scan as the reference);
 * search: direct exhaustive enumeration of colorings, scanning n upward
   until no counterexample coloring survives.
 
@@ -17,11 +21,12 @@ the reduction.  Disagreement between completed routes is a fatal error.
 from __future__ import annotations
 
 import time
-from itertools import product
+from itertools import chain, combinations_with_replacement, groupby, product
 from threading import Lock
 from typing import Optional, Sequence
 
-from .bounds import ceil_div, ceil_third, pm_all3, pm_lowers, pm_standard_value
+from .bounds import (ceil_div, ceil_third, core_upper_edgecount, core_upper_main,
+                     pm_all3, pm_lowers, pm_standard_value)
 from .coloring import (EdgeColoring, TargetVector, core_lift_coloring,
                        mono_pm_profile, pm_extremal_coloring)
 from .core_ramsey import BlockCover, cover_to_coloring, exact_core_ramsey
@@ -31,8 +36,8 @@ from .results import (PROOF_CLOSED, PROOF_F3, PROOF_SEARCH, PROOF_TABLE,
 from .search import SearchConfig, enumerate_colorings, BUDGET_EXHAUSTED
 from .results import BudgetExceededError
 
-# memoized 1-core results keyed by stripped sorted targets; grid scans hit
-# the same shifted multisets over and over
+# memoized 1-core results keyed by stripped sorted targets; the reduction,
+# its cross-checks and the witness lifts ask for the same keys again
 _CORE_MEMO: dict[tuple[int, ...], RamseyResult] = {}
 _CORE_LOCK = Lock()
 
@@ -79,30 +84,74 @@ def _core_result(targets: Sequence[int], **kw) -> RamseyResult:
         return _CORE_MEMO[key]
 
 
-def _grid_ranges(targets: Sequence[int], d: int) -> list[range]:
-    # x_i < p_i / d for integers means x_i <= ceil(p_i/d) - 1
-    return [range(ceil_div(p, d)) for p in targets]
-
-
 def f_d(p: Sequence[int], d: int, core_oracle) -> int:
     """max over the integer grid 0 <= x_i < p_i/d of
-    core_oracle(p - d*x, re-sorted) + sum(x)."""
-    value, _ = _f_d_scan(p, d, core_oracle)
-    return value
+    core_oracle(p - d*x, re-sorted) + sum(x).
 
-
-def _f_d_scan(p: Sequence[int], d: int, core_oracle) -> tuple[int, list[tuple[int, ...]]]:
+    Evaluates every grid point; the product route uses the bound-pruned
+    _f3_maximise, and this full scan is its reference.
+    """
     if d < 1:
         raise ValueError("positive shift required")
     targets = tuple(p)
+    # x_i < p_i / d for integers means x_i <= ceil(p_i/d) - 1
+    grid = product(*(range(ceil_div(pi, d)) for pi in targets))
+    return max(core_oracle(tuple(sorted((pi - d * xi for pi, xi in zip(targets, xs)),
+                                        reverse=True))) + sum(xs)
+               for xs in grid)
+
+
+def _f3_points(ts: tuple[int, ...]) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """Each distinct sorted shifted multiset of the f^3 grid, mapped to the
+    first shift vector xs (aligned with ts) that produces it.
+
+    ts must be sorted, so equal targets form runs; within a run only the
+    multiset of shifts matters.  Sum(xs) = (sum(ts) - sum(shifted)) / 3 is
+    fixed by the multiset, so one representative per multiset suffices.
+    """
+    per_run = []
+    for p, run in groupby(ts):
+        k = len(list(run))
+        per_run.append([(tuple(p - 3 * x for x in xs), xs)
+                        for xs in combinations_with_replacement(range(ceil_third(p)), k)])
+    points: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for choice in product(*per_run):
+        shifted = tuple(sorted(chain.from_iterable(s for s, _ in choice), reverse=True))
+        points.setdefault(shifted, tuple(chain.from_iterable(xs for _, xs in choice)))
+    return points
+
+
+def _core_upper(targets: Sequence[int]) -> int:
+    """Proven upper bound on the 1-core value, exact for at most one
+    entry of 3 or more."""
+    key = _core_key(targets)
+    if not key:
+        return 2
+    if len(key) == 1:
+        return key[0]
+    return min(core_upper_edgecount(key), core_upper_main(key))
+
+
+def _f3_maximise(ts: tuple[int, ...], core_oracle) -> tuple[int, list[tuple[int, ...]]]:
+    """f_d(ts, 3, core_oracle) and the shift vectors found to attain it.
+
+    Grid points are solved exactly in descending order of their upper
+    bound (1-core bound + sum x); once a bound cannot beat the incumbent
+    no later point can either, so the rest are never solved.  Among equal
+    bounds the larger shift goes first: its 1-core is smaller, so cheaper
+    to solve.  Maximisers among the pruned points are not reported.
+    """
+    ranked = sorted(((_core_upper(shifted) + sum(xs), sum(xs), shifted, xs)
+                     for shifted, xs in _f3_points(ts).items()),
+                    key=lambda point: (-point[0], -point[1]))
     best = None
     argmax: list[tuple[int, ...]] = []
-    for xs in product(*_grid_ranges(targets, d)):
-        shifted = tuple(pi - d * xi for pi, xi in zip(targets, xs))
-        value = core_oracle(tuple(sorted(shifted, reverse=True))) + sum(xs)
+    for bound, shift, shifted, xs in ranked:
+        if best is not None and bound <= best:
+            break
+        value = core_oracle(shifted) + shift
         if best is None or value > best:
-            best = value
-            argmax = [xs]
+            best, argmax = value, [xs]
         elif value == best:
             argmax.append(xs)
     assert best is not None
@@ -183,13 +232,18 @@ def _witness_valid(col: EdgeColoring, n: int, ts: tuple[int, ...]) -> bool:
 
 def _cover_as_coloring_for(ts_shifted: Sequence[int], cover: BlockCover) -> EdgeColoring:
     """Color the cover's blocks back in the order of the unsorted shifted
-    targets (stable descending match), so block i certifies color i."""
+    targets (stable descending match), so block i certifies color i.
+
+    A memoized 1-core cover carries only the targets of 3 or more; the
+    remaining colors have capacity at most 1 and get empty blocks.
+    """
     order = sorted(range(len(ts_shifted)), key=lambda i: (-ts_shifted[i], i))
     sorted_caps = tuple(ts_shifted[i] - 1 for i in order)
-    if sorted_caps != cover.capacities:
+    k = len(cover.capacities)
+    if sorted_caps[:k] != cover.capacities or any(c > 1 for c in sorted_caps[k:]):
         raise ValueError("cover does not match the shifted targets")
     blocks = [0] * len(ts_shifted)
-    for slot, orig in enumerate(order):
+    for slot, orig in enumerate(order[:k]):
         blocks[orig] = cover.blocks[slot]
     return cover_to_coloring(BlockCover(cover.n, tuple(p - 1 for p in ts_shifted),
                                         tuple(blocks)))
@@ -198,14 +252,16 @@ def _cover_as_coloring_for(ts_shifted: Sequence[int], cover: BlockCover) -> Edge
 def find_lower_witness(n: int, targets: Sequence[int], *,
                        node_budget: int = 50_000_000,
                        time_budget: Optional[float] = None,
-                       workers: int = 1) -> Optional[EdgeColoring]:
+                       workers: int = 1,
+                       stats: Optional[SearchStats] = None) -> Optional[EdgeColoring]:
     """A coloring of K_n with every color-i path-matching below p_i.
 
     Tries, in order: the layered extremal coloring; the design-style lift
     with x_i = ceil(p_i/3) - 1 over a small 1-core witness; lifts over the
-    maximizing grid points of the reduction; exhaustive search.  Every
-    candidate is validated against its per-color profile before being
-    returned.
+    maximizing grid points the pruned reduction solved; exhaustive search.
+    Every candidate is validated against its per-color profile before
+    being returned.  Search nodes of fresh 1-core solves and of the last
+    resort are added to stats.
     """
     ts = _normalize(targets)
     if not ts:
@@ -221,7 +277,8 @@ def find_lower_witness(n: int, targets: Sequence[int], *,
     except ValueError:
         pass
 
-    kw = dict(node_budget=node_budget, time_budget=time_budget, workers=workers)
+    kw = dict(node_budget=node_budget, time_budget=time_budget, workers=workers,
+              stats=stats)
 
     # design-style lift: shift everything to its residue core
     xs = tuple(ceil_third(p) - 1 for p in ts)
@@ -235,11 +292,8 @@ def find_lower_witness(n: int, targets: Sequence[int], *,
         except ValueError:
             pass
 
-    # lifts over every maximizing grid point
-    def oracle(sorted_shifted: tuple[int, ...]) -> int:
-        return core_value(sorted_shifted, **kw)
-
-    _, argmax = _f_d_scan(ts, 3, oracle)
+    # lifts over the maximizing grid points
+    _, argmax = _f3_maximise(ts, lambda shifted: core_value(shifted, **kw))
     for xs in argmax:
         shifted = tuple(p - 3 * x for p, x in zip(ts, xs))
         core = _core_result(shifted, **kw)
@@ -299,9 +353,8 @@ def exact_pm_ramsey(targets: Sequence[int], strategy: str = "auto", *,
     search_kw = dict(kw, progress=progress) if progress is not None else kw
 
     def reduction_value() -> int:
-        def oracle(sorted_shifted: tuple[int, ...]) -> int:
-            return core_value(sorted_shifted, stats=stats, **kw)
-        return f_d(ts, 3, oracle)
+        value, _ = _f3_maximise(ts, lambda shifted: core_value(shifted, stats=stats, **kw))
+        return value
 
     if not ts:  # every target was 1: one edge settles it
         result = RamseyResult(tuple(sorted(targets, reverse=True)), 2, PROOF_TABLE,
@@ -350,7 +403,8 @@ def exact_pm_ramsey(targets: Sequence[int], strategy: str = "auto", *,
 
     result = RamseyResult(ts, value, method, None, stats)
     if want_witness:
-        witness = find_lower_witness(value - 1, ts, **kw) if value >= 2 else None
+        witness = (find_lower_witness(value - 1, ts, stats=stats, **kw)
+                   if value >= 2 else None)
         if witness is None and value > 2:
             raise RouteDisagreementError(
                 f"no witness coloring found on {value - 1} vertices for {ts}; "

@@ -74,6 +74,9 @@ def _check_rows(workers: int = 1) -> list[tuple[str, str, Callable[[], tuple[str
                               lambda rr=r: _pm_value((4,) * rr, "reduction", **kw)))
         rows.append(value_row(f"R_PM(5x{r})", r + 4,
                               lambda rr=r: _pm_value((5,) * rr, "reduction", **kw)))
+    # p1 < 2r - 2: the value exceeds the standard 15
+    rows.append(value_row("R_PM(6x10) (reduction)", 16,
+                          lambda: _pm_value((6,) * 10, "reduction", **kw)))
 
     # headline bounds for ten colors with target 6
     def ten_six():

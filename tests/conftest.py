@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+from ramsey_pm.core_ramsey import cover_feasible
 from ramsey_pm.graphs import SimpleGraph, mask_of
 
 
@@ -46,6 +47,19 @@ def subset_deficiency(g: SimpleGraph) -> tuple[int, int, int]:
             if best is None or val > best[0]:
                 best = (val, xm, wit)
     return best
+
+
+def scan_core_value(targets) -> int:
+    """Exact 1-core value by the upward scan: the first n from p1 on at
+    which K_n has no cover by blocks of sizes p_i - 1.  For testing only."""
+    ts = tuple(sorted(targets, reverse=True))
+    if ts[0] <= 2:
+        return 2
+    caps = tuple(p - 1 for p in ts)
+    n = ts[0]
+    while cover_feasible(n, caps) is not None:
+        n += 1
+    return n
 
 
 @pytest.fixture

@@ -11,6 +11,8 @@ from ramsey_pm.core_ramsey import (BlockCover, cover_feasible,
 from ramsey_pm.coloring import mono_core_profile
 from ramsey_pm.results import BudgetExceededError
 
+from conftest import scan_core_value
+
 
 def core_search_brute(n: int, targets) -> bool:
     """Independent oracle: is there an r-coloring of K_n whose color-i
@@ -109,6 +111,16 @@ def test_bound_sandwich(rng):
         deg = core_upper_degree(tv)
         if deg is not None:
             assert value <= deg
+
+
+def test_bisection_matches_upward_scan(rng):
+    for _ in range(60):
+        r = rng.randint(2, 6)
+        tv = tuple(sorted((rng.randint(2, 8) for _ in range(r)), reverse=True))
+        res = exact_core_ramsey(tv)
+        assert res.value == scan_core_value(tv), tv
+        assert res.lower_witness.n == res.value - 1
+        res.lower_witness.validate()
 
 
 def test_covering_bounds_sandwich():

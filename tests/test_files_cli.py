@@ -88,6 +88,17 @@ def test_cache_hit_does_not_change_value(tmp_path, capsys):
     assert fresh == 7
 
 
+def test_corrupt_cache_runs_uncached(tmp_path, capsys):
+    path = tmp_path / "cache.json"
+    for text in ("{", "[1, 2]"):
+        path.write_text(text)
+        assert main(["exact", "core", "--targets", "4,4,4", "--cache", str(path)]) == 0
+        out, err = capsys.readouterr()
+        assert "value: 5" in out and "cached" not in out
+        assert "warning" in err
+        assert path.read_text() == text
+
+
 def test_cli_exact_core_json(tmp_path, capsys):
     code = main(["exact", "core", "--targets", "4,4,4", "--cache", "none", "--json"])
     assert code == 0
@@ -173,6 +184,10 @@ def test_cli_reproduce_filtered(capsys):
     assert main(["reproduce", "--only", r"R_PM\(3,3,3\)$", "--json"]) == 0
     rows = json.loads(capsys.readouterr().out)
     assert len(rows) == 1 and rows[0]["passed"]
+    # the p1 < 2r - 2 case, above the standard value 15
+    assert main(["reproduce", "--only", r"^R_PM\(6x10\)", "--json"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert len(rows) == 1 and rows[0]["passed"] and rows[0]["computed"] == "16"
 
 
 def test_env_var_cache_path(monkeypatch, tmp_path):

@@ -1,12 +1,20 @@
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 import pytest
 
-from ramsey_pm.bounds import ceil_third, pm_lowers, pm_standard_value, pm_upper
-from ramsey_pm.coloring import mono_pm_profile
-from ramsey_pm.pm_ramsey import (core_value, exact_pm_ramsey, f_d,
-                                 find_lower_witness, verify_upper)
+from ramsey_pm import core_ramsey
+from ramsey_pm.bounds import (ceil_third, core_upper_edgecount, core_upper_main,
+                              pm_lowers, pm_standard_value, pm_upper)
+from ramsey_pm.coloring import core_lift_coloring, mono_pm_profile
+from ramsey_pm.pm_ramsey import (_core_result, _cover_as_coloring_for,
+                                 _f3_maximise, clear_core_cache, core_value,
+                                 exact_pm_ramsey, f_d, find_lower_witness,
+                                 verify_upper)
 from ramsey_pm.results import FormulaUnavailableError
+
+
+def _shifted(tv, xs):
+    return tuple(p - 3 * x for p, x in zip(tv, xs))
 
 
 def test_f3_examples():
@@ -23,6 +31,57 @@ def test_f3_dominates_unshifted_core_and_standard_lower():
         value = f_d(tv, 3, core_value)
         assert value >= core_value(tv)
         assert value >= tv[0] + sum(ceil_third(p) - 1 for p in tv[1:])
+
+
+def test_pruned_maximiser_matches_full_scan(rng):
+    vectors = [(6, 6, 6), (6,) * 6, (9, 9, 9, 9), (7, 6, 5, 4, 3)]
+    for _ in range(60):
+        r = rng.randint(1, 6)
+        vectors.append(tuple(sorted((rng.randint(2, 9) for _ in range(r)), reverse=True)))
+    # the three-term bound is the smaller one here, so the min matters
+    assert core_upper_main((6, 6, 6)) < core_upper_edgecount((6, 6, 6))
+    for tv in vectors:
+        value, argmax = _f3_maximise(tv, core_value)
+        assert value == f_d(tv, 3, core_value), tv
+        assert argmax
+        for xs in argmax:
+            assert all(0 <= x < ceil_third(p) for p, x in zip(tv, xs))
+            assert core_value(_shifted(tv, xs)) + sum(xs) == value, (tv, xs)
+
+
+def test_every_maximising_grid_point_lifts_to_a_witness(rng):
+    # shifted targets of 1 or 2 have no block in the memoized 1-core cover
+    vectors = [(7, 6, 6), (5, 5, 4), (8, 5, 5)]
+    for _ in range(30):
+        r = rng.randint(1, 4)
+        vectors.append(tuple(sorted((rng.randint(2, 8) for _ in range(r)), reverse=True)))
+    for tv in vectors:
+        value = f_d(tv, 3, core_value)
+        for xs in product(*(range(ceil_third(p)) for p in tv)):
+            shifted = _shifted(tv, xs)
+            if core_value(shifted) + sum(xs) != value:
+                continue
+            core = _core_result(shifted)
+            col = core_lift_coloring(_cover_as_coloring_for(shifted, core.lower_witness), xs)
+            assert col.n == value - 1, (tv, xs)
+            assert all(q < p for q, p in zip(mono_pm_profile(col), tv)), (tv, xs)
+
+
+def test_stats_count_every_cover_node(monkeypatch):
+    # the witness lift solves 1-cores the pruned reduction never did
+    counted = []
+    real = core_ramsey.cover_feasible_with_stats
+
+    def counting(*args, **kwargs):
+        cover, nodes = real(*args, **kwargs)
+        counted.append(nodes)
+        return cover, nodes
+
+    monkeypatch.setattr(core_ramsey, "cover_feasible_with_stats", counting)
+    clear_core_cache()
+    res = exact_pm_ramsey((6,) * 8, "reduction")
+    assert res.value == 14
+    assert sum(counted) == res.stats.nodes > 0
 
 
 def test_exact_values_match_published_table():
