@@ -54,13 +54,20 @@ def parse_targets(text: str) -> list[int]:
     return out
 
 
+def _positive(kind):
+    def parse(text: str):
+        value = kind(text)
+        if not value > 0:  # also rejects nan
+            raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+        return value
+    return parse
+
+
 def _budget_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--node-budget", type=int, default=50_000_000,
-                   help="maximum search nodes before giving up")
-    p.add_argument("--time-budget", type=float, default=None,
-                   help="wall-clock budget in seconds")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker count for the searches")
+    p.add_argument("--node-budget", type=_positive(int), default=50_000_000,
+                   help="maximum nodes of each search before giving up")
+    p.add_argument("--time-budget", type=_positive(float), default=None,
+                   help="wall-clock budget of each search, in seconds")
 
 
 def _print_progress(snapshot: dict) -> None:
@@ -100,8 +107,7 @@ def cmd_exact(args) -> int:
             else:
                 print(f"value: {hit['value']} (cached, {hit['method']})")
             return EXIT_OK
-    kw = dict(node_budget=args.node_budget, time_budget=args.time_budget,
-              workers=args.threads)
+    kw = dict(node_budget=args.node_budget, time_budget=args.time_budget)
     if args.kind == "pm":
         if args.verbose:
             kw["progress"] = _print_progress
@@ -140,8 +146,7 @@ def cmd_bounds(args) -> int:
 
 def cmd_witness(args) -> int:
     targets = parse_targets(args.targets)
-    kw = dict(node_budget=args.node_budget, time_budget=args.time_budget,
-              workers=args.threads)
+    kw = dict(node_budget=args.node_budget, time_budget=args.time_budget)
     if args.kind == "pm":
         witness = find_lower_witness(args.n, targets, **kw)
         if witness is None:
@@ -189,8 +194,7 @@ def cmd_deficiency(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
-    rows = run_report(include_slow=args.include_slow, only=args.only,
-                      workers=args.threads)
+    rows = run_report(include_slow=args.include_slow, only=args.only)
     if args.json:
         print(json.dumps([{
             "name": r.name, "expected": r.expected, "computed": r.computed,
@@ -245,7 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--include-slow", action="store_true")
     pr.add_argument("--json", action="store_true")
     pr.add_argument("--only", default=None, help="regex filter on row names")
-    pr.add_argument("--threads", type=int, default=1)
     pr.set_defaults(fn=cmd_reproduce)
 
     return p

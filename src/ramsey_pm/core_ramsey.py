@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from threading import Event
 from typing import Optional, Sequence
 
 from .bounds import ceil_div, core_upper_edgecount, core_upper_main, covering_lower_eh, covering_lower_schonheim
@@ -66,13 +65,12 @@ class _CoverSearch:
     """
 
     def __init__(self, n: int, caps: Sequence[int], node_budget: int,
-                 deadline: Optional[float], stop: Optional[Event]):
+                 deadline: Optional[float]):
         self.n = n
         self.caps = list(caps)  # sorted descending by the caller
         self.B = len(caps)
         self.node_budget = node_budget
         self.deadline = deadline
-        self.stop = stop
         self.nodes = 0
         self.members = [0] * self.B
         self.blocks = [0] * self.B
@@ -169,8 +167,6 @@ class _CoverSearch:
     def run(self, v: int) -> Optional[list[int]]:
         """Assign vertices v..n-1; a block list on success, else None."""
         self._tick()
-        if self.stop is not None and self.stop.is_set():
-            return None  # another worker already found a cover
         n, B = self.n, self.B
         if v == n:
             return list(self.blocks)
@@ -233,81 +229,30 @@ class _CoverSearch:
         return None
 
 
-def _search_one(n: int, caps: Sequence[int], node_budget: int,
-                deadline: Optional[float], stop: Optional[Event],
-                prefix: Optional[list[int]] = None,
-                ) -> tuple[Optional[list[int]], int]:
-    search = _CoverSearch(n, caps, node_budget, deadline, stop)
-    start = 0
-    if prefix is not None:
-        for v, s in enumerate(prefix):
-            vbit = 1 << v
-            mm = s
-            while mm:
-                bb = mm & -mm
-                b = bb.bit_length() - 1
-                search.members[b] += 1
-                search.blocks[b] |= vbit
-                mm ^= bb
-            search.sets.append(s)
-            if not search.distinct or search.distinct[-1] != s:
-                search.distinct.append(s)
-        start = len(prefix)
-    return search.run(start), search.nodes
-
-
-def _expand_frontier(n: int, caps: list[int], want: int) -> list[list[int]]:
-    """Assignment prefixes splitting the tree into >= want subtree roots."""
-    frontier: list[list[int]] = [[]]
-    depth = 0
-    while len(frontier) < want and depth < n:
-        grown: list[list[int]] = []
-        for prefix in frontier:
-            probe = _CoverSearch(n, caps, 10 ** 9, None, None)
-            for v, s in enumerate(prefix):
-                vbit = 1 << v
-                mm = s
-                while mm:
-                    bb = mm & -mm
-                    b = bb.bit_length() - 1
-                    probe.members[b] += 1
-                    probe.blocks[b] |= vbit
-                    mm ^= bb
-                probe.sets.append(s)
-                if not probe.distinct or probe.distinct[-1] != s:
-                    probe.distinct.append(s)
-            for s in probe.candidates(depth):
-                grown.append(prefix + [s])
-        if not grown:
-            break
-        frontier = grown
-        depth += 1
-    return frontier
-
-
 def cover_feasible(n: int, capacities: Sequence[int], *,
                    node_budget: int = DEFAULT_NODE_BUDGET,
-                   time_budget: Optional[float] = None,
-                   workers: int = 1) -> Optional[BlockCover]:
+                   time_budget: Optional[float] = None) -> Optional[BlockCover]:
     cover, _ = cover_feasible_with_stats(
-        n, capacities, node_budget=node_budget, time_budget=time_budget,
-        workers=workers)
+        n, capacities, node_budget=node_budget, time_budget=time_budget)
     return cover
 
 
 def cover_feasible_with_stats(n: int, capacities: Sequence[int], *,
                               node_budget: int = DEFAULT_NODE_BUDGET,
                               time_budget: Optional[float] = None,
-                              workers: int = 1,
                               ) -> tuple[Optional[BlockCover], int]:
     """A block cover of K_n within the capacities, or None; plus node count.
 
-    The search is complete: a None verdict means no cover exists.  The
-    verdict is independent of the worker count; any returned cover is a
-    valid witness.
+    The search is complete: a None verdict means no cover exists, and any
+    returned cover is a valid witness.  Exceeding either budget raises
+    BudgetExceededError.
     """
     if not 2 <= n <= MAX_VERTICES:
         raise ValueError(f"need 2 <= n <= {MAX_VERTICES}")
+    if node_budget <= 0:
+        raise ValueError("positive node budget required")
+    if time_budget is not None and not time_budget > 0:
+        raise ValueError("positive time budget required")
     caps_all = list(capacities)
     if not caps_all:
         raise ValueError("at least one block required")
@@ -330,28 +275,9 @@ def cover_feasible_with_stats(n: int, capacities: Sequence[int], *,
         found[0] = (1 << n) - 1
         nodes = 0
     else:
-        deadline = time.monotonic() + time_budget if time_budget else None
-        if workers <= 1:
-            found, nodes = _search_one(n, caps, node_budget, deadline, None)
-        else:
-            tasks = _expand_frontier(n, caps, 4 * workers)
-            stop = Event()
-            found = None
-            nodes = 0
-            from concurrent.futures import ThreadPoolExecutor
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                futures = [
-                    pool.submit(_search_one, n, caps,
-                                max(1, node_budget // max(1, len(tasks))),
-                                deadline, stop, task)
-                    for task in tasks
-                ]
-                for fut in futures:
-                    res, used = fut.result()
-                    nodes += used
-                    if res is not None and found is None:
-                        found = res
-                        stop.set()
+        deadline = time.monotonic() + time_budget if time_budget is not None else None
+        search = _CoverSearch(n, caps, node_budget, deadline)
+        found, nodes = search.run(0), search.nodes
     if found is None:
         return None, nodes
 
@@ -370,8 +296,7 @@ def _trivial_cover(caps: Sequence[int]) -> BlockCover:
 
 def exact_core_ramsey(targets: Sequence[int], *,
                       node_budget: int = DEFAULT_NODE_BUDGET,
-                      time_budget: Optional[float] = None,
-                      workers: int = 1) -> RamseyResult:
+                      time_budget: Optional[float] = None) -> RamseyResult:
     """Exact 1-core Ramsey value of the targets by bisection.
 
     K_n can be covered by blocks of sizes p_i - 1 for every n below the
@@ -392,7 +317,7 @@ def exact_core_ramsey(targets: Sequence[int], *,
         # in K_2 the single edge already forms a 1-core of order 2
         stats.millis = int((time.monotonic() - started) * 1000)
         return RamseyResult(ts, 2, PROOF_SEARCH, _trivial_cover(caps), stats)
-    kw = dict(node_budget=node_budget, time_budget=time_budget, workers=workers)
+    kw = dict(node_budget=node_budget, time_budget=time_budget)
 
     lo = ts[0] - 1
     witness = cover_feasible_with_stats(lo, caps, **kw)[0] if lo >= 2 else _trivial_cover(caps)
@@ -421,8 +346,7 @@ def exact_core_ramsey(targets: Sequence[int], *,
 
 def covering_number(v: int, k: int, max_blocks: int = 64, *,
                     node_budget: int = DEFAULT_NODE_BUDGET,
-                    time_budget: Optional[float] = None,
-                    workers: int = 1) -> Optional[int]:
+                    time_budget: Optional[float] = None) -> Optional[int]:
     """Exact C(v, k): minimum number of size-<=k blocks covering K_v.
 
     Scans upward from the iterated-ceiling lower bound; None if the answer
@@ -435,7 +359,7 @@ def covering_number(v: int, k: int, max_blocks: int = 64, *,
     b = covering_lower_schonheim(v, k) if k >= 3 else covering_lower_eh(v, k)
     while b <= max_blocks:
         if cover_feasible(v, (k,) * b, node_budget=node_budget,
-                          time_budget=time_budget, workers=workers) is not None:
+                          time_budget=time_budget) is not None:
             return b
         b += 1
     return None

@@ -52,7 +52,7 @@ def _core_key(targets: Sequence[int]) -> tuple[int, ...]:
 
 
 def core_value(targets: Sequence[int], *, node_budget: int = 100_000_000,
-               time_budget: Optional[float] = None, workers: int = 1,
+               time_budget: Optional[float] = None,
                stats: Optional[SearchStats] = None) -> int:
     """Memoized exact 1-core value; targets at most 2 are dropped since
     their blocks hold at most one vertex, and an all-small vector is 2."""
@@ -63,7 +63,7 @@ def core_value(targets: Sequence[int], *, node_budget: int = 100_000_000,
         hit = _CORE_MEMO.get(key)
     if hit is None:
         hit = exact_core_ramsey(key, node_budget=node_budget,
-                                time_budget=time_budget, workers=workers)
+                                time_budget=time_budget)
         with _CORE_LOCK:
             _CORE_MEMO[key] = hit
     elif stats is not None:
@@ -202,7 +202,6 @@ def closed_form_value(ts: tuple[int, ...]) -> Optional[tuple[int, str]]:
 def verify_upper(n: int, targets: Sequence[int], *,
                  node_budget: int = 50_000_000,
                  time_budget: Optional[float] = None,
-                 workers: int = 1,
                  stats: Optional[SearchStats] = None,
                  progress=None) -> Optional[EdgeColoring]:
     """A coloring of K_n whose color-i path-matchings all stay below p_i,
@@ -212,8 +211,7 @@ def verify_upper(n: int, targets: Sequence[int], *,
         # K_1 has no edges at all, so it is always a counterexample
         return EdgeColoring(1, len(ts), ())
     cfg = SearchConfig(n, len(ts), ts, node_budget=node_budget,
-                       time_budget=time_budget, workers=workers,
-                       progress=progress)
+                       time_budget=time_budget, progress=progress)
     outcome = enumerate_colorings(cfg)
     if stats is not None:
         stats.nodes += outcome.nodes
@@ -252,7 +250,6 @@ def _cover_as_coloring_for(ts_shifted: Sequence[int], cover: BlockCover) -> Edge
 def find_lower_witness(n: int, targets: Sequence[int], *,
                        node_budget: int = 50_000_000,
                        time_budget: Optional[float] = None,
-                       workers: int = 1,
                        stats: Optional[SearchStats] = None) -> Optional[EdgeColoring]:
     """A coloring of K_n with every color-i path-matching below p_i.
 
@@ -277,8 +274,7 @@ def find_lower_witness(n: int, targets: Sequence[int], *,
     except ValueError:
         pass
 
-    kw = dict(node_budget=node_budget, time_budget=time_budget, workers=workers,
-              stats=stats)
+    kw = dict(node_budget=node_budget, time_budget=time_budget, stats=stats)
 
     # design-style lift: shift everything to its residue core
     xs = tuple(ceil_third(p) - 1 for p in ts)
@@ -324,7 +320,6 @@ def _auto_search_cap(r: int, explicit: Optional[int]) -> int:
 def exact_pm_ramsey(targets: Sequence[int], strategy: str = "auto", *,
                     node_budget: int = 50_000_000,
                     time_budget: Optional[float] = None,
-                    workers: int = 1,
                     search_cap: Optional[int] = None,
                     cross_check_cap: int = 4,
                     want_witness: bool = True,
@@ -349,7 +344,7 @@ def exact_pm_ramsey(targets: Sequence[int], strategy: str = "auto", *,
     started = time.monotonic()
     ts = _normalize(targets)
     stats = SearchStats()
-    kw = dict(node_budget=node_budget, time_budget=time_budget, workers=workers)
+    kw = dict(node_budget=node_budget, time_budget=time_budget)
     search_kw = dict(kw, progress=progress) if progress is not None else kw
 
     def reduction_value() -> int:

@@ -28,13 +28,11 @@ class ReportRow:
     slow: bool = False
 
 
-def _pm_value(targets, strategy="auto", **kw):
-    return exact_pm_ramsey(targets, strategy=strategy, want_witness=False, **kw).value
+def _pm_value(targets, strategy="auto"):
+    return exact_pm_ramsey(targets, strategy=strategy, want_witness=False).value
 
 
-def _check_rows(workers: int = 1) -> list[tuple[str, str, Callable[[], tuple[str, bool]], bool]]:
-    kw = dict(workers=workers)
-
+def _check_rows() -> list[tuple[str, str, Callable[[], tuple[str, bool]], bool]]:
     def value_row(name, expect, fn):
         def run():
             got = fn()
@@ -44,39 +42,39 @@ def _check_rows(workers: int = 1) -> list[tuple[str, str, Callable[[], tuple[str
     rows: list[tuple[str, str, Callable[[], tuple[str, bool]], bool]] = []
 
     # exact path-matching values
-    rows.append(value_row("R_PM(3,3,3)", 4, lambda: _pm_value((3, 3, 3), "search", **kw)))
-    rows.append(value_row("R_PM(3,3,3,3)", 4, lambda: _pm_value((3, 3, 3, 3), "search", **kw)))
-    rows.append(value_row("R_PM(4,3,3,3)", 5, lambda: _pm_value((4, 3, 3, 3), "search", **kw)))
-    rows.append(value_row("R_PM(4,4,4)", 6, lambda: _pm_value((4, 4, 4), "search", **kw)))
-    rows.append(value_row("R_PM(5,5,5)", 7, lambda: _pm_value((5, 5, 5), "search", **kw)))
+    rows.append(value_row("R_PM(3,3,3)", 4, lambda: _pm_value((3, 3, 3), "search")))
+    rows.append(value_row("R_PM(3,3,3,3)", 4, lambda: _pm_value((3, 3, 3, 3), "search")))
+    rows.append(value_row("R_PM(4,3,3,3)", 5, lambda: _pm_value((4, 3, 3, 3), "search")))
+    rows.append(value_row("R_PM(4,4,4)", 6, lambda: _pm_value((4, 4, 4), "search")))
+    rows.append(value_row("R_PM(5,5,5)", 7, lambda: _pm_value((5, 5, 5), "search")))
     for p1 in range(2, 7):
         for p2 in range(2, p1 + 1):
             want = p1 + (p2 + 2) // 3 - 1
             rows.append(value_row(f"R_PM({p1},{p2})", want,
-                                  lambda a=p1, b=p2: _pm_value((a, b), "search", **kw)))
+                                  lambda a=p1, b=p2: _pm_value((a, b), "search")))
 
     # exact 1-core values
-    rows.append(value_row("R_1C(4,4,4)", 5, lambda: exact_core_ramsey((4, 4, 4), **kw).value))
-    rows.append(value_row("R_1C(5,5,5)", 7, lambda: exact_core_ramsey((5, 5, 5), **kw).value))
-    rows.append(value_row("R_1C(4,3,3,3)", 5, lambda: exact_core_ramsey((4, 3, 3, 3), **kw).value))
+    rows.append(value_row("R_1C(4,4,4)", 5, lambda: exact_core_ramsey((4, 4, 4)).value))
+    rows.append(value_row("R_1C(5,5,5)", 7, lambda: exact_core_ramsey((5, 5, 5)).value))
+    rows.append(value_row("R_1C(4,3,3,3)", 5, lambda: exact_core_ramsey((4, 3, 3, 3)).value))
     for p1 in range(2, 9):
         for p2 in range(2, p1 + 1):
             rows.append(value_row(f"R_1C({p1},{p2})", max(p1, p2),
-                                  lambda a=p1, b=p2: exact_core_ramsey((a, b), **kw).value))
+                                  lambda a=p1, b=p2: exact_core_ramsey((a, b)).value))
     for r in range(2, 13):
         rows.append(value_row(f"R_1C(3x{r})", pm_all3(r),
-                              lambda rr=r: exact_core_ramsey((3,) * rr, **kw).value))
-    rows.append(value_row("C(9,5)", 5, lambda: covering_number(9, 5, **kw)))
+                              lambda rr=r: exact_core_ramsey((3,) * rr).value))
+    rows.append(value_row("C(9,5)", 5, lambda: covering_number(9, 5)))
 
     # uniform families
     for r in range(2, 6):
         rows.append(value_row(f"R_PM(4x{r})", r + 3,
-                              lambda rr=r: _pm_value((4,) * rr, "reduction", **kw)))
+                              lambda rr=r: _pm_value((4,) * rr, "reduction")))
         rows.append(value_row(f"R_PM(5x{r})", r + 4,
-                              lambda rr=r: _pm_value((5,) * rr, "reduction", **kw)))
+                              lambda rr=r: _pm_value((5,) * rr, "reduction")))
     # p1 < 2r - 2: the value exceeds the standard 15
     rows.append(value_row("R_PM(6x10) (reduction)", 16,
-                          lambda: _pm_value((6,) * 10, "reduction", **kw)))
+                          lambda: _pm_value((6,) * 10, "reduction")))
 
     # headline bounds for ten colors with target 6
     def ten_six():
@@ -87,13 +85,13 @@ def _check_rows(workers: int = 1) -> list[tuple[str, str, Callable[[], tuple[str
 
     # witness validations
     def witness_555():
-        col = find_lower_witness(6, (5, 5, 5), **kw)
+        col = find_lower_witness(6, (5, 5, 5))
         prof = mono_pm_profile(col)
         return f"profile {prof}", col is not None and all(q <= 4 for q in prof)
     rows.append(("witness for R_PM(5,5,5) on K_6", "profile <= (4,4,4)", witness_555, False))
 
     def witness_ten_six():
-        col = find_lower_witness(15, (6,) * 10, **kw)
+        col = find_lower_witness(15, (6,) * 10)
         if col is None:
             return "missing", False
         prof = mono_pm_profile(col)
@@ -101,7 +99,7 @@ def _check_rows(workers: int = 1) -> list[tuple[str, str, Callable[[], tuple[str
     rows.append(("witness for R_PM(6x10) > 15 on K_15", "profile <= 5", witness_ten_six, False))
 
     def core_witness_555():
-        res = exact_core_ramsey((5, 5, 5), **kw)
+        res = exact_core_ramsey((5, 5, 5))
         cover = res.lower_witness
         cover.validate()
         return f"block sizes {sorted(cover.block_sizes())}", cover.n == 6
@@ -123,23 +121,22 @@ def _check_rows(workers: int = 1) -> list[tuple[str, str, Callable[[], tuple[str
 
     # slow rows
     def c13_5():
-        c = covering_number(13, 5, **kw)
+        c = covering_number(13, 5)
         return str(c), c == 10
     rows.append(("C(13,5) [slow]", "10", c13_5, True))
 
     def search_555_at_7():
-        cex = verify_upper(7, (5, 5, 5), **kw)
+        cex = verify_upper(7, (5, 5, 5))
         return "all-succeed" if cex is None else "counterexample", cex is None
     rows.append(("exhaustive search (5,5,5) at n=7 [slow]", "all-succeed", search_555_at_7, True))
 
     return rows
 
 
-def run_report(include_slow: bool = False, only: Optional[str] = None,
-               workers: int = 1) -> list[ReportRow]:
+def run_report(include_slow: bool = False, only: Optional[str] = None) -> list[ReportRow]:
     pattern = re.compile(only) if only else None
     out = []
-    for name, expected, fn, slow in _check_rows(workers):
+    for name, expected, fn, slow in _check_rows():
         if slow and not include_slow:
             continue
         if pattern and not pattern.search(name):

@@ -43,10 +43,6 @@ class SearchStats:
     nodes: int = 0
     millis: int = 0
 
-    def add(self, other: "SearchStats") -> None:
-        self.nodes += other.nodes
-        self.millis += other.millis
-
 
 @dataclass
 class RamseyResult:

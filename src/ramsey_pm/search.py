@@ -24,7 +24,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import permutations, product
-from threading import Event
 from typing import Callable, Optional, Sequence
 
 from .coloring import EdgeColoring
@@ -52,7 +51,6 @@ class SearchConfig:
     node_budget: int = DEFAULT_NODE_BUDGET
     time_budget: Optional[float] = None
     symmetry_level: str = SYMMETRY_FULL
-    workers: int = 1
     canonical_leaves: bool = False  # run the vertex check on complete colorings too
     # progress hook: called with {nodes, leaves, elapsed, depth_histogram}
     # every progress_interval nodes (0 disables)
@@ -64,6 +62,8 @@ class SearchConfig:
             raise ValueError("one threshold per color required")
         if self.node_budget <= 0:
             raise ValueError("positive node budget required")
+        if self.time_budget is not None and not self.time_budget > 0:
+            raise ValueError("positive time budget required")
         if self.symmetry_level not in (SYMMETRY_NONE, SYMMETRY_COLORS, SYMMETRY_FULL):
             raise ValueError(f"unknown symmetry level {self.symmetry_level!r}")
 
@@ -165,11 +165,9 @@ def _prefix_canonical(seq: Sequence[int], m: int,
 
 class _ColoringDFS:
     def __init__(self, config: SearchConfig,
-                 visitor: Optional[Callable[[EdgeColoring], Optional[bool]]],
-                 stop: Optional[Event] = None):
+                 visitor: Optional[Callable[[EdgeColoring], Optional[bool]]]):
         self.cfg = config
         self.visitor = visitor
-        self.stop = stop
         n, r = config.n, config.r
         self.edges = colex_edges(n)
         self.E = len(self.edges)
@@ -186,16 +184,14 @@ class _ColoringDFS:
         self.color_maps = _color_maps(self.groups, r) if r > 1 else [tuple(range(r))]
         self.seq = [0] * self.E
         self.rows = [[0] * n for _ in range(r)]
-        self.pm = [0] * r
         self.used_in_group = [0] * len(self.groups)
         self.nodes = 0
         self.leaves = 0
         self.depth_hist = [0] * (self.E + 1)
         self.started = time.monotonic()
         self.deadline = (self.started + config.time_budget
-                         if config.time_budget else None)
+                         if config.time_budget is not None else None)
         self.counterexample: Optional[EdgeColoring] = None
-        self.stopped = False
 
     def _tick(self, depth: int):
         self.nodes += 1
@@ -234,9 +230,6 @@ class _ColoringDFS:
 
     def run(self, k: int = 0) -> bool:
         """DFS from edge slot k; True aborts the search (stop requested)."""
-        if self.stop is not None and self.stop.is_set():
-            self.stopped = True
-            return True
         if k == self.E:
             return self._leaf()
         cfg = self.cfg
@@ -263,8 +256,6 @@ class _ColoringDFS:
                     ok = False
             if ok:
                 self.seq[k] = c
-                old_pm = self.pm[c]
-                self.pm[c] = new_pm
                 bumped = self.rank_in_group[c] == self.used_in_group[g]
                 if bumped:
                     self.used_in_group[g] += 1
@@ -272,69 +263,9 @@ class _ColoringDFS:
                     return True
                 if bumped:
                     self.used_in_group[g] -= 1
-                self.pm[c] = old_pm
             rows_c[u] &= ~vb
             rows_c[v] &= ~ub
         return False
-
-    def replay(self, prefix: Sequence[int]) -> None:
-        """Re-apply an already vetted prefix without checks."""
-        for k, c in enumerate(prefix):
-            u, v = self.edges[k]
-            self.seq[k] = c
-            self.rows[c][u] |= 1 << v
-            self.rows[c][v] |= 1 << u
-            g = self.group_of[c]
-            if self.rank_in_group[c] == self.used_in_group[g]:
-                self.used_in_group[g] += 1
-        for c in range(self.cfg.r):
-            self.pm[c] = pm_order_of_rows(self.rows[c], self.cfg.n)
-
-
-def _collect_prefixes(config: SearchConfig, depth: int) -> list[list[int]]:
-    """All surviving partial colorings of the first `depth` edges."""
-    out: list[list[int]] = []
-    probe = SearchConfig(config.n, config.r, config.thresholds,
-                         node_budget=config.node_budget,
-                         symmetry_level=config.symmetry_level,
-                         canonical_leaves=config.canonical_leaves)
-    dfs = _ColoringDFS(probe, visitor=None)
-    edges = dfs.edges
-
-    def walk(k: int):
-        if k == depth:
-            out.append(list(dfs.seq[:depth]))
-            return
-        u, v = edges[k]
-        ub, vb = 1 << u, 1 << v
-        boundary_m = dfs.boundaries.get(k + 1)
-        for c in range(config.r):
-            g = dfs.group_of[c]
-            if config.symmetry_level != SYMMETRY_NONE and \
-                    dfs.rank_in_group[c] > dfs.used_in_group[g]:
-                continue
-            rows_c = dfs.rows[c]
-            rows_c[u] |= vb
-            rows_c[v] |= ub
-            ok = pm_order_of_rows(rows_c, config.n) < config.thresholds[c]
-            if ok and boundary_m is not None and boundary_m < config.n \
-                    and config.symmetry_level == SYMMETRY_FULL \
-                    and boundary_m <= _MAX_PERM_VERTICES:
-                dfs.seq[k] = c
-                ok = _prefix_canonical(dfs.seq, boundary_m, dfs.color_maps)
-            if ok:
-                dfs.seq[k] = c
-                bumped = dfs.rank_in_group[c] == dfs.used_in_group[g]
-                if bumped:
-                    dfs.used_in_group[g] += 1
-                walk(k + 1)
-                if bumped:
-                    dfs.used_in_group[g] -= 1
-            rows_c[u] &= ~vb
-            rows_c[v] &= ~ub
-
-    walk(0)
-    return out
 
 
 def enumerate_colorings(config: SearchConfig,
@@ -351,54 +282,16 @@ def enumerate_colorings(config: SearchConfig,
     started = time.monotonic()
     if config.n < 2:
         raise ValueError("need n >= 2")
-    if config.workers <= 1 or config.n < 4:
-        dfs = _ColoringDFS(config, visitor)
-        try:
-            dfs.run(0)
-        except BudgetExceededError as err:
-            return SearchOutcome(BUDGET_EXHAUSTED, None, err.nodes, dfs.leaves,
-                                 int((time.monotonic() - started) * 1000))
-        status = COUNTEREXAMPLE if (dfs.counterexample is not None or dfs.leaves) \
-            else ALL_SUCCEED
-        return SearchOutcome(status, dfs.counterexample, dfs.nodes, dfs.leaves,
+    dfs = _ColoringDFS(config, visitor)
+    try:
+        dfs.run(0)
+    except BudgetExceededError as err:
+        return SearchOutcome(BUDGET_EXHAUSTED, None, err.nodes, dfs.leaves,
                              int((time.monotonic() - started) * 1000))
-
-    # parallel: split the forest below a shallow prefix depth
-    depth = min(3, config.n * (config.n - 1) // 2)
-    prefixes = _collect_prefixes(config, depth)
-    stop = Event()
-    nodes = 0
-    leaves = 0
-    counterexample = None
-    budget_hit = None
-
-    def task(prefix: list[int]) -> tuple[Optional[EdgeColoring], int, int]:
-        sub = _ColoringDFS(config, visitor, stop=stop)
-        sub.replay(prefix)
-        sub.run(depth)
-        if sub.counterexample is not None and not sub.stopped:
-            stop.set()
-        return sub.counterexample, sub.nodes, sub.leaves
-
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=config.workers) as pool:
-        futures = [pool.submit(task, p) for p in prefixes]
-        for fut in futures:
-            try:
-                cex, used, lv = fut.result()
-            except BudgetExceededError as err:
-                budget_hit = err
-                stop.set()
-                continue
-            nodes += used
-            leaves += lv
-            if cex is not None and counterexample is None:
-                counterexample = cex
-    millis = int((time.monotonic() - started) * 1000)
-    if budget_hit is not None and counterexample is None:
-        return SearchOutcome(BUDGET_EXHAUSTED, None, nodes, leaves, millis)
-    status = COUNTEREXAMPLE if (counterexample is not None or leaves) else ALL_SUCCEED
-    return SearchOutcome(status, counterexample, nodes, leaves, millis)
+    status = COUNTEREXAMPLE if (dfs.counterexample is not None or dfs.leaves) \
+        else ALL_SUCCEED
+    return SearchOutcome(status, dfs.counterexample, dfs.nodes, dfs.leaves,
+                         int((time.monotonic() - started) * 1000))
 
 
 def canonical_extension_check(prefix_colors: Sequence[int], config: SearchConfig) -> bool:

@@ -62,6 +62,13 @@ def scan_core_value(targets) -> int:
     return n
 
 
+@pytest.fixture(autouse=True)
+def private_cache(monkeypatch, tmp_path):
+    """Point the default result cache at a per-test file, so no test
+    writes the user's cache."""
+    monkeypatch.setenv("RAMSEY_PM_CACHE", str(tmp_path / "cache.json"))
+
+
 @pytest.fixture
 def rng():
     return random.Random(0x5EED)

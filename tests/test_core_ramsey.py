@@ -6,8 +6,8 @@ from ramsey_pm.bounds import (core_upper_degree, core_upper_edgecount,
                               core_upper_main, covering_lower_eh,
                               covering_lower_schonheim, pm_all3)
 from ramsey_pm.core_ramsey import (BlockCover, cover_feasible,
-                                   cover_to_coloring, covering_number,
-                                   exact_core_ramsey)
+                                   cover_feasible_with_stats, cover_to_coloring,
+                                   covering_number, exact_core_ramsey)
 from ramsey_pm.coloring import mono_core_profile
 from ramsey_pm.results import BudgetExceededError
 
@@ -203,10 +203,18 @@ def test_cover_feasible_fuzz_against_brute_force(rng):
         assert brute == search, (n, caps)
 
 
-def test_worker_counts_agree():
-    cases = [(4, (3, 3, 3)), (5, (3, 3, 3)), (6, (4, 4, 4)), (9, (5, 5, 5, 5)),
-             (9, (5,) * 5), (7, (4, 4, 3, 2))]
-    for n, caps in cases:
-        verdicts = {w: cover_feasible(n, caps, workers=w) is not None
-                    for w in (1, 4, 8)}
-        assert len(set(verdicts.values())) == 1, (n, caps, verdicts)
+def test_cover_node_budget_boundary():
+    # a budget of exactly the nodes a search needs suffices; one less does not
+    cover, nodes = cover_feasible_with_stats(9, (5,) * 5)
+    assert cover is not None and nodes > 1
+    assert cover_feasible_with_stats(9, (5,) * 5, node_budget=nodes) == (cover, nodes)
+    with pytest.raises(BudgetExceededError):
+        cover_feasible_with_stats(9, (5,) * 5, node_budget=nodes - 1)
+
+
+def test_cover_non_positive_budgets_rejected():
+    for bad in (dict(node_budget=0), dict(node_budget=-5),
+                dict(time_budget=0), dict(time_budget=-1.0),
+                dict(time_budget=float("nan"))):
+        with pytest.raises(ValueError):
+            cover_feasible_with_stats(9, (5,) * 5, **bad)

@@ -151,6 +151,18 @@ def test_cli_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_non_positive_budgets_exit_1(capsys):
+    # a budget of zero or less is a usage error, never "unlimited"
+    for flag in ("--time-budget", "--node-budget"):
+        for value in ("0", "-1"):
+            assert main(["exact", "core", "--targets", "5*10", "--cache", "none",
+                         flag, value]) == 1, (flag, value)
+            assert "must be positive" in capsys.readouterr().err
+    assert main(["exact", "core", "--targets", "5*10", "--cache", "none",
+                 "--time-budget", "nan"]) == 1
+    capsys.readouterr()
+
+
 def test_cli_exact_pm_beyond_24_vertices(capsys):
     assert main(["exact", "pm", "--targets", "26,3", "--no-cache", "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["value"] == 26

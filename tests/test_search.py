@@ -1,5 +1,7 @@
 import itertools
 
+import pytest
+
 from ramsey_pm.coloring import mono_pm_profile
 from ramsey_pm.graphs import SimpleGraph
 from ramsey_pm.path_matching import packing_oracle
@@ -110,15 +112,22 @@ def test_deterministic_counterexample():
     assert first is not None and first.colors == second.colors
 
 
-def test_worker_count_independence():
-    cases = [(3, (3, 3, 3)), (4, (3, 3, 3)), (4, (4, 3, 3, 3)), (5, (4, 4)),
-             (6, (4, 4, 4)), (5, (4, 4, 4))]
-    for n, p in cases:
-        verdicts = set()
-        for w in (1, 4, 8):
-            out = enumerate_colorings(SearchConfig(n, len(p), p, workers=w))
-            verdicts.add(out.status)
-        assert len(verdicts) == 1, (n, p, verdicts)
+def test_node_budget_boundary():
+    # a budget of exactly the nodes a search needs suffices; one less does not
+    full = enumerate_colorings(SearchConfig(6, 3, (4, 4, 4)))
+    assert full.status == "all-succeed" and full.nodes > 1
+    exact = enumerate_colorings(SearchConfig(6, 3, (4, 4, 4), node_budget=full.nodes))
+    assert exact.status == "all-succeed" and exact.nodes == full.nodes
+    short = enumerate_colorings(SearchConfig(6, 3, (4, 4, 4), node_budget=full.nodes - 1))
+    assert short.status == "budget-exhausted"
+
+
+def test_non_positive_budgets_rejected():
+    for bad in (dict(node_budget=0), dict(node_budget=-5),
+                dict(time_budget=0), dict(time_budget=-1.0),
+                dict(time_budget=float("nan"))):
+        with pytest.raises(ValueError):
+            SearchConfig(6, 3, (4, 4, 4), **bad)
 
 
 def test_many_equal_colors_truncated_maps_stay_sound():
