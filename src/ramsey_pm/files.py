@@ -16,6 +16,7 @@ Result JSON: {"targets": [...], "value": ..., "method": ...,
 
 from __future__ import annotations
 
+import fcntl
 import json
 import os
 import sys
@@ -155,7 +156,10 @@ class ResultCache:
 
     Entries map the canonical key to {"value", "method", "created"}.
     A file that is not a JSON object is never overwritten: the cache warns
-    on stderr, then neither answers nor records anything.
+    on stderr, then neither answers nor records anything.  Each `put`
+    holds an exclusive lock on the sidecar file `<path>.lock` while it
+    re-reads the file, adds its entry and replaces the file, so entries
+    that another process recorded since `load` are kept.
     """
 
     def __init__(self, path: str):
@@ -179,31 +183,33 @@ class ResultCache:
             print(f"warning: cache file {self.path} is not a JSON object; "
                   "running uncached and leaving it untouched", file=sys.stderr)
 
-    def save(self) -> None:
-        directory = os.path.dirname(os.path.abspath(self.path)) or "."
-        os.makedirs(directory, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ramsey-cache-")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(self.entries, fh, indent=1, sort_keys=True)
-            os.replace(tmp, self.path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
-
     def get(self, key: str) -> Optional[dict]:
         return self.entries.get(key)
 
     def put(self, key: str, value: int, method: str) -> None:
         if not self.writable:
             return
-        self.entries[key] = {
-            "value": value,
-            "method": method,
-            "created": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        }
-        self.save()
+        directory = os.path.dirname(os.path.abspath(self.path))
+        os.makedirs(directory, exist_ok=True)
+        with open(self.path + ".lock", "a") as lock:
+            fcntl.flock(lock, fcntl.LOCK_EX)  # released when the file closes
+            self.load()
+            if not self.writable:
+                return
+            self.entries[key] = {
+                "value": value,
+                "method": method,
+                "created": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+            }
+            fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ramsey-cache-")
+            try:
+                with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                    json.dump(self.entries, fh, indent=1, sort_keys=True)
+                os.replace(tmp, self.path)
+            except BaseException:
+                if os.path.exists(tmp):
+                    os.unlink(tmp)
+                raise
 
 
 def default_cache_path() -> str:

@@ -41,6 +41,9 @@ from .results import BudgetExceededError
 _CORE_MEMO: dict[tuple[int, ...], RamseyResult] = {}
 _CORE_LOCK = Lock()
 
+# `auto` cross-checks a value by the other routes when it is at most this
+_CROSS_CHECK_CAP = 4
+
 
 def clear_core_cache() -> None:
     with _CORE_LOCK:
@@ -321,15 +324,14 @@ def exact_pm_ramsey(targets: Sequence[int], strategy: str = "auto", *,
                     node_budget: int = 50_000_000,
                     time_budget: Optional[float] = None,
                     search_cap: Optional[int] = None,
-                    cross_check_cap: int = 4,
                     want_witness: bool = True,
                     progress=None) -> RamseyResult:
     """Exact path-matching Ramsey value of the targets.
 
     strategy:
       auto      proven closed form if one applies, else the reduction,
-                cross-checked by direct search when the value is at most
-                cross_check_cap;
+                cross-checked by the other routes when the value is at
+                most _CROSS_CHECK_CAP (4);
       formula   closed form only (raises if none is proven);
       reduction the grid maximum over exact 1-core values;
       search    scan n upward with exhaustive coloring searches; sizes
@@ -377,17 +379,15 @@ def exact_pm_ramsey(targets: Sequence[int], strategy: str = "auto", *,
                                      reduction_value)
     else:  # auto
         cf = closed_form_value(ts)
-        if cf is not None:
-            value, method = cf
-        else:
+        if cf is None:
             value, method = reduction_value(), PROOF_F3
-        if cf is not None and method in (PROOF_CLOSED, PROOF_TABLE):
-            red = reduction_value() if value <= cross_check_cap else None
-            if red is not None and red != value:
+        else:
+            value, method = cf
+            if value <= _CROSS_CHECK_CAP and (red := reduction_value()) != value:
                 raise RouteDisagreementError(
                     f"closed form {value} disagrees with reduction {red} on {ts}",
                     {"targets": ts, "closed-form": value, "reduction": red})
-        if value <= cross_check_cap:
+        if value <= _CROSS_CHECK_CAP:
             sv, sm = _search_scan(ts, stats, search_kw,
                                   _auto_search_cap(len(ts), search_cap),
                                   reduction_value)

@@ -13,7 +13,11 @@ edge and prunes three ways:
   (0,3), ..., so after C(m,2) edges the prefix is a full coloring of K_m
   and can be rejected if relabelling the first m vertices (composed with a
   threshold-preserving color permutation) yields a lexicographically
-  smaller color sequence.
+  smaller color sequence.  This is the minimality test of orderly
+  generation (Read 1978; McKay, J. Algorithms 26, 1998): the relabelling
+  is built one vertex at a time and the color map one color at a time,
+  each branch stops at its first slot that differs from the prefix, and
+  nothing is tabulated, so the test runs at every boundary m.
 
 The lexicographically least member of each equivalence class survives all
 three prunes, so at least one representative per class is visited.
@@ -23,7 +27,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import permutations, product
+from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 from .coloring import EdgeColoring
@@ -39,8 +43,6 @@ COUNTEREXAMPLE = "counterexample"
 BUDGET_EXHAUSTED = "budget-exhausted"
 
 DEFAULT_NODE_BUDGET = 50_000_000
-_MAX_PERM_VERTICES = 8
-_MAX_COLOR_MAPS = 50_000
 
 
 @dataclass
@@ -82,85 +84,90 @@ def colex_edges(n: int) -> list[tuple[int, int]]:
     return [(u, v) for v in range(1, n) for u in range(v)]
 
 
-def _colex_pos(u: int, v: int) -> int:
-    return v * (v - 1) // 2 + u
+@lru_cache(maxsize=None)
+def _colex_slots(m: int) -> tuple[tuple[int, ...], ...]:
+    """_colex_slots(m)[w][a]: the colex slot of edge {a, w} in K_m."""
+    return tuple(tuple(a * (a - 1) // 2 + w if a > w else w * (w - 1) // 2 + a
+                       for a in range(m)) for w in range(m))
 
 
-_PERM_MAPS: dict[int, list[tuple[int, ...]]] = {}
-
-
-def _perm_maps(m: int) -> list[tuple[int, ...]]:
-    """For each nonidentity relabelling of [m], where each colex edge slot
-    reads from: applying the map to a color sequence yields the relabelled
-    coloring's sequence."""
-    cached = _PERM_MAPS.get(m)
-    if cached is None:
-        maps = []
-        for sigma in permutations(range(m)):
-            amap = []
-            for v in range(1, m):
-                for u in range(v):
-                    a, b = sigma[u], sigma[v]
-                    if a > b:
-                        a, b = b, a
-                    amap.append(_colex_pos(a, b))
-            amap_t = tuple(amap)
-            if amap_t != tuple(range(len(amap_t))):
-                maps.append(amap_t)
-        _PERM_MAPS[m] = maps
-        cached = maps
-    return cached
-
-
-def _color_groups(thresholds: Sequence[int]) -> list[list[int]]:
-    """Colors grouped by equal threshold (0-indexed), each group sorted."""
-    by_value: dict[int, list[int]] = {}
-    for c, p in enumerate(thresholds):
-        by_value.setdefault(p, []).append(c)
-    return [sorted(g) for g in by_value.values()]
-
-
-def _color_maps(groups: list[list[int]], r: int) -> list[tuple[int, ...]]:
-    """Threshold-preserving color permutations as full maps, identity first.
-
-    Capped in size; a truncated list only weakens pruning, never
-    correctness, since fewer symmetries get tested.
-    """
-    total = 1
-    for g in groups:
-        for k in range(2, len(g) + 1):
-            total *= k
-        if total > _MAX_COLOR_MAPS:
-            return [tuple(range(r))]
-    maps = []
-    group_perms = [list(permutations(g)) for g in groups]
-    for combo in product(*group_perms):
-        cmap = list(range(r))
-        for g, perm in zip(groups, combo):
-            for src, dst in zip(g, perm):
-                cmap[src] = dst
-        maps.append(tuple(cmap))
-    maps.sort(key=lambda m: m != tuple(range(r)))  # identity first
-    return maps
-
-
-def _prefix_canonical(seq: Sequence[int], m: int,
-                      color_maps: list[tuple[int, ...]]) -> bool:
-    """No relabelling of the first m vertices (with a color permutation)
-    makes the K_m prefix lexicographically smaller."""
-    length = m * (m - 1) // 2
-    prefix = seq[:length]
-    for amap in _perm_maps(m):
-        for cmap in color_maps:
-            for j in range(length):
-                img = cmap[prefix[amap[j]]]
-                cur = prefix[j]
-                if img < cur:
+def _no_smaller_extension(b: int, seq: Sequence[int], m: int,
+                          slots: tuple[tuple[int, ...], ...], sigma: list[int],
+                          free: list[int], cmap: list[int], mapped: list[int],
+                          groups: list[list[int]], group_of: list[int]) -> bool:
+    """False iff some choice of sigma(b..m-1), with the color map grown
+    along, makes the image smaller than the prefix; sigma(0..b-1) and the
+    partial color map give an image equal to it so far."""
+    j0 = b * (b - 1) // 2
+    first = -1  # the first candidate that ties at this level
+    for w in free:
+        if w < 0:
+            continue  # already an image of sigma(0..b-1)
+        row = slots[w]
+        trail = []  # colors this candidate mapped
+        for u in range(b):
+            x = seq[row[sigma[u]]]
+            y = cmap[x]
+            cur = seq[j0 + u]
+            if y < 0:  # unmapped: only the least free color of its group can tie
+                g = group_of[x]
+                y = groups[g][mapped[g]]
+                if y == cur:
+                    cmap[x] = y
+                    mapped[g] += 1
+                    trail.append(x)
+            if y != cur:
+                if y < cur:
                     return False
-                if img > cur:
-                    break
-            # all equal: an automorphism of the prefix, keep going
+                break  # larger: cut the branch
+        else:  # equal so far; at b = m - 1 an automorphism
+            # a twin of the level's first tie (the same color towards every
+            # other vertex) repeats that branch: swapping the two is an
+            # automorphism of the prefix that fixes sigma(0..b-1)
+            twin = first >= 0
+            if twin:
+                rt = slots[first]
+                for x in range(m):
+                    if x != first and x != w and seq[rt[x]] != seq[row[x]]:
+                        twin = False
+                        break
+            else:
+                first = w
+            if b + 1 < m and not twin:
+                sigma[b] = w
+                free[w] = -1
+                ok = _no_smaller_extension(b + 1, seq, m, slots, sigma, free,
+                                           cmap, mapped, groups, group_of)
+                free[w] = w
+                if not ok:
+                    return False
+        for x in trail:
+            cmap[x] = -1
+            mapped[group_of[x]] -= 1
     return True
+
+
+def _prefix_canonical(seq: Sequence[int], m: int, groups: list[list[int]],
+                      group_of: list[int]) -> bool:
+    """No relabelling of the first m vertices, composed with a
+    threshold-preserving color permutation, makes the K_m prefix
+    lexicographically smaller.
+
+    The relabelling sigma is built one vertex at a time.  Fixing
+    sigma(0..b) fixes the image of every slot below C(b+1, 2), so the new
+    slots (0,b), ..., (b-1,b) are compared as soon as sigma(b) is chosen: a
+    smaller image refutes canonicity, a larger one cuts the branch.  The
+    color map grows the same way: a color first met unmapped goes to the
+    least free color of its group, the only image that does not make the
+    comparison larger there, and every such partial map extends to a full
+    symmetry.  A group's mapped colors are always its first ones, and
+    singleton groups are mapped to themselves from the start.  Of twin
+    candidates at one level, only the first is followed, so a block of
+    interchangeable vertices costs one branch instead of its factorial.
+    """
+    cmap = [c if len(groups[g]) == 1 else -1 for c, g in enumerate(group_of)]
+    return _no_smaller_extension(0, seq, m, _colex_slots(m), [0] * m, list(range(m)),
+                                 cmap, [0] * len(groups), groups, group_of)
 
 
 class _ColoringDFS:
@@ -172,16 +179,16 @@ class _ColoringDFS:
         self.edges = colex_edges(n)
         self.E = len(self.edges)
         self.boundaries = {m * (m - 1) // 2: m for m in range(3, n + 1)}
-        self.groups = _color_groups(config.thresholds)
+        by_threshold: dict[int, list[int]] = {}
+        for c, p in enumerate(config.thresholds):
+            by_threshold.setdefault(p, []).append(c)
+        self.groups = list(by_threshold.values())  # equal thresholds, ascending colors
         self.group_of = [0] * r
-        for gi, g in enumerate(self.groups):
-            for c in g:
-                self.group_of[c] = gi
         self.rank_in_group = [0] * r
-        for g in self.groups:
+        for gi, g in enumerate(self.groups):
             for rank, c in enumerate(g):
+                self.group_of[c] = gi
                 self.rank_in_group[c] = rank
-        self.color_maps = _color_maps(self.groups, r) if r > 1 else [tuple(range(r))]
         self.seq = [0] * self.E
         self.rows = [[0] * n for _ in range(r)]
         self.used_in_group = [0] * len(self.groups)
@@ -247,15 +254,11 @@ class _ColoringDFS:
             rows_c = self.rows[c]
             rows_c[u] |= vb
             rows_c[v] |= ub
-            new_pm = pm_order_of_rows(rows_c, cfg.n)
-            ok = new_pm < cfg.thresholds[c]
-            if ok and boundary_m is not None and level == SYMMETRY_FULL \
-                    and boundary_m <= _MAX_PERM_VERTICES:
-                self.seq[k] = c
-                if not _prefix_canonical(self.seq, boundary_m, self.color_maps):
-                    ok = False
+            self.seq[k] = c
+            ok = pm_order_of_rows(rows_c, cfg.n) < cfg.thresholds[c]
+            if ok and boundary_m is not None and level == SYMMETRY_FULL:
+                ok = _prefix_canonical(self.seq, boundary_m, self.groups, self.group_of)
             if ok:
-                self.seq[k] = c
                 bumped = self.rank_in_group[c] == self.used_in_group[g]
                 if bumped:
                     self.used_in_group[g] += 1
@@ -288,8 +291,7 @@ def enumerate_colorings(config: SearchConfig,
     except BudgetExceededError as err:
         return SearchOutcome(BUDGET_EXHAUSTED, None, err.nodes, dfs.leaves,
                              int((time.monotonic() - started) * 1000))
-    status = COUNTEREXAMPLE if (dfs.counterexample is not None or dfs.leaves) \
-        else ALL_SUCCEED
+    status = ALL_SUCCEED if dfs.counterexample is None else COUNTEREXAMPLE
     return SearchOutcome(status, dfs.counterexample, dfs.nodes, dfs.leaves,
                          int((time.monotonic() - started) * 1000))
 
@@ -298,32 +300,27 @@ def canonical_extension_check(prefix_colors: Sequence[int], config: SearchConfig
     """True iff no permissible symmetry maps the prefix (colors of the
     first k colex edges, 1-indexed colors) to a smaller sequence.
 
-    Color permutations apply at any prefix length; vertex relabellings
-    additionally apply when the prefix is a complete K_m.
+    The rule is the search's own: no symmetry at level "none", the
+    first-use order of equal-threshold colors from level "colors" on, and
+    at level "colors+vertices" also the vertex relabellings when the prefix
+    is a complete K_m with m >= 3.
     """
     seq = [c - 1 for c in prefix_colors]
     if any(not 0 <= c < config.r for c in seq):
         raise ValueError("colors out of range")
-    groups = _color_groups(config.thresholds)
-    rank = {}
-    for g in groups:
-        for i, c in enumerate(g):
-            rank[c] = i
-    next_new = {gi: 0 for gi in range(len(groups))}
-    group_of = {}
-    for gi, g in enumerate(groups):
-        for c in g:
-            group_of[c] = gi
-    for c in seq:
-        gi = group_of[c]
-        if rank[c] > next_new[gi]:
-            return False  # a later color of the group appeared first
-        if rank[c] == next_new[gi]:
-            next_new[gi] += 1
-    if config.symmetry_level != SYMMETRY_FULL:
+    dfs = _ColoringDFS(config, None)
+    if len(seq) > dfs.E:
+        raise ValueError(f"prefix longer than the {dfs.E} edges of K_{config.n}")
+    if config.symmetry_level == SYMMETRY_NONE:
         return True
-    k = len(seq)
-    for m in range(3, config.n + 1):
-        if m * (m - 1) // 2 == k and m <= _MAX_PERM_VERTICES:
-            return _prefix_canonical(seq, m, _color_maps(groups, config.r))
-    return True
+    used = dfs.used_in_group
+    for c in seq:
+        g = dfs.group_of[c]
+        if dfs.rank_in_group[c] > used[g]:
+            return False  # a later color of the group appeared first
+        if dfs.rank_in_group[c] == used[g]:
+            used[g] += 1
+    m = dfs.boundaries.get(len(seq))
+    if m is None or config.symmetry_level != SYMMETRY_FULL:
+        return True
+    return _prefix_canonical(seq, m, dfs.groups, dfs.group_of)

@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -60,6 +60,35 @@ def scan_core_value(targets) -> int:
     while cover_feasible(n, caps) is not None:
         n += 1
     return n
+
+
+def least_image(prefix, thresholds) -> tuple[int, ...]:
+    """The least color sequence that a complete K_m prefix (1-indexed
+    colors of the colex edges (0,1), (0,2), (1,2), (0,3), ...) takes under
+    all m! relabellings of its vertices times all color permutations that
+    keep every threshold.  Exponential; for testing only."""
+    k, m = len(prefix), 1
+    while m * (m - 1) // 2 < k:
+        m += 1
+    if m * (m - 1) // 2 != k:
+        raise ValueError("the prefix is not a complete K_m")
+    pairs = [(u, v) for v in range(1, m) for u in range(v)]
+    slot = {pair: j for j, pair in enumerate(pairs)}
+    r = len(thresholds)
+    cmaps = [cm for cm in permutations(range(1, r + 1))
+             if all(thresholds[cm[c] - 1] == thresholds[c] for c in range(r))]
+    best = tuple(prefix)
+    for perm in permutations(range(m)):
+        moved = [prefix[slot[min(perm[u], perm[v]), max(perm[u], perm[v])]]
+                 for u, v in pairs]
+        for cm in cmaps:
+            best = min(best, tuple(cm[c - 1] for c in moved))
+    return best
+
+
+def brute_force_canonical(prefix, thresholds) -> bool:
+    """True iff no symmetry of the complete K_m prefix makes it smaller."""
+    return least_image(prefix, thresholds) == tuple(prefix)
 
 
 @pytest.fixture(autouse=True)

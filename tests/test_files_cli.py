@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -73,6 +76,38 @@ def test_cache_roundtrip(tmp_path):
     assert reloaded.get("PM:5,5,5")["value"] == 7
     assert reloaded.get("C:9/5")["value"] == 5
     assert reloaded.get("PM:9,9") is None
+
+
+def test_cache_keeps_entries_of_another_instance(tmp_path, capsys):
+    # two CLI processes hold their own ResultCache on one file
+    path = str(tmp_path / "cache.json")
+    a, b = files.ResultCache(path), files.ResultCache(path)
+    a.put("PM:5,5,5", 7, "closed-form")
+    b.put("1C:4,4,4", 5, "exhaustive-search")
+    reloaded = files.ResultCache(path)
+    assert reloaded.get("PM:5,5,5")["value"] == 7
+    assert reloaded.get("1C:4,4,4")["value"] == 5
+    # a file that turned into something else meanwhile is still never written
+    (tmp_path / "cache.json").write_text("[1, 2]")
+    a.put("C:9/5", 5, "exhaustive-search")
+    assert (tmp_path / "cache.json").read_text() == "[1, 2]"
+    assert "warning" in capsys.readouterr().err
+
+
+def test_cache_concurrent_processes_keep_every_entry(tmp_path):
+    # more writer processes than cores, each recording its own keys
+    path = str(tmp_path / "cache.json")
+    script = ("import sys\n"
+              "from ramsey_pm.files import ResultCache\n"
+              "cache = ResultCache(sys.argv[1])\n"
+              "for i in range(10):\n"
+              "    cache.put(f'C:{sys.argv[2]}/{i}', i, 'exhaustive-search')\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(files.__file__)))
+    writers = [subprocess.Popen([sys.executable, "-c", script, path, str(w)], env=env)
+               for w in range(4)]
+    for proc in writers:
+        assert proc.wait(timeout=60) == 0
+    assert len(files.ResultCache(path).entries) == 40
 
 
 def test_cache_hit_does_not_change_value(tmp_path, capsys):

@@ -8,6 +8,8 @@ from ramsey_pm.path_matching import packing_oracle
 from ramsey_pm.search import (SearchConfig, canonical_extension_check,
                               colex_edges, enumerate_colorings)
 
+from conftest import brute_force_canonical, least_image
+
 
 def naive_counterexamples(n, thresholds):
     """All bad colorings by plain enumeration (independent of the engine)."""
@@ -131,8 +133,8 @@ def test_non_positive_budgets_rejected():
 
 
 def test_many_equal_colors_truncated_maps_stay_sound():
-    # twelve interchangeable colors overflow the color-permutation table,
-    # which only weakens pruning; the verdict must still match reality
+    # twelve interchangeable colors: the color map is grown lazily, so
+    # their 12! permutations are never listed; the verdict must match reality
     out = enumerate_colorings(SearchConfig(5, 12, (3,) * 12))
     assert out.status == "counterexample"  # ten edges, one color each
     out = enumerate_colorings(SearchConfig(6, 12, (3,) * 12))
@@ -181,6 +183,66 @@ def test_canonical_extension_symmetry_pairs(rng):
                 if img < seq:
                     smaller_exists = True
         assert smaller_exists
+
+
+def test_canonical_extension_check_level_none_allows_everything():
+    # without symmetry breaking the engine visits the prefix (2,)
+    cfg = SearchConfig(4, 2, (3, 3), symmetry_level="none")
+    assert canonical_extension_check([2], cfg)
+    assert canonical_extension_check([2, 1, 1], cfg)
+    firsts = set()
+    enumerate_colorings(SearchConfig(2, 2, (3, 3), symmetry_level="none"),
+                        visitor=lambda col: firsts.add(col.color_of(0, 1)))
+    assert firsts == {1, 2}
+    assert not canonical_extension_check([2], SearchConfig(4, 2, (3, 3)))
+
+
+def test_canonical_extension_check_rejects_overlong_prefix():
+    cfg = SearchConfig(4, 2, (5, 5))
+    assert canonical_extension_check([1] * 6, cfg)  # all C(4,2) edges
+    for length in (7, 40):
+        with pytest.raises(ValueError):
+            canonical_extension_check([1] * length, cfg)
+
+
+def test_canonical_extension_check_matches_brute_force(rng):
+    # every complete K_3 and K_4 prefix
+    for ts in ((3, 3, 3), (4, 4, 3), (5, 3)):
+        cfg = SearchConfig(6, len(ts), ts)
+        for m in (3, 4):
+            for combo in itertools.product(range(1, len(ts) + 1), repeat=m * (m - 1) // 2):
+                assert canonical_extension_check(combo, cfg) == \
+                    brute_force_canonical(combo, ts), (ts, combo)
+    # seeded random K_5 and K_6 prefixes, and the least member of each class
+    for m, count in ((5, 30), (6, 4)):
+        for _ in range(count):
+            ts = rng.choice(((3, 3, 3), (4, 4, 3), (5, 3), (4, 4), (6, 5, 4)))
+            cfg = SearchConfig(m + 1, len(ts), ts)
+            combo = tuple(min(rng.randint(1, len(ts)), rng.randint(1, len(ts)))
+                          for _ in range(m * (m - 1) // 2))
+            least = least_image(combo, ts)
+            assert canonical_extension_check(combo, cfg) == (least == combo), (ts, combo)
+            assert canonical_extension_check(least, cfg), (ts, least)
+
+
+def test_canonical_extension_check_many_equal_colors():
+    # a color-1 star and a color-2 triangle on K_4; swapping the two
+    # colors and moving the triangle first gives 1,1,1,... < 1,1,2,...
+    prefix = [1, 1, 2, 1, 2, 2]
+    assert not canonical_extension_check(prefix, SearchConfig(4, 2, (3, 3)))
+    assert not canonical_extension_check(prefix, SearchConfig(4, 9, (3,) * 9))
+
+
+def test_vertex_check_beyond_eight_vertices():
+    # no vertex cap: a K_9 prefix whose one color-2 edge leads is beaten by
+    # the relabelling that moves that edge to the last slot
+    cfg = SearchConfig(10, 2, (11, 3))
+    assert not canonical_extension_check([2] + [1] * 35, cfg)
+    assert canonical_extension_check([1] * 35 + [2], cfg)
+    # twin vertices keep a monochromatic K_12 from costing 12! relabellings
+    assert canonical_extension_check([1] * 66, SearchConfig(12, 2, (13, 3)))
+    out = enumerate_colorings(SearchConfig(13, 2, (14, 3)))
+    assert out.status == "counterexample" and out.nodes == 78
 
 
 def test_progress_hook_reports_rate_material():
