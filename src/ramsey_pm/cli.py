@@ -75,7 +75,7 @@ def _print_progress(snapshot: dict) -> None:
     hist = snapshot["depth_histogram"]
     deepest = max((d for d, c in enumerate(hist) if c), default=0)
     print(f"progress: {snapshot['nodes']} nodes ({rate:,.0f}/s), "
-          f"{snapshot['leaves']} leaves, deepest edge {deepest}",
+          f"{snapshot['leaves']} leaves, max depth {deepest}",
           file=sys.stderr)
 
 
@@ -108,9 +108,9 @@ def cmd_exact(args) -> int:
                 print(f"value: {hit['value']} (cached, {hit['method']})")
             return EXIT_OK
     kw = dict(node_budget=args.node_budget, time_budget=args.time_budget)
+    if args.verbose:
+        kw["progress"] = _print_progress
     if args.kind == "pm":
-        if args.verbose:
-            kw["progress"] = _print_progress
         res = exact_pm_ramsey(targets, strategy=args.strategy, **kw)
     else:
         res = exact_core_ramsey(targets, **kw)
@@ -194,11 +194,11 @@ def cmd_deficiency(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
-    rows = run_report(include_slow=args.include_slow, only=args.only)
+    rows = run_report(only=args.only)
     if args.json:
         print(json.dumps([{
             "name": r.name, "expected": r.expected, "computed": r.computed,
-            "passed": r.passed, "millis": r.millis, "slow": r.slow,
+            "passed": r.passed, "millis": r.millis,
         } for r in rows]))
     else:
         print(render_report(rows))
@@ -246,7 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
     pd.set_defaults(fn=cmd_deficiency)
 
     pr = sub.add_parser("reproduce", help="recompute and check the published values")
-    pr.add_argument("--include-slow", action="store_true")
     pr.add_argument("--json", action="store_true")
     pr.add_argument("--only", default=None, help="regex filter on row names")
     pr.set_defaults(fn=cmd_reproduce)

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
-from .bounds import ceil_div, core_upper_edgecount, core_upper_main, covering_lower_eh, covering_lower_schonheim
+from .bounds import core_upper_edgecount, core_upper_main, covering_lower_eh, covering_lower_schonheim
 from .coloring import EdgeColoring, coloring_from_edge_colors
 from .graphs import MAX_VERTICES
 from .results import (BudgetExceededError, PROOF_SEARCH, RamseyResult,
@@ -62,171 +62,171 @@ class _CoverSearch:
     search assigns vertices 0..n-1 in order; branching on whole membership
     sets propagates capacity and intersection constraints much harder than
     placing one pair at a time.
+
+    Each node builds its candidate sets from classes of interchangeable
+    blocks and keeps only those whose child passes the three counting
+    tests a child would otherwise run on entry (see candidates), so no
+    dead child is entered or counted.  What those tests read, the room
+    left in each block, in all blocks together and for new pairs, is
+    updated as sets are assigned and taken back.
     """
 
-    def __init__(self, n: int, caps: Sequence[int], node_budget: int,
-                 deadline: Optional[float]):
+    def __init__(self, n: int, caps: Sequence[int], min_sets: int, node_budget: int,
+                 deadline: Optional[float], progress: Optional[Callable[[dict], None]]):
         self.n = n
         self.caps = list(caps)  # sorted descending by the caller
         self.B = len(caps)
+        self.min_sets = min_sets
         self.node_budget = node_budget
         self.deadline = deadline
+        self.progress = progress
         self.nodes = 0
-        self.members = [0] * self.B
+        self.depth_hist = [0] * (n + 1)
+        self.started = time.monotonic()
+        self.next_report = self.started + 1.0
+        self.slack = list(caps)  # room left in each block
+        self.total_slack = sum(caps)
+        self.future_pairs = sum(c * (c - 1) // 2 for c in caps)  # pairs blocks can still gain
         self.blocks = [0] * self.B
-        self.sets: list[int] = []  # membership mask per assigned vertex
         self.distinct: list[int] = []  # distinct membership masks, in order
-        # a vertex needs its blocks to reach all n-1 others even at full
-        # capacity, which already takes this many memberships
-        best = sorted((c - 1 for c in self.caps), reverse=True)
-        need, self.min_sets = n - 1, 0
-        for c in best:
-            if need <= 0:
-                break
-            need -= c
-            self.min_sets += 1
-        if need > 0:
-            self.min_sets = self.B + 1  # impossible outright
 
-    def _tick(self) -> None:
+    def _tick(self, v: int) -> None:
         self.nodes += 1
+        self.depth_hist[v] += 1
         if self.nodes > self.node_budget:
             raise BudgetExceededError(
                 f"cover search exceeded {self.node_budget} nodes", self.nodes)
-        if self.deadline is not None and not self.nodes & 0x3FF:
-            if time.monotonic() > self.deadline:
-                raise BudgetExceededError("cover search hit its time budget", self.nodes)
+        now = time.monotonic()
+        if self.deadline is not None and now > self.deadline:
+            raise BudgetExceededError("cover search hit its time budget", self.nodes)
+        if self.progress is not None and now >= self.next_report:
+            self.next_report = now + 1.0
+            self.progress({
+                "nodes": self.nodes,
+                "leaves": 0,  # the search stops at its first leaf
+                "elapsed": now - self.started,
+                "depth_histogram": list(self.depth_hist),
+            })
 
     def candidates(self, v: int) -> list[int]:
-        """Membership sets available to vertex v, small sets first.
+        """Membership sets for vertex v whose child is alive, small first.
 
-        A set must fit every block's remaining room, intersect each earlier
-        vertex's set, and jointly offer room for all n-1 neighbours plus a
-        free slot for every vertex still to come.  Two symmetry rules cut
-        the rest: blocks of equal capacity with identical current members
-        are interchangeable, so only a prefix of each such class may be
-        used; and vertices are interchangeable outright, so sets are
-        assigned in nondecreasing (size, mask) order.  The lexicographically
-        minimal representative of any solution satisfies all of this at
-        once, which keeps the search complete.
+        Vertices are interchangeable, so sets are assigned in nondecreasing
+        (size, mask) order.  Roomy blocks of equal capacity and equal
+        content are interchangeable too (swapping two fixes every assigned
+        set), so a set takes a prefix of each such class and is built as
+        one prefix count per class.  The lexicographically minimal
+        representative of any solution obeys both rules, which keeps the
+        search complete.  A set must meet every earlier vertex's set (its
+        blocks must hold all of 0..v-1) and leave a slot in its blocks for
+        every later vertex.  A set is dropped, since its child would be
+        dead on entry, if
+        - the later vertices, each taking at least as many memberships,
+          would overrun the total room; so a set stops growing once its
+          size passes total_slack // (n - v);
+        - the blocks could no longer gain a new pair for every pair that
+          still has to be covered; or
+        - some earlier set would keep less room than the vertices after v.
+        All three only get worse as a set grows, so a class count that
+        fails one ends the counts of that class.
         """
-        caps = self.caps
-        members = self.members
-        B = self.B
-        roomy = 0
-        for b in range(B):
-            if members[b] < caps[b]:
-                roomy |= 1 << b
-        # blocks of equal capacity and equal current content are
-        # interchangeable: swapping two of them fixes every assigned set,
-        # so a candidate may only use a prefix of each class
+        n, B, caps, slack, blocks = self.n, self.B, self.caps, self.slack, self.blocks
+        after = n - v - 1
+        top = self.total_slack // (after + 1)
+        pair_room = self.future_pairs - (v + 1) * after - after * (after - 1) // 2
+        last = self.distinct[-1] if self.distinct else 0
+        last_size = last.bit_count()
+        low = max(self.min_sets, last_size)
+        if top < low:
+            return []
+        # an earlier set d may lose at most room(d) - after of its slots;
+        # only those that could lose fewer than top need watching
+        tight = []
+        for d in self.distinct:
+            spare = sum(slack[b] for b in range(B) if d >> b & 1) - after
+            if spare < top:
+                tight.append((d, spare))
         classes: dict[tuple[int, int], list[int]] = {}
         for b in range(B):
-            classes.setdefault((caps[b], self.blocks[b]), []).append(b)
-        twin_runs = [run for run in classes.values() if len(run) > 1]
-        after = self.n - v - 1
-        floor_key = (self.sets[-1].bit_count(), self.sets[-1]) if self.sets else (0, 0)
-        out = []
-        sub = roomy
-        while sub:
-            if (sub.bit_count(), sub) >= floor_key and \
-                    self._set_ok(sub, twin_runs, after):
-                out.append(sub)
-            sub = (sub - 1) & roomy
+            if slack[b]:
+                classes.setdefault((caps[b], blocks[b]), []).append(b)
+        # per class: content, members, room each block adds for later
+        # vertices, prefix masks, and the tight sets that hold the class
+        runs = []
+        for (cap, content), run in classes.items():
+            prefixes = [0]
+            for b in run:
+                prefixes.append(prefixes[-1] | 1 << b)
+            meets = [(d, spare) for d, spare in tight if d & prefixes[1]] if tight else ()
+            runs.append((content, cap - slack[run[0]], slack[run[0]] - 1, prefixes, meets))
+        assigned = (1 << v) - 1
+        # what the classes from i on can hold of 0..v-1
+        k = len(runs)
+        reach = [0] * (k + 1)
+        for i in range(k - 1, -1, -1):
+            reach[i] = reach[i + 1] | runs[i][0]
+        out: list[int] = []
+
+        def grow(i: int, size: int, mask: int, pairs: int, room: int, union: int) -> None:
+            if union | reach[i] != assigned:
+                return
+            if i == k:
+                if size >= low and room >= after and (size > last_size or mask >= last):
+                    out.append(mask)
+                return
+            content, members, gain, prefixes, meets = runs[i]
+            grow(i + 1, size, mask, pairs, room, union)
+            union |= content
+            for c in range(1, min(len(prefixes) - 1, top - size) + 1):
+                pairs += members
+                mask |= prefixes[c]
+                if pairs > pair_room or any((d & mask).bit_count() > spare for d, spare in meets):
+                    break
+                grow(i + 1, size + c, mask, pairs, room + c * gain, union)
+
+        grow(0, 0, 0, 0, 0, 0)
         out.sort(key=lambda s: (s.bit_count(), s))
         return out
 
-    def _set_ok(self, s: int, twin_runs: list[list[int]], after: int) -> bool:
-        for other in self.distinct:
-            if not other & s:
-                return False
-        union = 0
-        future_room = 0
-        mm = s
-        while mm:
-            bb = mm & -mm
-            b = bb.bit_length() - 1
-            union |= self.blocks[b]
-            future_room += self.caps[b] - self.members[b] - 1
-            mm ^= bb
-        if future_room < after:
-            return False  # later vertices cannot all reach this one
-        # everyone else must eventually sit in one of these blocks
-        if union.bit_count() + future_room < self.n - 1:
-            return False
-        for blocks in twin_runs:
-            gap = False
-            for b in blocks:
-                if s >> b & 1:
-                    if gap:
-                        return False
-                else:
-                    gap = True
-        return True
-
     def run(self, v: int) -> Optional[list[int]]:
         """Assign vertices v..n-1; a block list on success, else None."""
-        self._tick()
-        n, B = self.n, self.B
-        if v == n:
+        self._tick(v)
+        if v == self.n:
             return list(self.blocks)
-        caps = self.caps
-        members = self.members
-        remaining = n - v
-
-        slacks = [caps[b] - members[b] for b in range(B)]
-        total_slack = sum(slacks)
-        # sets are assigned in nondecreasing size, so each unassigned vertex
-        # consumes at least max(min_sets, current size floor) memberships
-        floor_size = self.min_sets
-        if self.sets:
-            floor_size = max(floor_size, self.sets[-1].bit_count())
-        if total_slack < remaining * floor_size:
-            return None
-        # every still-uncovered pair (assigned-unassigned or both unassigned)
-        # must become a new pair inside some block
-        future_pairs = sum(caps[b] * (caps[b] - 1) // 2 -
-                           members[b] * (members[b] - 1) // 2 for b in range(B))
-        if future_pairs < v * remaining + remaining * (remaining - 1) // 2:
-            return None
-        # each assigned vertex still needs room for all unassigned neighbours
-        for s in self.distinct:
-            room = 0
-            mm = s
-            while mm:
-                bb = mm & -mm
-                room += slacks[bb.bit_length() - 1]
-                mm ^= bb
-            if room < remaining:
-                return None
-
+        caps, slack, blocks = self.caps, self.slack, self.blocks
         vbit = 1 << v
         for s in self.candidates(v):
-            mm = s
-            while mm:
-                bb = mm & -mm
-                b = bb.bit_length() - 1
-                members[b] += 1
-                self.blocks[b] |= vbit
-                mm ^= bb
-            self.sets.append(s)
+            chosen = [b for b in range(self.B) if s >> b & 1]
+            for b in chosen:
+                self.future_pairs -= caps[b] - slack[b]
+                slack[b] -= 1
+                blocks[b] |= vbit
+            self.total_slack -= len(chosen)
             fresh = not self.distinct or self.distinct[-1] != s
             if fresh:
                 self.distinct.append(s)
             found = self.run(v + 1)
             if fresh:
                 self.distinct.pop()
-            self.sets.pop()
-            mm = s
-            while mm:
-                bb = mm & -mm
-                b = bb.bit_length() - 1
-                members[b] -= 1
-                self.blocks[b] &= ~vbit
-                mm ^= bb
+            self.total_slack += len(chosen)
+            for b in chosen:
+                slack[b] += 1
+                self.future_pairs += caps[b] - slack[b]
+                blocks[b] &= ~vbit
             if found is not None:
                 return found
         return None
+
+
+def _min_sets(n: int, caps: Sequence[int]) -> int:
+    """Memberships a vertex needs so that its blocks, even when full, reach
+    all n - 1 others; len(caps) + 1 if no number of them does."""
+    need = n - 1
+    for count, c in enumerate(sorted(caps, reverse=True)):
+        if need <= 0:
+            return count
+        need -= c - 1
+    return len(caps) if need <= 0 else len(caps) + 1
 
 
 def cover_feasible(n: int, capacities: Sequence[int], *,
@@ -240,12 +240,16 @@ def cover_feasible(n: int, capacities: Sequence[int], *,
 def cover_feasible_with_stats(n: int, capacities: Sequence[int], *,
                               node_budget: int = DEFAULT_NODE_BUDGET,
                               time_budget: Optional[float] = None,
+                              progress: Optional[Callable[[dict], None]] = None,
                               ) -> tuple[Optional[BlockCover], int]:
     """A block cover of K_n within the capacities, or None; plus node count.
 
     The search is complete: a None verdict means no cover exists, and any
     returned cover is a valid witness.  Exceeding either budget raises
-    BudgetExceededError.
+    BudgetExceededError; the clock is read at every node.  progress, if
+    given, is called at most once a second with {nodes, leaves, elapsed,
+    depth_histogram}, where depth is the number of vertices assigned and
+    leaves is always 0, since the search stops at its first leaf.
     """
     if not 2 <= n <= MAX_VERTICES:
         raise ValueError(f"need 2 <= n <= {MAX_VERTICES}")
@@ -266,8 +270,9 @@ def cover_feasible_with_stats(n: int, capacities: Sequence[int], *,
     total_pairs = n * (n - 1) // 2
     if sum(c * (c - 1) // 2 for c in caps) < total_pairs:
         return None, 0
-    # each vertex needs ceil((n-1)/(capmax-1)) blocks, so sizes sum to at least that
-    if sum(caps) < n * ceil_div(n - 1, caps[0] - 1):
+    # every vertex takes at least min_sets memberships
+    min_sets = _min_sets(n, caps)
+    if sum(caps) < n * min_sets:
         return None, 0
     if n <= caps[0]:
         # one big block swallows everything
@@ -276,7 +281,7 @@ def cover_feasible_with_stats(n: int, capacities: Sequence[int], *,
         nodes = 0
     else:
         deadline = time.monotonic() + time_budget if time_budget is not None else None
-        search = _CoverSearch(n, caps, node_budget, deadline)
+        search = _CoverSearch(n, caps, min_sets, node_budget, deadline, progress)
         found, nodes = search.run(0), search.nodes
     if found is None:
         return None, nodes
@@ -296,7 +301,8 @@ def _trivial_cover(caps: Sequence[int]) -> BlockCover:
 
 def exact_core_ramsey(targets: Sequence[int], *,
                       node_budget: int = DEFAULT_NODE_BUDGET,
-                      time_budget: Optional[float] = None) -> RamseyResult:
+                      time_budget: Optional[float] = None,
+                      progress: Optional[Callable[[dict], None]] = None) -> RamseyResult:
     """Exact 1-core Ramsey value of the targets by bisection.
 
     K_n can be covered by blocks of sizes p_i - 1 for every n below the
@@ -305,7 +311,8 @@ def exact_core_ramsey(targets: Sequence[int], *,
     upper bound (edge count, three-term bound).  The value always rests
     on a completed infeasibility verdict at that size, and the cover at
     the size below is kept as the lower witness.  Entries at most 2
-    contribute nothing (their blocks hold at most one vertex).
+    contribute nothing (their blocks hold at most one vertex).  Budgets
+    and the progress hook apply to each cover search.
     """
     started = time.monotonic()
     ts = tuple(sorted(targets, reverse=True))
@@ -317,7 +324,7 @@ def exact_core_ramsey(targets: Sequence[int], *,
         # in K_2 the single edge already forms a 1-core of order 2
         stats.millis = int((time.monotonic() - started) * 1000)
         return RamseyResult(ts, 2, PROOF_SEARCH, _trivial_cover(caps), stats)
-    kw = dict(node_budget=node_budget, time_budget=time_budget)
+    kw = dict(node_budget=node_budget, time_budget=time_budget, progress=progress)
 
     lo = ts[0] - 1
     witness = cover_feasible_with_stats(lo, caps, **kw)[0] if lo >= 2 else _trivial_cover(caps)

@@ -1,8 +1,7 @@
 """The reproduction report: every published value recomputed and checked.
 
 Each row recomputes one exact value, bound, or witness validation and
-compares it against the stated expectation.  Slow rows (the big covering
-refutation and the seven-vertex exhaustive search) are opt-in.
+compares it against the stated expectation.
 """
 
 from __future__ import annotations
@@ -25,21 +24,20 @@ class ReportRow:
     computed: str
     passed: bool
     millis: int
-    slow: bool = False
 
 
 def _pm_value(targets, strategy="auto"):
     return exact_pm_ramsey(targets, strategy=strategy, want_witness=False).value
 
 
-def _check_rows() -> list[tuple[str, str, Callable[[], tuple[str, bool]], bool]]:
+def _check_rows() -> list[tuple[str, str, Callable[[], tuple[str, bool]]]]:
     def value_row(name, expect, fn):
         def run():
             got = fn()
             return str(got), got == expect
-        return name, str(expect), run, False
+        return name, str(expect), run
 
-    rows: list[tuple[str, str, Callable[[], tuple[str, bool]], bool]] = []
+    rows: list[tuple[str, str, Callable[[], tuple[str, bool]]]] = []
 
     # exact path-matching values
     rows.append(value_row("R_PM(3,3,3)", 4, lambda: _pm_value((3, 3, 3), "search")))
@@ -65,6 +63,9 @@ def _check_rows() -> list[tuple[str, str, Callable[[], tuple[str, bool]], bool]]
         rows.append(value_row(f"R_1C(3x{r})", pm_all3(r),
                               lambda rr=r: exact_core_ramsey((3,) * rr).value))
     rows.append(value_row("C(9,5)", 5, lambda: covering_number(9, 5)))
+    rows.append(value_row("C(13,5)", 10, lambda: covering_number(13, 5)))
+    # Fort-Hedlund: C(v,3) = ceil(v/3 * ceil((v-1)/2)) = ceil(50/3) at v = 10
+    rows.append(value_row("C(10,3)", 17, lambda: covering_number(10, 3)))
 
     # uniform families
     for r in range(2, 6):
@@ -81,14 +82,14 @@ def _check_rows() -> list[tuple[str, str, Callable[[], tuple[str, bool]], bool]]
         lo = pm_lowers((6,) * 10)
         hi = pm_upper((6,) * 10)
         return f"{lo[0]}/{lo[1]}/{hi}", lo == (15, 16) and hi == 21
-    rows.append(("bounds (6x10) standard/design/upper", "15/16/21", ten_six, False))
+    rows.append(("bounds (6x10) standard/design/upper", "15/16/21", ten_six))
 
     # witness validations
     def witness_555():
         col = find_lower_witness(6, (5, 5, 5))
         prof = mono_pm_profile(col)
         return f"profile {prof}", col is not None and all(q <= 4 for q in prof)
-    rows.append(("witness for R_PM(5,5,5) on K_6", "profile <= (4,4,4)", witness_555, False))
+    rows.append(("witness for R_PM(5,5,5) on K_6", "profile <= (4,4,4)", witness_555))
 
     def witness_ten_six():
         col = find_lower_witness(15, (6,) * 10)
@@ -96,14 +97,14 @@ def _check_rows() -> list[tuple[str, str, Callable[[], tuple[str, bool]], bool]]
             return "missing", False
         prof = mono_pm_profile(col)
         return f"max profile {max(prof)}", all(q <= 5 for q in prof)
-    rows.append(("witness for R_PM(6x10) > 15 on K_15", "profile <= 5", witness_ten_six, False))
+    rows.append(("witness for R_PM(6x10) > 15 on K_15", "profile <= 5", witness_ten_six))
 
     def core_witness_555():
         res = exact_core_ramsey((5, 5, 5))
         cover = res.lower_witness
         cover.validate()
         return f"block sizes {sorted(cover.block_sizes())}", cover.n == 6
-    rows.append(("cover witness for R_1C(5,5,5) on K_6", "valid cover", core_witness_555, False))
+    rows.append(("cover witness for R_1C(5,5,5) on K_6", "valid cover", core_witness_555))
 
     def diagonal_rows():
         ok = True
@@ -117,28 +118,20 @@ def _check_rows() -> list[tuple[str, str, Callable[[], tuple[str, bool]], bool]]
             detail.append(f"r={r},n={n}:{max(prof)}")
         return " ".join(detail), ok
     rows.append(("diagonal tightness [3n/(r+2), n/(r+2), ...]", "max profile = 3n/(r+2)",
-                 diagonal_rows, False))
-
-    # slow rows
-    def c13_5():
-        c = covering_number(13, 5)
-        return str(c), c == 10
-    rows.append(("C(13,5) [slow]", "10", c13_5, True))
+                 diagonal_rows))
 
     def search_555_at_7():
         cex = verify_upper(7, (5, 5, 5))
         return "all-succeed" if cex is None else "counterexample", cex is None
-    rows.append(("exhaustive search (5,5,5) at n=7 [slow]", "all-succeed", search_555_at_7, True))
+    rows.append(("exhaustive search (5,5,5) at n=7", "all-succeed", search_555_at_7))
 
     return rows
 
 
-def run_report(include_slow: bool = False, only: Optional[str] = None) -> list[ReportRow]:
+def run_report(only: Optional[str] = None) -> list[ReportRow]:
     pattern = re.compile(only) if only else None
     out = []
-    for name, expected, fn, slow in _check_rows():
-        if slow and not include_slow:
-            continue
+    for name, expected, fn in _check_rows():
         if pattern and not pattern.search(name):
             continue
         started = time.monotonic()
@@ -147,7 +140,7 @@ def run_report(include_slow: bool = False, only: Optional[str] = None) -> list[R
         except Exception as err:  # a failure to compute is a failing row
             computed, passed = f"error: {err}", False
         millis = int((time.monotonic() - started) * 1000)
-        out.append(ReportRow(name, expected, computed, passed, millis, slow))
+        out.append(ReportRow(name, expected, computed, passed, millis))
     return out
 
 

@@ -3,8 +3,10 @@ from itertools import combinations, permutations
 
 import pytest
 
-from ramsey_pm.core_ramsey import cover_feasible
+from ramsey_pm.bounds import ceil_div
+from ramsey_pm.core_ramsey import BlockCover, cover_feasible
 from ramsey_pm.graphs import SimpleGraph, mask_of
+from ramsey_pm.results import BudgetExceededError
 
 
 def random_graph(n: int, rng: random.Random, p: float = 0.5) -> SimpleGraph:
@@ -62,6 +64,136 @@ def scan_core_value(targets) -> int:
     return n
 
 
+class _SubsetCoverSearch:
+    """The cover search with its candidate sets found by walking every
+    subset of the roomy blocks and filtering each one, and with every child
+    entered before its dead-end tests run.  For testing only."""
+
+    def __init__(self, n, caps, node_budget):
+        self.n = n
+        self.caps = list(caps)  # sorted descending
+        self.B = len(caps)
+        self.node_budget = node_budget
+        self.nodes = 0
+        self.members = [0] * self.B
+        self.blocks = [0] * self.B
+        self.sets = []
+        self.distinct = []
+        best = sorted((c - 1 for c in self.caps), reverse=True)
+        need, self.min_sets = n - 1, 0
+        for c in best:
+            if need <= 0:
+                break
+            need -= c
+            self.min_sets += 1
+        if need > 0:
+            self.min_sets = self.B + 1
+
+    def candidates(self, v):
+        caps, members, B = self.caps, self.members, self.B
+        roomy = 0
+        for b in range(B):
+            if members[b] < caps[b]:
+                roomy |= 1 << b
+        classes = {}
+        for b in range(B):
+            classes.setdefault((caps[b], self.blocks[b]), []).append(b)
+        twin_runs = [run for run in classes.values() if len(run) > 1]
+        after = self.n - v - 1
+        floor_key = (self.sets[-1].bit_count(), self.sets[-1]) if self.sets else (0, 0)
+        out = []
+        sub = roomy
+        while sub:
+            if (sub.bit_count(), sub) >= floor_key and self._set_ok(sub, twin_runs, after):
+                out.append(sub)
+            sub = (sub - 1) & roomy
+        out.sort(key=lambda s: (s.bit_count(), s))
+        return out
+
+    def _set_ok(self, s, twin_runs, after):
+        if any(not other & s for other in self.distinct):
+            return False
+        union = future_room = 0
+        for b in range(self.B):
+            if s >> b & 1:
+                union |= self.blocks[b]
+                future_room += self.caps[b] - self.members[b] - 1
+        if future_room < after or union.bit_count() + future_room < self.n - 1:
+            return False
+        for run in twin_runs:
+            used = [s >> b & 1 for b in run]
+            if used != sorted(used, reverse=True):
+                return False
+        return True
+
+    def run(self, v):
+        self.nodes += 1
+        if self.nodes > self.node_budget:
+            raise BudgetExceededError("oracle cover search exceeded its budget", self.nodes)
+        n, B, caps, members = self.n, self.B, self.caps, self.members
+        if v == n:
+            return list(self.blocks)
+        remaining = n - v
+        slacks = [caps[b] - members[b] for b in range(B)]
+        floor_size = self.min_sets
+        if self.sets:
+            floor_size = max(floor_size, self.sets[-1].bit_count())
+        if sum(slacks) < remaining * floor_size:
+            return None
+        future_pairs = sum(caps[b] * (caps[b] - 1) // 2 -
+                           members[b] * (members[b] - 1) // 2 for b in range(B))
+        if future_pairs < v * remaining + remaining * (remaining - 1) // 2:
+            return None
+        for s in self.distinct:
+            if sum(slacks[b] for b in range(B) if s >> b & 1) < remaining:
+                return None
+        for s in self.candidates(v):
+            for b in range(B):
+                if s >> b & 1:
+                    members[b] += 1
+                    self.blocks[b] |= 1 << v
+            self.sets.append(s)
+            fresh = not self.distinct or self.distinct[-1] != s
+            if fresh:
+                self.distinct.append(s)
+            found = self.run(v + 1)
+            if fresh:
+                self.distinct.pop()
+            self.sets.pop()
+            for b in range(B):
+                if s >> b & 1:
+                    members[b] -= 1
+                    self.blocks[b] &= ~(1 << v)
+            if found is not None:
+                return found
+        return None
+
+
+def subset_cover_search(n, capacities, node_budget=10**8, **ignored):
+    """(cover or None, nodes) by the subset-walking cover search, with the
+    same capacity order, pre-checks and returned cover as
+    cover_feasible_with_stats, whose other options it accepts and ignores.
+    Exponential in the number of blocks; for testing only."""
+    caps_all = list(capacities)
+    order = sorted((i for i, c in enumerate(caps_all) if c >= 2),
+                   key=lambda i: (-caps_all[i], i))
+    caps = [min(caps_all[i], n) for i in order]
+    if not caps or sum(c * (c - 1) // 2 for c in caps) < n * (n - 1) // 2 \
+            or sum(caps) < n * ceil_div(n - 1, caps[0] - 1):
+        return None, 0
+    if n <= caps[0]:
+        found, nodes = [(1 << n) - 1] + [0] * (len(caps) - 1), 0
+    else:
+        search = _SubsetCoverSearch(n, caps, node_budget)
+        found, nodes = search.run(0), search.nodes
+    if found is None:
+        return None, nodes
+    blocks_all = [0] * len(caps_all)
+    for slot, orig in enumerate(order):
+        blocks_all[orig] = found[slot]
+    return BlockCover(n, tuple(caps_all), tuple(blocks_all)), nodes
+
+
 def least_image(prefix, thresholds) -> tuple[int, ...]:
     """The least color sequence that a complete K_m prefix (1-indexed
     colors of the colex edges (0,1), (0,2), (1,2), (0,3), ...) takes under
@@ -89,6 +221,18 @@ def least_image(prefix, thresholds) -> tuple[int, ...]:
 def brute_force_canonical(prefix, thresholds) -> bool:
     """True iff no symmetry of the complete K_m prefix makes it smaller."""
     return least_image(prefix, thresholds) == tuple(prefix)
+
+
+class SteppingClock:
+    """Stands in for the time module: every monotonic() reading is an hour
+    after the one before."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def monotonic(self) -> float:
+        self.now += 3600.0
+        return self.now
 
 
 @pytest.fixture(autouse=True)

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations_with_replacement
 
 import pytest
@@ -5,13 +6,14 @@ import pytest
 from ramsey_pm.bounds import (core_upper_degree, core_upper_edgecount,
                               core_upper_main, covering_lower_eh,
                               covering_lower_schonheim, pm_all3)
+from ramsey_pm import core_ramsey
 from ramsey_pm.core_ramsey import (BlockCover, cover_feasible,
                                    cover_feasible_with_stats, cover_to_coloring,
                                    covering_number, exact_core_ramsey)
 from ramsey_pm.coloring import mono_core_profile
 from ramsey_pm.results import BudgetExceededError
 
-from conftest import scan_core_value
+from conftest import SteppingClock, scan_core_value, subset_cover_search
 
 
 def core_search_brute(n: int, targets) -> bool:
@@ -161,8 +163,17 @@ def test_witness_cover_converts_to_coloring():
 
 
 def test_budget_is_an_error_not_an_answer():
+    # this feasible instance needs 4,849 nodes
     with pytest.raises(BudgetExceededError):
-        cover_feasible(13, (5,) * 9, node_budget=50)
+        cover_feasible(12, (5,) * 10, node_budget=50)
+
+
+def test_time_budget_read_on_every_node(monkeypatch):
+    _, nodes = cover_feasible_with_stats(9, (5,) * 5)
+    assert 1 < nodes < 1024
+    monkeypatch.setattr(core_ramsey, "time", SteppingClock())
+    with pytest.raises(BudgetExceededError):
+        cover_feasible_with_stats(9, (5,) * 5, time_budget=60.0)
 
 
 def test_trivial_targets():
@@ -218,3 +229,33 @@ def test_cover_non_positive_budgets_rejected():
                 dict(time_budget=float("nan"))):
         with pytest.raises(ValueError):
             cover_feasible_with_stats(9, (5,) * 5, **bad)
+
+
+def test_cover_search_matches_subset_oracle():
+    # same verdict and cover as the subset walk, never more nodes; the few
+    # draws the oracle cannot settle within its budget are not compared
+    rng = random.Random(0xC0DE)
+    compared = 0
+    while compared < 300:
+        caps = tuple(rng.randint(2, 7) for _ in range(rng.randint(1, 8)))
+        n = rng.randint(2, 14)
+        try:
+            want, oracle_nodes = subset_cover_search(n, caps, node_budget=20_000)
+        except BudgetExceededError:
+            continue
+        cover, nodes = cover_feasible_with_stats(n, caps)
+        assert cover == want, (n, caps)
+        assert nodes <= oracle_nodes, (n, caps)
+        compared += 1
+
+
+def test_exact_core_matches_subset_oracle(monkeypatch):
+    rng = random.Random(0xFACE)
+    vectors = [tuple(sorted((rng.randint(2, 8) for _ in range(rng.randint(2, 7))), reverse=True))
+               for _ in range(60)]
+    got = [exact_core_ramsey(tv) for tv in vectors]
+    monkeypatch.setattr(core_ramsey, "cover_feasible_with_stats", subset_cover_search)
+    for tv, res in zip(vectors, got):
+        want = exact_core_ramsey(tv)
+        assert (res.value, res.lower_witness) == (want.value, want.lower_witness), tv
+        assert res.stats.nodes <= want.stats.nodes, tv

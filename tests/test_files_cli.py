@@ -12,7 +12,7 @@ from ramsey_pm.core_ramsey import BlockCover, exact_core_ramsey
 from ramsey_pm.pm_ramsey import exact_pm_ramsey
 from ramsey_pm.results import BudgetExceededError, RouteDisagreementError
 
-from conftest import random_graph
+from conftest import SteppingClock, random_graph
 
 
 def test_parse_targets():
@@ -142,6 +142,15 @@ def test_cli_exact_core_json(tmp_path, capsys):
     assert payload["witness"]["type"] == "cover"
 
 
+def test_cli_exact_core_verbose_reports_progress(monkeypatch, capsys):
+    monkeypatch.setattr(core_ramsey, "time", SteppingClock())
+    code = main(["exact", "core", "--targets", "5,5,5", "--cache", "none", "--verbose"])
+    assert code == 0
+    out, err = capsys.readouterr()
+    assert "value: 7" in out
+    assert "progress:" in err
+
+
 def test_cli_bounds_json(capsys):
     assert main(["bounds", "--targets", "6*10", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -235,6 +244,11 @@ def test_cli_reproduce_filtered(capsys):
     assert main(["reproduce", "--only", r"^R_PM\(6x10\)", "--json"]) == 0
     rows = json.loads(capsys.readouterr().out)
     assert len(rows) == 1 and rows[0]["passed"] and rows[0]["computed"] == "16"
+    # Fort-Hedlund C(v,3), in the default report with no opt-in rows
+    assert main(["reproduce", "--only", r"^C\(10,3\)$", "--json"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert len(rows) == 1 and rows[0]["passed"] and rows[0]["computed"] == "17"
+    assert "slow" not in rows[0]
 
 
 def test_env_var_cache_path(monkeypatch, tmp_path):
