@@ -110,35 +110,19 @@ def deficiency(g: SimpleGraph) -> tuple[int, DeficiencyCertificate]:
 
 
 @lru_cache(maxsize=1 << 18)
-def _pm_order_compressed(rows: tuple[int, ...]) -> int:
-    """Max path-matching order of the graph given by rows (m vertices)."""
+def _pm_order(rows: tuple[int, ...]) -> int:
+    """Max path-matching order of the graph given by rows."""
     return len(rows) - _star_matching(rows)[0]
 
 
 def pm_order_of_rows(rows, n: int) -> int:
-    """Max path-matching order from raw adjacency rows.
+    """Max path-matching order from the n adjacency rows of a graph.
 
-    Isolated vertices carry no path-matching, so the computation first
-    compresses onto the support; the compressed form is cached, which the
-    coloring search leans on heavily.
+    The result is cached on the rows as given; isolated vertices need no
+    special case, since the matching leaves them unmatched.  The coloring
+    search leans on the cache heavily.
     """
-    support = [v for v in range(n) if rows[v]]
-    m = len(support)
-    if m == 0:
-        return 0
-    if m == n:
-        return _pm_order_compressed(tuple(rows))
-    pos = {v: i for i, v in enumerate(support)}
-    comp = []
-    for v in support:
-        row = 0
-        mm = rows[v]
-        while mm:
-            b = mm & -mm
-            row |= 1 << pos[b.bit_length() - 1]
-            mm ^= b
-        comp.append(row)
-    return _pm_order_compressed(tuple(comp))
+    return _pm_order(tuple(rows))
 
 
 def max_pm_order(g: SimpleGraph) -> int:

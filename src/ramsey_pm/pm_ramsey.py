@@ -56,9 +56,10 @@ def _core_key(targets: Sequence[int]) -> tuple[int, ...]:
 
 def core_value(targets: Sequence[int], *, node_budget: int = 100_000_000,
                time_budget: Optional[float] = None,
-               stats: Optional[SearchStats] = None) -> int:
+               stats: Optional[SearchStats] = None, progress=None) -> int:
     """Memoized exact 1-core value; targets at most 2 are dropped since
-    their blocks hold at most one vertex, and an all-small vector is 2."""
+    their blocks hold at most one vertex, and an all-small vector is 2.
+    The progress hook reaches the cover searches of a fresh solve."""
     key = _core_key(targets)
     if not key:
         return 2
@@ -66,7 +67,7 @@ def core_value(targets: Sequence[int], *, node_budget: int = 100_000_000,
         hit = _CORE_MEMO.get(key)
     if hit is None:
         hit = exact_core_ramsey(key, node_budget=node_budget,
-                                time_budget=time_budget)
+                                time_budget=time_budget, progress=progress)
         with _CORE_LOCK:
             _CORE_MEMO[key] = hit
     elif stats is not None:
@@ -350,7 +351,8 @@ def exact_pm_ramsey(targets: Sequence[int], strategy: str = "auto", *,
     search_kw = dict(kw, progress=progress) if progress is not None else kw
 
     def reduction_value() -> int:
-        value, _ = _f3_maximise(ts, lambda shifted: core_value(shifted, stats=stats, **kw))
+        value, _ = _f3_maximise(ts, lambda shifted: core_value(shifted, stats=stats,
+                                                               **search_kw))
         return value
 
     if not ts:  # every target was 1: one edge settles it

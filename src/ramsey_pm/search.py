@@ -2,7 +2,7 @@
 
 The engine answers one question: does some r-coloring of K_n keep every
 color-i path-matching below its threshold p_i?  It walks colorings edge by
-edge and prunes three ways:
+edge and prunes four ways:
 
 * success pruning: path-matching order is monotone under adding edges, so
   once a color reaches its threshold in a partial coloring every
@@ -17,10 +17,16 @@ edge and prunes three ways:
   generation (Read 1978; McKay, J. Algorithms 26, 1998): the relabelling
   is built one vertex at a time and the color map one color at a time,
   each branch stops at its first slot that differs from the prefix, and
-  nothing is tabulated, so the test runs at every boundary m.
+  nothing is tabulated, so the test runs at every boundary m;
+* row order: inside row v (the edges (0,v), ..., (v-1,v)), once vertex v
+  agrees with vertex v-1 towards 0..u-1, the edge (u,v) may not take a
+  color below that of (u,v-1).  A smaller one makes row v sort below row
+  v-1, so swapping v-1 and v gives the K_{v+1} prefix a smaller image and
+  its boundary test would reject every completion.  The rule applies only
+  in rows whose boundary is tested, so it cuts nodes and no leaf.
 
 The lexicographically least member of each equivalence class survives all
-three prunes, so at least one representative per class is visited.
+four prunes, so at least one representative per class is visited.
 """
 
 from __future__ import annotations
@@ -148,7 +154,7 @@ def _no_smaller_extension(b: int, seq: Sequence[int], m: int,
 
 
 def _prefix_canonical(seq: Sequence[int], m: int, groups: list[list[int]],
-                      group_of: list[int]) -> bool:
+                      group_of: list[int], cmap: list[int]) -> bool:
     """No relabelling of the first m vertices, composed with a
     threshold-preserving color permutation, makes the K_m prefix
     lexicographically smaller.
@@ -164,10 +170,10 @@ def _prefix_canonical(seq: Sequence[int], m: int, groups: list[list[int]],
     singleton groups are mapped to themselves from the start.  Of twin
     candidates at one level, only the first is followed, so a block of
     interchangeable vertices costs one branch instead of its factorial.
+    cmap is that initial color map; the test works on a copy.
     """
-    cmap = [c if len(groups[g]) == 1 else -1 for c, g in enumerate(group_of)]
     return _no_smaller_extension(0, seq, m, _colex_slots(m), [0] * m, list(range(m)),
-                                 cmap, [0] * len(groups), groups, group_of)
+                                 cmap[:], [0] * len(groups), groups, group_of)
 
 
 class _ColoringDFS:
@@ -189,6 +195,16 @@ class _ColoringDFS:
             for rank, c in enumerate(g):
                 self.group_of[c] = gi
                 self.rank_in_group[c] = rank
+        self.cmap = [c if len(self.groups[g]) == 1 else -1
+                     for c, g in enumerate(self.group_of)]
+        # above[k]: the slot of (u, v-1) if the row rule holds at slot
+        # k = (u, v), else -1; it holds for u < v-1 in a row whose K_{v+1}
+        # boundary is tested
+        self.above = [-1] * self.E
+        if config.symmetry_level == SYMMETRY_FULL:
+            for k, (u, v) in enumerate(self.edges):
+                if u < v - 1 and (v + 1 < n or config.canonical_leaves):
+                    self.above[k] = k - (v - 1)
         self.seq = [0] * self.E
         self.rows = [[0] * n for _ in range(r)]
         self.used_in_group = [0] * len(self.groups)
@@ -235,8 +251,10 @@ class _ColoringDFS:
             return bool(self.visitor(col))
         return True
 
-    def run(self, k: int = 0) -> bool:
-        """DFS from edge slot k; True aborts the search (stop requested)."""
+    def run(self, k: int = 0, tie: bool = True) -> bool:
+        """DFS from edge slot k; True aborts the search (stop requested).
+
+        tie: the row of slot k agrees with the row before it so far."""
         if k == self.E:
             return self._leaf()
         cfg = self.cfg
@@ -246,7 +264,9 @@ class _ColoringDFS:
         boundary_m = self.boundaries.get(k + 1)
         if boundary_m == cfg.n and not cfg.canonical_leaves:
             boundary_m = None
-        for c in range(cfg.r):
+        above = self.above[k]
+        lo = self.seq[above] if tie and above >= 0 else 0  # row rule
+        for c in range(lo, cfg.r):
             g = self.group_of[c]
             if level != SYMMETRY_NONE and self.rank_in_group[c] > self.used_in_group[g]:
                 continue  # first-use order within each equal-threshold group
@@ -257,12 +277,13 @@ class _ColoringDFS:
             self.seq[k] = c
             ok = pm_order_of_rows(rows_c, cfg.n) < cfg.thresholds[c]
             if ok and boundary_m is not None and level == SYMMETRY_FULL:
-                ok = _prefix_canonical(self.seq, boundary_m, self.groups, self.group_of)
+                ok = _prefix_canonical(self.seq, boundary_m, self.groups,
+                                       self.group_of, self.cmap)
             if ok:
                 bumped = self.rank_in_group[c] == self.used_in_group[g]
                 if bumped:
                     self.used_in_group[g] += 1
-                if self.run(k + 1):
+                if self.run(k + 1, above < 0 or (tie and c == lo)):
                     return True
                 if bumped:
                     self.used_in_group[g] -= 1
@@ -303,7 +324,8 @@ def canonical_extension_check(prefix_colors: Sequence[int], config: SearchConfig
     The rule is the search's own: no symmetry at level "none", the
     first-use order of equal-threshold colors from level "colors" on, and
     at level "colors+vertices" also the vertex relabellings when the prefix
-    is a complete K_m with m >= 3.
+    is a complete K_m with m >= 3, and the row rule when it ends inside a
+    row.
     """
     seq = [c - 1 for c in prefix_colors]
     if any(not 0 <= c < config.r for c in seq):
@@ -320,7 +342,14 @@ def canonical_extension_check(prefix_colors: Sequence[int], config: SearchConfig
             return False  # a later color of the group appeared first
         if dfs.rank_in_group[c] == used[g]:
             used[g] += 1
-    m = dfs.boundaries.get(len(seq))
-    if m is None or config.symmetry_level != SYMMETRY_FULL:
+    if config.symmetry_level != SYMMETRY_FULL or not seq:
         return True
-    return _prefix_canonical(seq, m, dfs.groups, dfs.group_of)
+    m = dfs.boundaries.get(len(seq))
+    if m is not None:
+        return _prefix_canonical(seq, m, dfs.groups, dfs.group_of, dfs.cmap)
+    v = dfs.edges[len(seq) - 1][1]
+    for j in range(v * (v - 1) // 2, len(seq)):  # the unfinished row v
+        a = dfs.above[j]
+        if a < 0 or seq[j] != seq[a]:
+            return a < 0 or seq[j] > seq[a]
+    return True

@@ -6,6 +6,7 @@ import pytest
 from ramsey_pm.bounds import ceil_div
 from ramsey_pm.core_ramsey import BlockCover, cover_feasible
 from ramsey_pm.graphs import SimpleGraph, mask_of
+from ramsey_pm.path_matching import packing_oracle
 from ramsey_pm.results import BudgetExceededError
 
 
@@ -221,6 +222,45 @@ def least_image(prefix, thresholds) -> tuple[int, ...]:
 def brute_force_canonical(prefix, thresholds) -> bool:
     """True iff no symmetry of the complete K_m prefix makes it smaller."""
     return least_image(prefix, thresholds) == tuple(prefix)
+
+
+def oracle_leaves(n, thresholds, canonical_leaves=False) -> list[tuple[int, ...]]:
+    """Every coloring of K_n (1-indexed colors of the colex edges (0,1),
+    (0,2), (1,2), (0,3), ...) that the search at level "colors+vertices"
+    must visit, in lexicographic order: every color class has path-matching
+    order below its threshold, the colors of each equal-threshold group
+    first appear in index order, and every K_m prefix with 3 <= m < n, and
+    m = n under canonical_leaves, is the least member of its class.  Built
+    slot by slot; a prefix is dropped as soon as it breaks a condition that
+    every completion keeps breaking.  Exponential; for testing only."""
+    r = len(thresholds)
+    pairs = [(u, v) for v in range(1, n) for u in range(v)]
+    boundary = {m * (m - 1) // 2: m for m in range(3, n + 1 if canonical_leaves else n)}
+    earlier = [[d for d in range(c) if thresholds[d] == thresholds[c]] for c in range(r)]
+    out = []
+
+    def below_thresholds(seq, m):
+        for c in range(1, r + 1):
+            g = SimpleGraph.from_edges(m, [pairs[j] for j, x in enumerate(seq) if x == c])
+            if packing_oracle(g) >= thresholds[c - 1]:
+                return False
+        return True
+
+    def extend(seq):
+        k = len(seq)
+        if (k in boundary or k == len(pairs)) and not below_thresholds(seq, pairs[k - 1][1] + 1):
+            return
+        if k in boundary and not brute_force_canonical(seq, thresholds):
+            return
+        if k == len(pairs):
+            out.append(tuple(seq))
+            return
+        for c in range(1, r + 1):
+            if all(d + 1 in seq for d in earlier[c - 1]):
+                extend(seq + [c])
+
+    extend([])
+    return out
 
 
 class SteppingClock:

@@ -9,7 +9,7 @@ from ramsey_pm import core_ramsey, files, pm_ramsey
 from ramsey_pm.cli import main, parse_targets
 from ramsey_pm.coloring import EdgeColoring, layered_coloring
 from ramsey_pm.core_ramsey import BlockCover, exact_core_ramsey
-from ramsey_pm.pm_ramsey import exact_pm_ramsey
+from ramsey_pm.pm_ramsey import clear_core_cache, exact_pm_ramsey
 from ramsey_pm.results import BudgetExceededError, RouteDisagreementError
 
 from conftest import SteppingClock, random_graph
@@ -148,6 +148,19 @@ def test_cli_exact_core_verbose_reports_progress(monkeypatch, capsys):
     assert code == 0
     out, err = capsys.readouterr()
     assert "value: 7" in out
+    assert "progress:" in err
+
+
+def test_cli_exact_pm_reduction_verbose_reports_cover_progress(monkeypatch, capsys):
+    # the hook reaches the cover searches behind the reduction's 1-core values
+    clear_core_cache()
+    monkeypatch.setattr(core_ramsey, "time", SteppingClock())
+    code = main(["exact", "pm", "--targets", "6*10", "--strategy", "reduction",
+                 "--cache", "none", "--verbose"])
+    clear_core_cache()
+    assert code == 0
+    out, err = capsys.readouterr()
+    assert "value: 16" in out
     assert "progress:" in err
 
 

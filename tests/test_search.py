@@ -2,13 +2,14 @@ import itertools
 
 import pytest
 
+from ramsey_pm import search
 from ramsey_pm.coloring import mono_pm_profile
 from ramsey_pm.graphs import SimpleGraph
 from ramsey_pm.path_matching import packing_oracle
 from ramsey_pm.search import (SearchConfig, canonical_extension_check,
                               colex_edges, enumerate_colorings)
 
-from conftest import brute_force_canonical, least_image
+from conftest import brute_force_canonical, least_image, oracle_leaves
 
 
 def naive_counterexamples(n, thresholds):
@@ -223,6 +224,79 @@ def test_canonical_extension_check_matches_brute_force(rng):
             least = least_image(combo, ts)
             assert canonical_extension_check(combo, cfg) == (least == combo), (ts, combo)
             assert canonical_extension_check(least, cfg), (ts, least)
+
+
+def test_row_rule_rejects_only_rows_without_minimal_completion(rng):
+    # a prefix ending inside row v that the check rejects has no completion
+    # to a K_{v+1} that is the least member of its class; the row rule must
+    # reject some prefixes that the first-use order lets through
+    for ts in ((3, 3, 3), (4, 4, 3), (5, 3)):
+        r = len(ts)
+        colors = range(1, r + 1)
+        row_rule_cuts = 0
+        for v in (3, 4):
+            cfg = SearchConfig(v + 2, r, ts)
+            first_use = SearchConfig(v + 2, r, ts, symmetry_level="colors")
+            kv = v * (v - 1) // 2
+            bases = (list(itertools.product(colors, repeat=kv)) if v == 3 else
+                     [least_image([rng.randint(1, r) for _ in range(kv)], ts)
+                      for _ in range(3)])
+            for base in bases:
+                minimal_rows = [row for row in itertools.product(colors, repeat=v)
+                                if brute_force_canonical(tuple(base) + row, ts)]
+                for length in range(1, v):
+                    for part in itertools.product(colors, repeat=length):
+                        prefix = tuple(base) + part
+                        if canonical_extension_check(prefix, cfg):
+                            continue
+                        assert all(row[:length] != part for row in minimal_rows), (ts, prefix)
+                        row_rule_cuts += canonical_extension_check(prefix, first_use)
+        assert row_rule_cuts > 0, ts
+
+
+def test_visited_leaves_match_oracle():
+    # the collected leaves, in order, are exactly the colorings that pass
+    # every threshold, the first-use order and each tested boundary by
+    # brute force
+    cases = [(3, (3, 3, 3), (False, True)), (4, (3, 3, 3), (False, True)),
+             (4, (5, 5, 5), (False, True)), (5, (6, 6), (False, True)),
+             (5, (4, 4, 3), (False, True)), (5, (5, 5, 3), (False, True)),
+             (5, (5, 4, 4), (False, True)), (5, (5, 5, 5), (False, True)),
+             (5, (6, 5, 4), (False,)), (5, (6, 6, 6), (False,))]
+    pairs = colex_edges(5)
+    for n, ts, modes in cases:
+        for canonical_leaves in modes:
+            leaves = []
+            cfg = SearchConfig(n, len(ts), ts, canonical_leaves=canonical_leaves)
+            enumerate_colorings(cfg, visitor=leaves.append)
+            got = [tuple(col.color_of(u, v) for u, v in pairs[:len(col.colors)])
+                   for col in leaves]
+            assert got == oracle_leaves(n, ts, canonical_leaves), (n, ts, canonical_leaves)
+
+
+def test_node_counts_at_eight_vertices():
+    # deterministic regression values (16,707 and 10,316 before the row rule)
+    out = enumerate_colorings(SearchConfig(8, 3, (6, 6, 6)))
+    assert (out.status, out.nodes) == ("all-succeed", 7484)
+    out = enumerate_colorings(SearchConfig(8, 4, (5, 5, 5, 5)))
+    assert (out.status, out.nodes) == ("all-succeed", 5361)
+
+
+def test_one_pm_order_call_per_node(monkeypatch):
+    # the search asks pm_order_of_rows(rows, n) through its module global
+    # once per node; perfbench's tracer counts the calls there
+    calls = []
+    real = search.pm_order_of_rows
+
+    def counting(rows, n):
+        calls.append(n)
+        return real(rows, n)
+
+    monkeypatch.setattr(search, "pm_order_of_rows", counting)
+    for ts in ((5, 5, 5), (6, 4, 3)):
+        out = enumerate_colorings(SearchConfig(6, 3, ts))
+        assert out.nodes > 0 and len(calls) == out.nodes, ts
+        calls.clear()
 
 
 def test_canonical_extension_check_many_equal_colors():
