@@ -17,8 +17,8 @@ from typing import Callable, Optional, Sequence
 from .bounds import core_upper_edgecount, core_upper_main, covering_lower_eh, covering_lower_schonheim
 from .coloring import EdgeColoring, coloring_from_edge_colors
 from .graphs import MAX_VERTICES
-from .results import (BudgetExceededError, PROOF_SEARCH, RamseyResult,
-                      RouteDisagreementError, SearchStats)
+from .results import (PROOF_SEARCH, RamseyResult, RouteDisagreementError,
+                      SearchMeter, SearchStats, check_budgets)
 
 DEFAULT_NODE_BUDGET = 100_000_000
 
@@ -53,7 +53,7 @@ class BlockCover:
         return tuple(b.bit_count() for b in self.blocks)
 
 
-class _CoverSearch:
+class _CoverSearch(SearchMeter):
     """Backtracking over vertex-to-blocks assignments.
 
     A cover of K_n by capacity-bounded blocks is the same thing as giving
@@ -72,41 +72,17 @@ class _CoverSearch:
     """
 
     def __init__(self, n: int, caps: Sequence[int], min_sets: int, node_budget: int,
-                 deadline: Optional[float], progress: Optional[Callable[[dict], None]]):
+                 time_budget: Optional[float], progress: Optional[Callable[[dict], None]]):
+        super().__init__("cover search", n + 1, node_budget, time_budget, progress)
         self.n = n
         self.caps = list(caps)  # sorted descending by the caller
         self.B = len(caps)
         self.min_sets = min_sets
-        self.node_budget = node_budget
-        self.deadline = deadline
-        self.progress = progress
-        self.nodes = 0
-        self.depth_hist = [0] * (n + 1)
-        self.started = time.monotonic()
-        self.next_report = self.started + 1.0
         self.slack = list(caps)  # room left in each block
         self.total_slack = sum(caps)
         self.future_pairs = sum(c * (c - 1) // 2 for c in caps)  # pairs blocks can still gain
         self.blocks = [0] * self.B
         self.distinct: list[int] = []  # distinct membership masks, in order
-
-    def _tick(self, v: int) -> None:
-        self.nodes += 1
-        self.depth_hist[v] += 1
-        if self.nodes > self.node_budget:
-            raise BudgetExceededError(
-                f"cover search exceeded {self.node_budget} nodes", self.nodes)
-        now = time.monotonic()
-        if self.deadline is not None and now > self.deadline:
-            raise BudgetExceededError("cover search hit its time budget", self.nodes)
-        if self.progress is not None and now >= self.next_report:
-            self.next_report = now + 1.0
-            self.progress({
-                "nodes": self.nodes,
-                "leaves": 0,  # the search stops at its first leaf
-                "elapsed": now - self.started,
-                "depth_histogram": list(self.depth_hist),
-            })
 
     def candidates(self, v: int) -> list[int]:
         """Membership sets for vertex v whose child is alive, small first.
@@ -246,17 +222,13 @@ def cover_feasible_with_stats(n: int, capacities: Sequence[int], *,
 
     The search is complete: a None verdict means no cover exists, and any
     returned cover is a valid witness.  Exceeding either budget raises
-    BudgetExceededError; the clock is read at every node.  progress, if
-    given, is called at most once a second with {nodes, leaves, elapsed,
-    depth_histogram}, where depth is the number of vertices assigned and
-    leaves is always 0, since the search stops at its first leaf.
+    BudgetExceededError.  Budgets and progress work as SearchMeter says;
+    depth is the number of vertices assigned, and leaves is always 0,
+    since the search stops at its first leaf.
     """
     if not 2 <= n <= MAX_VERTICES:
         raise ValueError(f"need 2 <= n <= {MAX_VERTICES}")
-    if node_budget <= 0:
-        raise ValueError("positive node budget required")
-    if time_budget is not None and not time_budget > 0:
-        raise ValueError("positive time budget required")
+    check_budgets(node_budget, time_budget)
     caps_all = list(capacities)
     if not caps_all:
         raise ValueError("at least one block required")
@@ -280,8 +252,7 @@ def cover_feasible_with_stats(n: int, capacities: Sequence[int], *,
         found[0] = (1 << n) - 1
         nodes = 0
     else:
-        deadline = time.monotonic() + time_budget if time_budget is not None else None
-        search = _CoverSearch(n, caps, min_sets, node_budget, deadline, progress)
+        search = _CoverSearch(n, caps, min_sets, node_budget, time_budget, progress)
         found, nodes = search.run(0), search.nodes
     if found is None:
         return None, nodes

@@ -65,13 +65,12 @@ def core_value(targets: Sequence[int], *, node_budget: int = 100_000_000,
         return 2
     with _CORE_LOCK:
         hit = _CORE_MEMO.get(key)
-    if hit is None:
-        hit = exact_core_ramsey(key, node_budget=node_budget,
-                                time_budget=time_budget, progress=progress)
-        with _CORE_LOCK:
-            _CORE_MEMO[key] = hit
-    elif stats is not None:
+    if hit is not None:
         return hit.value
+    hit = exact_core_ramsey(key, node_budget=node_budget,
+                            time_budget=time_budget, progress=progress)
+    with _CORE_LOCK:
+        _CORE_MEMO[key] = hit
     if stats is not None:
         stats.nodes += hit.stats.nodes
     return hit.value
@@ -254,7 +253,8 @@ def _cover_as_coloring_for(ts_shifted: Sequence[int], cover: BlockCover) -> Edge
 def find_lower_witness(n: int, targets: Sequence[int], *,
                        node_budget: int = 50_000_000,
                        time_budget: Optional[float] = None,
-                       stats: Optional[SearchStats] = None) -> Optional[EdgeColoring]:
+                       stats: Optional[SearchStats] = None,
+                       progress=None) -> Optional[EdgeColoring]:
     """A coloring of K_n with every color-i path-matching below p_i.
 
     Tries, in order: the layered extremal coloring; the design-style lift
@@ -262,7 +262,8 @@ def find_lower_witness(n: int, targets: Sequence[int], *,
     maximizing grid points the pruned reduction solved; exhaustive search.
     Every candidate is validated against its per-color profile before
     being returned.  Search nodes of fresh 1-core solves and of the last
-    resort are added to stats.
+    resort are added to stats, and the progress hook reaches their
+    searches.
     """
     ts = _normalize(targets)
     if not ts:
@@ -278,23 +279,16 @@ def find_lower_witness(n: int, targets: Sequence[int], *,
     except ValueError:
         pass
 
-    kw = dict(node_budget=node_budget, time_budget=time_budget, stats=stats)
+    kw = dict(node_budget=node_budget, time_budget=time_budget, stats=stats,
+              progress=progress)
 
-    # design-style lift: shift everything to its residue core
-    xs = tuple(ceil_third(p) - 1 for p in ts)
-    shifted = tuple(p - 3 * x for p, x in zip(ts, xs))
-    core = _core_result(shifted, **kw)
-    if core.value - 1 + sum(xs) == n and isinstance(core.lower_witness, BlockCover):
-        try:
-            lifted = core_lift_coloring(_cover_as_coloring_for(shifted, core.lower_witness), xs)
-            if _witness_valid(lifted, n, ts):
-                return lifted
-        except ValueError:
-            pass
+    def shift_vectors():
+        # the design-style lift shifts everything to its residue core; the
+        # grid is maximised only if that lift fails
+        yield tuple(ceil_third(p) - 1 for p in ts)
+        yield from _f3_maximise(ts, lambda shifted: core_value(shifted, **kw))[1]
 
-    # lifts over the maximizing grid points
-    _, argmax = _f3_maximise(ts, lambda shifted: core_value(shifted, **kw))
-    for xs in argmax:
+    for xs in shift_vectors():
         shifted = tuple(p - 3 * x for p, x in zip(ts, xs))
         core = _core_result(shifted, **kw)
         if core.value - 1 + sum(xs) != n or not isinstance(core.lower_witness, BlockCover):
@@ -347,12 +341,10 @@ def exact_pm_ramsey(targets: Sequence[int], strategy: str = "auto", *,
     started = time.monotonic()
     ts = _normalize(targets)
     stats = SearchStats()
-    kw = dict(node_budget=node_budget, time_budget=time_budget)
-    search_kw = dict(kw, progress=progress) if progress is not None else kw
+    kw = dict(node_budget=node_budget, time_budget=time_budget, progress=progress)
 
     def reduction_value() -> int:
-        value, _ = _f3_maximise(ts, lambda shifted: core_value(shifted, stats=stats,
-                                                               **search_kw))
+        value, _ = _f3_maximise(ts, lambda shifted: core_value(shifted, stats=stats, **kw))
         return value
 
     if not ts:  # every target was 1: one edge settles it
@@ -376,7 +368,7 @@ def exact_pm_ramsey(targets: Sequence[int], strategy: str = "auto", *,
     elif strategy == "reduction":
         value, method = reduction_value(), PROOF_F3
     elif strategy == "search":
-        value, method = _search_scan(ts, stats, search_kw,
+        value, method = _search_scan(ts, stats, kw,
                                      _auto_search_cap(len(ts), search_cap),
                                      reduction_value)
     else:  # auto
@@ -390,7 +382,7 @@ def exact_pm_ramsey(targets: Sequence[int], strategy: str = "auto", *,
                     f"closed form {value} disagrees with reduction {red} on {ts}",
                     {"targets": ts, "closed-form": value, "reduction": red})
         if value <= _CROSS_CHECK_CAP:
-            sv, sm = _search_scan(ts, stats, search_kw,
+            sv, sm = _search_scan(ts, stats, kw,
                                   _auto_search_cap(len(ts), search_cap),
                                   reduction_value)
             if sv != value:

@@ -1,9 +1,10 @@
-"""Shared result records and error types for the exact solvers."""
+"""Shared result records, error types and search meter of the exact solvers."""
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 PROOF_SEARCH = "exhaustive-search"
 PROOF_F3 = "f3-reduction"
@@ -20,6 +21,61 @@ class BudgetExceededError(RuntimeError):
     def __init__(self, message: str, nodes: int = 0):
         super().__init__(message)
         self.nodes = nodes
+
+
+def check_budgets(node_budget: int, time_budget: Optional[float]) -> None:
+    """Raise ValueError unless the node budget is positive and the time
+    budget is None or positive."""
+    if node_budget <= 0:
+        raise ValueError("positive node budget required")
+    if time_budget is not None and not time_budget > 0:
+        raise ValueError("positive time budget required")
+
+
+class SearchMeter:
+    """The budget-and-progress policy of both complete searches.
+
+    A search subclasses the meter, calls _tick(depth) once per node and
+    counts its leaves in self.leaves.  Every node counts against the node
+    budget.  While there is a time budget or a progress hook, the clock is
+    read on every node, and the hook gets {nodes, leaves, elapsed,
+    depth_histogram} at most once a second.  Running out of either budget
+    raises BudgetExceededError; time runs from the meter's creation.
+    """
+
+    def __init__(self, what: str, depths: int, node_budget: int,
+                 time_budget: Optional[float],
+                 progress: Optional[Callable[[dict], None]]):
+        self.what = what
+        self.node_budget = node_budget
+        self.progress = progress
+        self.nodes = 0
+        self.leaves = 0
+        self.depth_hist = [0] * depths
+        self.clocked = time_budget is not None or progress is not None
+        self.started = time.monotonic()
+        self.deadline = self.started + time_budget if time_budget is not None else None
+        self.next_report = self.started + 1.0
+
+    def _tick(self, depth: int) -> None:
+        self.nodes += 1
+        self.depth_hist[depth] += 1
+        if self.nodes > self.node_budget:
+            raise BudgetExceededError(
+                f"{self.what} exceeded {self.node_budget} nodes", self.nodes)
+        if not self.clocked:
+            return
+        now = time.monotonic()
+        if self.deadline is not None and now > self.deadline:
+            raise BudgetExceededError(f"{self.what} hit its time budget", self.nodes)
+        if self.progress is not None and now >= self.next_report:
+            self.next_report = now + 1.0
+            self.progress({
+                "nodes": self.nodes,
+                "leaves": self.leaves,
+                "elapsed": now - self.started,
+                "depth_histogram": list(self.depth_hist),
+            })
 
 
 class RouteDisagreementError(RuntimeError):

@@ -17,7 +17,8 @@ edge and prunes four ways:
   generation (Read 1978; McKay, J. Algorithms 26, 1998): the relabelling
   is built one vertex at a time and the color map one color at a time,
   each branch stops at its first slot that differs from the prefix, and
-  nothing is tabulated, so the test runs at every boundary m;
+  nothing is tabulated, so the test runs at every boundary m < n, and at
+  m = n under canonical_leaves;
 * row order: inside row v (the edges (0,v), ..., (v-1,v)), once vertex v
   agrees with vertex v-1 towards 0..u-1, the edge (u,v) may not take a
   color below that of (u,v-1).  A smaller one makes row v sort below row
@@ -26,7 +27,8 @@ edge and prunes four ways:
   in rows whose boundary is tested, so it cuts nodes and no leaf.
 
 The lexicographically least member of each equivalence class survives all
-four prunes, so at least one representative per class is visited.
+four prunes, so at least one representative per class is visited.  Budgets
+and the progress hook are the cover search's too (SearchMeter in results).
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from typing import Callable, Optional, Sequence
 
 from .coloring import EdgeColoring
 from .path_matching import pm_order_of_rows
-from .results import BudgetExceededError
+from .results import BudgetExceededError, SearchMeter, check_budgets
 
 SYMMETRY_NONE = "none"
 SYMMETRY_COLORS = "colors"
@@ -61,17 +63,13 @@ class SearchConfig:
     symmetry_level: str = SYMMETRY_FULL
     canonical_leaves: bool = False  # run the vertex check on complete colorings too
     # progress hook: called with {nodes, leaves, elapsed, depth_histogram}
-    # every progress_interval nodes (0 disables)
+    # at most once a second (see SearchMeter)
     progress: Optional[Callable[[dict], None]] = None
-    progress_interval: int = 100_000
 
     def __post_init__(self):
         if len(self.thresholds) != self.r:
             raise ValueError("one threshold per color required")
-        if self.node_budget <= 0:
-            raise ValueError("positive node budget required")
-        if self.time_budget is not None and not self.time_budget > 0:
-            raise ValueError("positive time budget required")
+        check_budgets(self.node_budget, self.time_budget)
         if self.symmetry_level not in (SYMMETRY_NONE, SYMMETRY_COLORS, SYMMETRY_FULL):
             raise ValueError(f"unknown symmetry level {self.symmetry_level!r}")
 
@@ -176,15 +174,19 @@ def _prefix_canonical(seq: Sequence[int], m: int, groups: list[list[int]],
                                  cmap[:], [0] * len(groups), groups, group_of)
 
 
-class _ColoringDFS:
+class _ColoringDFS(SearchMeter):
     def __init__(self, config: SearchConfig,
                  visitor: Optional[Callable[[EdgeColoring], Optional[bool]]]):
-        self.cfg = config
-        self.visitor = visitor
         n, r = config.n, config.r
         self.edges = colex_edges(n)
         self.E = len(self.edges)
-        self.boundaries = {m * (m - 1) // 2: m for m in range(3, n + 1)}
+        super().__init__("coloring search", self.E + 1, config.node_budget,
+                         config.time_budget, config.progress)
+        self.cfg = config
+        self.visitor = visitor
+        # the K_m boundaries the search tests: m < n, and m = n under canonical_leaves
+        top = n + 1 if config.canonical_leaves else n
+        self.boundaries = {m * (m - 1) // 2: m for m in range(3, top)}
         by_threshold: dict[int, list[int]] = {}
         for c, p in enumerate(config.thresholds):
             by_threshold.setdefault(p, []).append(c)
@@ -208,31 +210,7 @@ class _ColoringDFS:
         self.seq = [0] * self.E
         self.rows = [[0] * n for _ in range(r)]
         self.used_in_group = [0] * len(self.groups)
-        self.nodes = 0
-        self.leaves = 0
-        self.depth_hist = [0] * (self.E + 1)
-        self.started = time.monotonic()
-        self.deadline = (self.started + config.time_budget
-                         if config.time_budget is not None else None)
         self.counterexample: Optional[EdgeColoring] = None
-
-    def _tick(self, depth: int):
-        self.nodes += 1
-        self.depth_hist[depth] += 1
-        if self.nodes > self.cfg.node_budget:
-            raise BudgetExceededError(
-                f"coloring search exceeded {self.cfg.node_budget} nodes", self.nodes)
-        if self.deadline is not None and not self.nodes & 0x3FF:
-            if time.monotonic() > self.deadline:
-                raise BudgetExceededError("coloring search hit its time budget", self.nodes)
-        if self.cfg.progress is not None and self.cfg.progress_interval > 0 \
-                and self.nodes % self.cfg.progress_interval == 0:
-            self.cfg.progress({
-                "nodes": self.nodes,
-                "leaves": self.leaves,
-                "elapsed": time.monotonic() - self.started,
-                "depth_histogram": list(self.depth_hist),
-            })
 
     def _materialize(self) -> EdgeColoring:
         n = self.cfg.n
@@ -262,8 +240,6 @@ class _ColoringDFS:
         ub, vb = 1 << u, 1 << v
         level = cfg.symmetry_level
         boundary_m = self.boundaries.get(k + 1)
-        if boundary_m == cfg.n and not cfg.canonical_leaves:
-            boundary_m = None
         above = self.above[k]
         lo = self.seq[above] if tie and above >= 0 else 0  # row rule
         for c in range(lo, cfg.r):
@@ -309,11 +285,12 @@ def enumerate_colorings(config: SearchConfig,
     dfs = _ColoringDFS(config, visitor)
     try:
         dfs.run(0)
-    except BudgetExceededError as err:
-        return SearchOutcome(BUDGET_EXHAUSTED, None, err.nodes, dfs.leaves,
-                             int((time.monotonic() - started) * 1000))
-    status = ALL_SUCCEED if dfs.counterexample is None else COUNTEREXAMPLE
-    return SearchOutcome(status, dfs.counterexample, dfs.nodes, dfs.leaves,
+    except BudgetExceededError:
+        status, cex = BUDGET_EXHAUSTED, None
+    else:
+        cex = dfs.counterexample
+        status = ALL_SUCCEED if cex is None else COUNTEREXAMPLE
+    return SearchOutcome(status, cex, dfs.nodes, dfs.leaves,
                          int((time.monotonic() - started) * 1000))
 
 
@@ -324,8 +301,9 @@ def canonical_extension_check(prefix_colors: Sequence[int], config: SearchConfig
     The rule is the search's own: no symmetry at level "none", the
     first-use order of equal-threshold colors from level "colors" on, and
     at level "colors+vertices" also the vertex relabellings when the prefix
-    is a complete K_m with m >= 3, and the row rule when it ends inside a
-    row.
+    is a complete K_m whose boundary the search tests (3 <= m < n, and
+    m = n under canonical_leaves), and the row rule when it ends inside a
+    row.  So every prefix of a visited leaf passes.
     """
     seq = [c - 1 for c in prefix_colors]
     if any(not 0 <= c < config.r for c in seq):
@@ -348,7 +326,7 @@ def canonical_extension_check(prefix_colors: Sequence[int], config: SearchConfig
     if m is not None:
         return _prefix_canonical(seq, m, dfs.groups, dfs.group_of, dfs.cmap)
     v = dfs.edges[len(seq) - 1][1]
-    for j in range(v * (v - 1) // 2, len(seq)):  # the unfinished row v
+    for j in range(v * (v - 1) // 2, len(seq)):  # row v: unfinished, or K_n untested
         a = dfs.above[j]
         if a < 0 or seq[j] != seq[a]:
             return a < 0 or seq[j] > seq[a]

@@ -264,14 +264,15 @@ def oracle_leaves(n, thresholds, canonical_leaves=False) -> list[tuple[int, ...]
 
 
 class SteppingClock:
-    """Stands in for the time module: every monotonic() reading is an hour
-    after the one before."""
+    """Stands in for the time module: every monotonic() reading is step
+    seconds (an hour by default) after the one before."""
 
-    def __init__(self):
+    def __init__(self, step: float = 3600.0):
         self.now = 0.0
+        self.step = step
 
     def monotonic(self) -> float:
-        self.now += 3600.0
+        self.now += self.step
         return self.now
 
 

@@ -6,7 +6,7 @@ import pytest
 from ramsey_pm.bounds import (core_upper_degree, core_upper_edgecount,
                               core_upper_main, covering_lower_eh,
                               covering_lower_schonheim, pm_all3)
-from ramsey_pm import core_ramsey
+from ramsey_pm import core_ramsey, results
 from ramsey_pm.core_ramsey import (BlockCover, cover_feasible,
                                    cover_feasible_with_stats, cover_to_coloring,
                                    covering_number, exact_core_ramsey)
@@ -171,7 +171,7 @@ def test_budget_is_an_error_not_an_answer():
 def test_time_budget_read_on_every_node(monkeypatch):
     _, nodes = cover_feasible_with_stats(9, (5,) * 5)
     assert 1 < nodes < 1024
-    monkeypatch.setattr(core_ramsey, "time", SteppingClock())
+    monkeypatch.setattr(results, "time", SteppingClock())
     with pytest.raises(BudgetExceededError):
         cover_feasible_with_stats(9, (5,) * 5, time_budget=60.0)
 

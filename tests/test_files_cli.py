@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from ramsey_pm import core_ramsey, files, pm_ramsey
+from ramsey_pm import core_ramsey, files, pm_ramsey, results
 from ramsey_pm.cli import main, parse_targets
 from ramsey_pm.coloring import EdgeColoring, layered_coloring
 from ramsey_pm.core_ramsey import BlockCover, exact_core_ramsey
@@ -143,7 +143,7 @@ def test_cli_exact_core_json(tmp_path, capsys):
 
 
 def test_cli_exact_core_verbose_reports_progress(monkeypatch, capsys):
-    monkeypatch.setattr(core_ramsey, "time", SteppingClock())
+    monkeypatch.setattr(results, "time", SteppingClock())
     code = main(["exact", "core", "--targets", "5,5,5", "--cache", "none", "--verbose"])
     assert code == 0
     out, err = capsys.readouterr()
@@ -154,7 +154,7 @@ def test_cli_exact_core_verbose_reports_progress(monkeypatch, capsys):
 def test_cli_exact_pm_reduction_verbose_reports_cover_progress(monkeypatch, capsys):
     # the hook reaches the cover searches behind the reduction's 1-core values
     clear_core_cache()
-    monkeypatch.setattr(core_ramsey, "time", SteppingClock())
+    monkeypatch.setattr(results, "time", SteppingClock())
     code = main(["exact", "pm", "--targets", "6*10", "--strategy", "reduction",
                  "--cache", "none", "--verbose"])
     clear_core_cache()

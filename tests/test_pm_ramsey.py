@@ -214,3 +214,32 @@ def test_formula_strategy_on_proven_cases():
                            want_witness=False).value == 11
     assert exact_pm_ramsey((6, 5, 4), strategy="formula",
                            want_witness=False).value == 6 + 2 + 2 - 2
+
+
+def test_witness_step_passes_the_progress_hook(monkeypatch):
+    # every 1-core solve and coloring search under exact_pm_ramsey, the
+    # witness step's included, receives the caller's progress hook
+    from ramsey_pm import pm_ramsey
+    seen = []
+
+    def wrap(name, hook_of):
+        real = getattr(pm_ramsey, name)
+
+        def wrapper(*args, **kw):
+            seen.append((name, hook_of(args, kw)))
+            return real(*args, **kw)
+
+        monkeypatch.setattr(pm_ramsey, name, wrapper)
+
+    wrap("exact_core_ramsey", lambda args, kw: kw.get("progress"))
+    wrap("enumerate_colorings", lambda args, kw: args[0].progress)
+
+    def hook(snapshot):
+        pass
+
+    clear_core_cache()
+    try:
+        assert exact_pm_ramsey((6,) * 8, "reduction", progress=hook).value == 14
+    finally:
+        clear_core_cache()
+    assert seen and all(h is hook for _, h in seen), seen

@@ -2,14 +2,14 @@ import itertools
 
 import pytest
 
-from ramsey_pm import search
+from ramsey_pm import results, search
 from ramsey_pm.coloring import mono_pm_profile
 from ramsey_pm.graphs import SimpleGraph
 from ramsey_pm.path_matching import packing_oracle
 from ramsey_pm.search import (SearchConfig, canonical_extension_check,
                               colex_edges, enumerate_colorings)
 
-from conftest import brute_force_canonical, least_image, oracle_leaves
+from conftest import SteppingClock, brute_force_canonical, least_image, oracle_leaves
 
 
 def naive_counterexamples(n, thresholds):
@@ -300,11 +300,32 @@ def test_one_pm_order_call_per_node(monkeypatch):
 
 
 def test_canonical_extension_check_many_equal_colors():
-    # a color-1 star and a color-2 triangle on K_4; swapping the two
-    # colors and moving the triangle first gives 1,1,1,... < 1,1,2,...
+    # a color-1 star and a color-2 triangle on K_4 inside K_5, whose K_4
+    # boundary is tested; swapping the two colors and moving the triangle
+    # first gives 1,1,1,... < 1,1,2,...
     prefix = [1, 1, 2, 1, 2, 2]
-    assert not canonical_extension_check(prefix, SearchConfig(4, 2, (3, 3)))
-    assert not canonical_extension_check(prefix, SearchConfig(4, 9, (3,) * 9))
+    assert not canonical_extension_check(prefix, SearchConfig(5, 2, (3, 3)))
+    assert not canonical_extension_check(prefix, SearchConfig(5, 9, (3,) * 9))
+
+
+def test_visited_leaves_pass_the_extension_check():
+    # the check tests the boundaries the search tests, so every leaf the
+    # search visits passes it, and so does every prefix of that leaf; the
+    # K_n boundary is tested only under canonical_leaves
+    cases = [(4, (9, 9)), (4, (4, 4, 4)), (5, (6, 6)), (5, (5, 5, 5)),
+             (6, (7, 4)), (6, (6, 5, 3))]
+    for n, ts in cases:
+        pairs = colex_edges(n)
+        for canonical_leaves in (False, True):
+            cfg = SearchConfig(n, len(ts), ts, canonical_leaves=canonical_leaves)
+            leaves = []
+            enumerate_colorings(cfg, visitor=leaves.append)
+            assert leaves, (n, ts, canonical_leaves)
+            for col in leaves:
+                seq = [col.color_of(u, v) for u, v in pairs]
+                for k in range(1, len(seq) + 1):
+                    assert canonical_extension_check(seq[:k], cfg), \
+                        (n, ts, canonical_leaves, seq[:k])
 
 
 def test_vertex_check_beyond_eight_vertices():
@@ -319,15 +340,28 @@ def test_vertex_check_beyond_eight_vertices():
     assert out.status == "counterexample" and out.nodes == 78
 
 
-def test_progress_hook_reports_rate_material():
+def test_progress_hook_reports_rate_material(monkeypatch):
+    # a clock that moves a quarter second per reading: the meter reads it
+    # once at the start and once per node, and reports at most once a
+    # second, so on every fourth node
+    monkeypatch.setattr(results, "time", SteppingClock(0.25))
     snaps = []
-    cfg = SearchConfig(6, 3, (7, 7, 7), node_budget=30_000,
-                       progress=snaps.append, progress_interval=5_000)
-    enumerate_colorings(cfg, visitor=lambda col: False)
-    assert snaps, "progress hook never fired"
+    cfg = SearchConfig(6, 3, (7, 7, 7), node_budget=400, progress=snaps.append)
+    out = enumerate_colorings(cfg, visitor=lambda col: False)
+    assert out.status == "budget-exhausted"
+    assert [s["nodes"] for s in snaps] == list(range(4, 401, 4))
     assert {"nodes", "leaves", "elapsed", "depth_histogram"} <= set(snaps[0])
-    assert snaps[-1]["nodes"] >= snaps[0]["nodes"]
+    assert snaps[0]["elapsed"] == 1.0
+    assert 0 < snaps[-1]["leaves"] <= out.leaves
     assert sum(snaps[-1]["depth_histogram"]) == snaps[-1]["nodes"]
+
+
+def test_coloring_time_budget_read_on_every_node(monkeypatch):
+    cfg = SearchConfig(6, 3, (4, 4, 4), time_budget=60.0)
+    out = enumerate_colorings(cfg)
+    assert out.status == "all-succeed" and 1 < out.nodes < 1024
+    monkeypatch.setattr(results, "time", SteppingClock())
+    assert enumerate_colorings(cfg).status == "budget-exhausted"
 
 
 def test_visitor_early_stop():
