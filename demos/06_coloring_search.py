@@ -2,7 +2,7 @@
 """Inside the coloring search: pruning, canonicity, and verdicts.
 
 The engine walks r-colorings of K_n edge by edge in colex order, so after
-C(m,2) edges the first m vertices carry a complete coloring.  Three prunes
+C(m,2) edges the first m vertices carry a complete coloring.  Four prunes
 keep the tree tiny:
 
 * success: path-matching order only grows with edges, so a color that
@@ -11,7 +11,13 @@ keep the tree tiny:
 * color order: among colors with equal thresholds, a new color may only
   appear after all smaller ones (first-use rule);
 * vertex canonicity: at each complete-K_m boundary, a prefix beaten by
-  some relabelling of the first m vertices is discarded.
+  some relabelling of the first m vertices is discarded;
+* row order: while vertex v agrees with vertex v-1 towards 0..u-1, the
+  edge (u,v) may not take a color below that of (u,v-1), since swapping
+  v-1 and v would then beat the K_{v+1} prefix at its boundary.
+
+canonical_extension_check replays a prefix through the search's own rules,
+success pruning aside, so it accepts exactly the prefixes the search enters.
 """
 
 from ramsey_pm import (SearchConfig, canonical_extension_check,

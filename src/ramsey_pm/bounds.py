@@ -205,6 +205,17 @@ def core_upper_main(p: Targets) -> int:
     return max(a, b, c)
 
 
+def core_upper(p: Sequence[int]) -> int:
+    """The proven 1-core upper bound that the exact solvers trust: the
+    smaller of the edge-count and three-term bounds.  Entries at most 2
+    are dropped first (their blocks hold at most one vertex), so the bound
+    is exact when at most one entry is 3 or more."""
+    t = sorted((pi for pi in p if pi >= 3), reverse=True)
+    if len(t) <= 1:
+        return t[0] if t else 2
+    return min(core_upper_edgecount(t), core_upper_main(t))
+
+
 def covering_lower_eh(v: int, k: int) -> int:
     """Counting lower bound for C(v, k): ceil(v(v-1) / (k(k-1)))."""
     if k < 2 or v < k:

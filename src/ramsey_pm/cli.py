@@ -18,7 +18,8 @@ from .core_ramsey import BlockCover, exact_core_ramsey
 from .path_matching import deficiency
 from .pm_ramsey import exact_pm_ramsey, find_lower_witness
 from .reproduce import render_report, run_report
-from .results import BudgetExceededError, RamseyResult, RouteDisagreementError
+from .results import (DEFAULT_NODE_BUDGET, BudgetExceededError, RamseyResult,
+                      RouteDisagreementError)
 from .graphs import bits
 
 EXIT_OK = 0
@@ -64,7 +65,7 @@ def _positive(kind):
 
 
 def _budget_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--node-budget", type=_positive(int), default=50_000_000,
+    p.add_argument("--node-budget", type=_positive(int), default=DEFAULT_NODE_BUDGET,
                    help="maximum nodes of each search before giving up")
     p.add_argument("--time-budget", type=_positive(float), default=None,
                    help="wall-clock budget of each search, in seconds")

@@ -14,13 +14,11 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .bounds import core_upper_edgecount, core_upper_main, covering_lower_eh, covering_lower_schonheim
+from .bounds import core_upper, covering_lower_eh, covering_lower_schonheim
 from .coloring import EdgeColoring, coloring_from_edge_colors
 from .graphs import MAX_VERTICES
-from .results import (PROOF_SEARCH, RamseyResult, RouteDisagreementError,
-                      SearchMeter, SearchStats, check_budgets)
-
-DEFAULT_NODE_BUDGET = 100_000_000
+from .results import (DEFAULT_NODE_BUDGET, PROOF_SEARCH, RamseyResult,
+                      RouteDisagreementError, SearchMeter, SearchStats, check_budgets)
 
 
 @dataclass(frozen=True)
@@ -299,9 +297,7 @@ def exact_core_ramsey(targets: Sequence[int], *,
 
     lo = ts[0] - 1
     witness = cover_feasible_with_stats(lo, caps, **kw)[0] if lo >= 2 else _trivial_cover(caps)
-    bound = core_upper_edgecount(ts)
-    if len(ts) >= 2:
-        bound = min(bound, core_upper_main(ts))
+    bound = core_upper(ts)
     hi, refuted = bound, False
     while hi - lo > 1:
         mid = (lo + hi) // 2

@@ -25,16 +25,14 @@ from itertools import chain, combinations_with_replacement, groupby, product
 from threading import Lock
 from typing import Optional, Sequence
 
-from .bounds import (ceil_div, ceil_third, core_upper_edgecount, core_upper_main,
-                     pm_all3, pm_lowers, pm_standard_value)
+from .bounds import ceil_div, ceil_third, core_upper, pm_all3, pm_lowers, pm_standard_value
 from .coloring import (EdgeColoring, TargetVector, core_lift_coloring,
                        mono_pm_profile, pm_extremal_coloring)
 from .core_ramsey import BlockCover, cover_to_coloring, exact_core_ramsey
-from .results import (PROOF_CLOSED, PROOF_F3, PROOF_SEARCH, PROOF_TABLE,
-                      RamseyResult, RouteDisagreementError, FormulaUnavailableError,
-                      SearchStats)
+from .results import (DEFAULT_NODE_BUDGET, PROOF_CLOSED, PROOF_F3, PROOF_SEARCH, PROOF_TABLE,
+                      BudgetExceededError, FormulaUnavailableError, RamseyResult,
+                      RouteDisagreementError, SearchStats)
 from .search import SearchConfig, enumerate_colorings, BUDGET_EXHAUSTED
-from .results import BudgetExceededError
 
 # memoized 1-core results keyed by stripped sorted targets; the reduction,
 # its cross-checks and the witness lifts ask for the same keys again
@@ -54,7 +52,7 @@ def _core_key(targets: Sequence[int]) -> tuple[int, ...]:
     return tuple(sorted((p for p in targets if p >= 3), reverse=True))
 
 
-def core_value(targets: Sequence[int], *, node_budget: int = 100_000_000,
+def core_value(targets: Sequence[int], *, node_budget: int = DEFAULT_NODE_BUDGET,
                time_budget: Optional[float] = None,
                stats: Optional[SearchStats] = None, progress=None) -> int:
     """Memoized exact 1-core value; targets at most 2 are dropped since
@@ -124,17 +122,6 @@ def _f3_points(ts: tuple[int, ...]) -> dict[tuple[int, ...], tuple[int, ...]]:
     return points
 
 
-def _core_upper(targets: Sequence[int]) -> int:
-    """Proven upper bound on the 1-core value, exact for at most one
-    entry of 3 or more."""
-    key = _core_key(targets)
-    if not key:
-        return 2
-    if len(key) == 1:
-        return key[0]
-    return min(core_upper_edgecount(key), core_upper_main(key))
-
-
 def _f3_maximise(ts: tuple[int, ...], core_oracle) -> tuple[int, list[tuple[int, ...]]]:
     """f_d(ts, 3, core_oracle) and the shift vectors found to attain it.
 
@@ -144,7 +131,7 @@ def _f3_maximise(ts: tuple[int, ...], core_oracle) -> tuple[int, list[tuple[int,
     bounds the larger shift goes first: its 1-core is smaller, so cheaper
     to solve.  Maximisers among the pruned points are not reported.
     """
-    ranked = sorted(((_core_upper(shifted) + sum(xs), sum(xs), shifted, xs)
+    ranked = sorted(((core_upper(shifted) + sum(xs), sum(xs), shifted, xs)
                      for shifted, xs in _f3_points(ts).items()),
                     key=lambda point: (-point[0], -point[1]))
     best = None
@@ -203,7 +190,7 @@ def closed_form_value(ts: tuple[int, ...]) -> Optional[tuple[int, str]]:
 
 
 def verify_upper(n: int, targets: Sequence[int], *,
-                 node_budget: int = 50_000_000,
+                 node_budget: int = DEFAULT_NODE_BUDGET,
                  time_budget: Optional[float] = None,
                  stats: Optional[SearchStats] = None,
                  progress=None) -> Optional[EdgeColoring]:
@@ -251,7 +238,7 @@ def _cover_as_coloring_for(ts_shifted: Sequence[int], cover: BlockCover) -> Edge
 
 
 def find_lower_witness(n: int, targets: Sequence[int], *,
-                       node_budget: int = 50_000_000,
+                       node_budget: int = DEFAULT_NODE_BUDGET,
                        time_budget: Optional[float] = None,
                        stats: Optional[SearchStats] = None,
                        progress=None) -> Optional[EdgeColoring]:
@@ -316,7 +303,7 @@ def _auto_search_cap(r: int, explicit: Optional[int]) -> int:
 
 
 def exact_pm_ramsey(targets: Sequence[int], strategy: str = "auto", *,
-                    node_budget: int = 50_000_000,
+                    node_budget: int = DEFAULT_NODE_BUDGET,
                     time_budget: Optional[float] = None,
                     search_cap: Optional[int] = None,
                     want_witness: bool = True,
@@ -338,6 +325,9 @@ def exact_pm_ramsey(targets: Sequence[int], strategy: str = "auto", *,
     RouteDisagreementError: by the reduction identity it can only mean a
     bug, and both certificates are attached for diagnosis.
     """
+    if strategy not in ("auto", "formula", "reduction", "search"):
+        raise ValueError(f"unknown strategy {strategy!r}")
+
     started = time.monotonic()
     ts = _normalize(targets)
     stats = SearchStats()
@@ -354,9 +344,6 @@ def exact_pm_ramsey(targets: Sequence[int], strategy: str = "auto", *,
             result.lower_witness = EdgeColoring(1, len(targets), ())
         result.stats.millis = int((time.monotonic() - started) * 1000)
         return result
-
-    if strategy not in ("auto", "formula", "reduction", "search"):
-        raise ValueError(f"unknown strategy {strategy!r}")
 
     method: str
     if strategy == "formula":

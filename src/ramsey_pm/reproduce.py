@@ -15,6 +15,7 @@ from .bounds import pm_all3, pm_lowers, pm_upper
 from .coloring import layered_coloring, mono_pm_profile
 from .core_ramsey import covering_number, exact_core_ramsey
 from .pm_ramsey import exact_pm_ramsey, find_lower_witness, verify_upper
+from .results import BudgetExceededError
 
 
 @dataclass
@@ -137,6 +138,8 @@ def run_report(only: Optional[str] = None) -> list[ReportRow]:
         started = time.monotonic()
         try:
             computed, passed = fn()
+        except BudgetExceededError:  # no verdict: the caller exits 2, not 3
+            raise
         except Exception as err:  # a failure to compute is a failing row
             computed, passed = f"error: {err}", False
         millis = int((time.monotonic() - started) * 1000)

@@ -11,6 +11,9 @@ PROOF_F3 = "f3-reduction"
 PROOF_CLOSED = "closed-form"
 PROOF_TABLE = "table"
 
+# nodes each search may visit unless told otherwise
+DEFAULT_NODE_BUDGET = 50_000_000
+
 
 class BudgetExceededError(RuntimeError):
     """A search ran out of its node or wall-clock budget.

@@ -27,8 +27,13 @@ edge and prunes four ways:
   in rows whose boundary is tested, so it cuts nodes and no leaf.
 
 The lexicographically least member of each equivalence class survives all
-four prunes, so at least one representative per class is visited.  Budgets
-and the progress hook are the cover search's too (SearchMeter in results).
+four prunes, so at least one representative per class is visited.  The
+symmetry options become tables when the search is built (the color
+groups, the tested boundaries, the row rule's slots), and
+canonical_extension_check replays a prefix through the same tables, so it
+accepts exactly the prefixes the search enters, success pruning aside.
+Budgets and the progress hook are the cover search's too (SearchMeter in
+results).
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ from typing import Callable, Optional, Sequence
 
 from .coloring import EdgeColoring
 from .path_matching import pm_order_of_rows
-from .results import BudgetExceededError, SearchMeter, check_budgets
+from .results import DEFAULT_NODE_BUDGET, BudgetExceededError, SearchMeter, check_budgets
 
 SYMMETRY_NONE = "none"
 SYMMETRY_COLORS = "colors"
@@ -49,8 +54,6 @@ SYMMETRY_FULL = "colors+vertices"
 ALL_SUCCEED = "all-succeed"
 COUNTEREXAMPLE = "counterexample"
 BUDGET_EXHAUSTED = "budget-exhausted"
-
-DEFAULT_NODE_BUDGET = 50_000_000
 
 
 @dataclass
@@ -184,13 +187,14 @@ class _ColoringDFS(SearchMeter):
                          config.time_budget, config.progress)
         self.cfg = config
         self.visitor = visitor
-        # the K_m boundaries the search tests: m < n, and m = n under canonical_leaves
-        top = n + 1 if config.canonical_leaves else n
-        self.boundaries = {m * (m - 1) // 2: m for m in range(3, top)}
-        by_threshold: dict[int, list[int]] = {}
+        # run reads no option: at level "none" every color is its own
+        # group, so the first-use order never cuts; below "colors+vertices"
+        # no boundary is tested, so the row rule holds nowhere
+        level = config.symmetry_level
+        by_key: dict[int, list[int]] = {}
         for c, p in enumerate(config.thresholds):
-            by_threshold.setdefault(p, []).append(c)
-        self.groups = list(by_threshold.values())  # equal thresholds, ascending colors
+            by_key.setdefault(c if level == SYMMETRY_NONE else p, []).append(c)
+        self.groups = list(by_key.values())  # ascending colors
         self.group_of = [0] * r
         self.rank_in_group = [0] * r
         for gi, g in enumerate(self.groups):
@@ -199,14 +203,15 @@ class _ColoringDFS(SearchMeter):
                 self.rank_in_group[c] = rank
         self.cmap = [c if len(self.groups[g]) == 1 else -1
                      for c, g in enumerate(self.group_of)]
+        # the K_m boundaries the search tests: m < n, and m = n under canonical_leaves
+        top = n + 1 if config.canonical_leaves else n
+        self.boundaries = ({m * (m - 1) // 2: m for m in range(3, top)}
+                           if level == SYMMETRY_FULL else {})
         # above[k]: the slot of (u, v-1) if the row rule holds at slot
         # k = (u, v), else -1; it holds for u < v-1 in a row whose K_{v+1}
         # boundary is tested
-        self.above = [-1] * self.E
-        if config.symmetry_level == SYMMETRY_FULL:
-            for k, (u, v) in enumerate(self.edges):
-                if u < v - 1 and (v + 1 < n or config.canonical_leaves):
-                    self.above[k] = k - (v - 1)
+        self.above = [k - (v - 1) if u < v - 1 and v * (v + 1) // 2 in self.boundaries
+                      else -1 for k, (u, v) in enumerate(self.edges)]
         self.seq = [0] * self.E
         self.rows = [[0] * n for _ in range(r)]
         self.used_in_group = [0] * len(self.groups)
@@ -238,13 +243,12 @@ class _ColoringDFS(SearchMeter):
         cfg = self.cfg
         u, v = self.edges[k]
         ub, vb = 1 << u, 1 << v
-        level = cfg.symmetry_level
         boundary_m = self.boundaries.get(k + 1)
         above = self.above[k]
         lo = self.seq[above] if tie and above >= 0 else 0  # row rule
         for c in range(lo, cfg.r):
             g = self.group_of[c]
-            if level != SYMMETRY_NONE and self.rank_in_group[c] > self.used_in_group[g]:
+            if self.rank_in_group[c] > self.used_in_group[g]:
                 continue  # first-use order within each equal-threshold group
             self._tick(k)
             rows_c = self.rows[c]
@@ -252,7 +256,7 @@ class _ColoringDFS(SearchMeter):
             rows_c[v] |= ub
             self.seq[k] = c
             ok = pm_order_of_rows(rows_c, cfg.n) < cfg.thresholds[c]
-            if ok and boundary_m is not None and level == SYMMETRY_FULL:
+            if ok and boundary_m is not None:
                 ok = _prefix_canonical(self.seq, boundary_m, self.groups,
                                        self.group_of, self.cmap)
             if ok:
@@ -295,15 +299,12 @@ def enumerate_colorings(config: SearchConfig,
 
 
 def canonical_extension_check(prefix_colors: Sequence[int], config: SearchConfig) -> bool:
-    """True iff no permissible symmetry maps the prefix (colors of the
-    first k colex edges, 1-indexed colors) to a smaller sequence.
+    """True iff the search, success pruning aside, enters this prefix
+    (colors of the first k colex edges, 1-indexed colors).
 
-    The rule is the search's own: no symmetry at level "none", the
-    first-use order of equal-threshold colors from level "colors" on, and
-    at level "colors+vertices" also the vertex relabellings when the prefix
-    is a complete K_m whose boundary the search tests (3 <= m < n, and
-    m = n under canonical_leaves), and the row rule when it ends inside a
-    row.  So every prefix of a visited leaf passes.
+    The prefix is replayed slot by slot through the search's own tables:
+    the row rule's least color, the first-use order, and the minimality
+    test at every tested K_m boundary that the prefix completes.
     """
     seq = [c - 1 for c in prefix_colors]
     if any(not 0 <= c < config.r for c in seq):
@@ -311,23 +312,19 @@ def canonical_extension_check(prefix_colors: Sequence[int], config: SearchConfig
     dfs = _ColoringDFS(config, None)
     if len(seq) > dfs.E:
         raise ValueError(f"prefix longer than the {dfs.E} edges of K_{config.n}")
-    if config.symmetry_level == SYMMETRY_NONE:
-        return True
     used = dfs.used_in_group
-    for c in seq:
+    tie = True
+    for k, c in enumerate(seq):
+        above = dfs.above[k]
+        lo = seq[above] if tie and above >= 0 else 0  # row rule
         g = dfs.group_of[c]
-        if dfs.rank_in_group[c] > used[g]:
-            return False  # a later color of the group appeared first
+        if c < lo or dfs.rank_in_group[c] > used[g]:
+            return False
         if dfs.rank_in_group[c] == used[g]:
             used[g] += 1
-    if config.symmetry_level != SYMMETRY_FULL or not seq:
-        return True
-    m = dfs.boundaries.get(len(seq))
-    if m is not None:
-        return _prefix_canonical(seq, m, dfs.groups, dfs.group_of, dfs.cmap)
-    v = dfs.edges[len(seq) - 1][1]
-    for j in range(v * (v - 1) // 2, len(seq)):  # row v: unfinished, or K_n untested
-        a = dfs.above[j]
-        if a < 0 or seq[j] != seq[a]:
-            return a < 0 or seq[j] > seq[a]
+        m = dfs.boundaries.get(k + 1)
+        if m is not None and not _prefix_canonical(seq, m, dfs.groups, dfs.group_of,
+                                                   dfs.cmap):
+            return False
+        tie = above < 0 or (tie and c == lo)
     return True

@@ -5,7 +5,7 @@ from math import ceil, comb, sqrt
 
 import pytest
 
-from ramsey_pm.bounds import (ceil_div, cockayne_lorimer, core_upper_degree,
+from ramsey_pm.bounds import (ceil_div, cockayne_lorimer, core_upper, core_upper_degree,
                               core_upper_edgecount, core_upper_main,
                               covering_lower_eh, covering_lower_schonheim,
                               diagonal_guarantee, normalize_targets, pm_all3,
@@ -128,6 +128,16 @@ def test_core_upper_main():
     for p1 in range(2, 9):
         for p2 in range(2, p1 + 1):
             assert core_upper_main((p1, p2)) == max(p1, p2)
+
+
+def test_core_upper_drops_trivial_entries():
+    # the bound both exact 1-core routes trust: entries at most 2 cover no
+    # pair, so they are dropped, and one remaining entry is its own value
+    assert core_upper(()) == core_upper((2, 1)) == 2
+    assert core_upper((5, 2, 2)) == core_upper((5,)) == 5
+    assert core_upper((4, 2, 4, 4)) == 5
+    for tv in ((5, 5, 5), (6, 4, 3), (3,) * 9):
+        assert core_upper(tv) == min(core_upper_edgecount(tv), core_upper_main(tv))
 
 
 def test_covering_lower_bounds():

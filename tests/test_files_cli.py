@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -5,12 +6,13 @@ import sys
 
 import pytest
 
-from ramsey_pm import core_ramsey, files, pm_ramsey, results
-from ramsey_pm.cli import main, parse_targets
+from ramsey_pm import core_ramsey, files, pm_ramsey, reproduce, results
+from ramsey_pm.cli import build_parser, main, parse_targets
 from ramsey_pm.coloring import EdgeColoring, layered_coloring
 from ramsey_pm.core_ramsey import BlockCover, exact_core_ramsey
 from ramsey_pm.pm_ramsey import clear_core_cache, exact_pm_ramsey
 from ramsey_pm.results import BudgetExceededError, RouteDisagreementError
+from ramsey_pm.search import SearchConfig
 
 from conftest import SteppingClock, random_graph
 
@@ -240,8 +242,7 @@ def test_witness_search_budget_exits_2(monkeypatch, capsys):
 
 def test_core_scan_past_bound_exits_3(monkeypatch, capsys):
     # a bound below the true value 5 of (4,4,4) makes the scan overrun it
-    monkeypatch.setattr(core_ramsey, "core_upper_edgecount", lambda ts: ts[0])
-    monkeypatch.setattr(core_ramsey, "core_upper_main", lambda ts: ts[0])
+    monkeypatch.setattr(core_ramsey, "core_upper", lambda ts: ts[0])
     with pytest.raises(RouteDisagreementError) as err:
         exact_core_ramsey((4, 4, 4))
     assert err.value.details == {"targets": (4, 4, 4), "n": 5, "bound": 4}
@@ -262,6 +263,31 @@ def test_cli_reproduce_filtered(capsys):
     rows = json.loads(capsys.readouterr().out)
     assert len(rows) == 1 and rows[0]["passed"] and rows[0]["computed"] == "17"
     assert "slow" not in rows[0]
+
+
+def test_reproduce_budget_exhaustion_exits_2(monkeypatch, capsys):
+    # a row that runs out of budget has no verdict, so it is not a failing
+    # row (exit 3): the whole report stops with exit 2
+    def exhausted(v, k, **kw):
+        raise BudgetExceededError(f"C({v},{k}) exhausted its budget")
+    monkeypatch.setattr(reproduce, "covering_number", exhausted)
+    assert main(["reproduce", "--only", r"C\(9,5\)"]) == 2
+    assert "budget exhausted" in capsys.readouterr().err
+
+
+def test_every_search_entry_point_has_one_default_budget():
+    # the same search gets the same node budget whichever way it is started
+    entry_points = (core_ramsey.cover_feasible, core_ramsey.cover_feasible_with_stats,
+                    core_ramsey.exact_core_ramsey, core_ramsey.covering_number,
+                    pm_ramsey.core_value, pm_ramsey.verify_upper,
+                    pm_ramsey.find_lower_witness, pm_ramsey.exact_pm_ramsey)
+    for fn in entry_points:
+        assert inspect.signature(fn).parameters["node_budget"].default == 50_000_000, fn
+    assert SearchConfig(3, 1, (3,)).node_budget == 50_000_000
+    parser = build_parser()
+    for argv in (["exact", "core", "--targets", "4,4,4"],
+                 ["witness", "pm", "--targets", "5,5,5", "-n", "6"]):
+        assert parser.parse_args(argv).node_budget == 50_000_000
 
 
 def test_env_var_cache_path(monkeypatch, tmp_path):

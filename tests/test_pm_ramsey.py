@@ -243,3 +243,10 @@ def test_witness_step_passes_the_progress_hook(monkeypatch):
     finally:
         clear_core_cache()
     assert seen and all(h is hook for _, h in seen), seen
+
+
+def test_unknown_strategy_rejected_before_the_trivial_case():
+    # an all-ones vector needs no route, but a bad strategy name is still an error
+    for tv in ((1, 1), (5, 5)):
+        with pytest.raises(ValueError, match="unknown strategy"):
+            exact_pm_ramsey(tv, strategy="bogus")

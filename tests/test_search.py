@@ -328,6 +328,45 @@ def test_visited_leaves_pass_the_extension_check():
                         (n, ts, canonical_leaves, seq[:k])
 
 
+def test_extension_check_accepts_only_canonical_parts():
+    # the check replays the prefix through every tested boundary, so each
+    # complete K_m part of an accepted prefix is the least of its class;
+    # every prefix of up to 10 slots at n = 6 and of up to 8 slots at n = 5
+    for n, ts, longest in ((6, (9, 9), 10), (6, (5, 3), 10), (5, (4, 4, 4), 8)):
+        cfg = SearchConfig(n, len(ts), ts)
+        parts = [m * (m - 1) // 2 for m in range(3, n)]
+        accepted = 0
+        for length in range(1, longest + 1):
+            for prefix in itertools.product(range(1, len(ts) + 1), repeat=length):
+                if canonical_extension_check(prefix, cfg):
+                    accepted += 1
+                    for k in parts:
+                        if k <= length:
+                            assert brute_force_canonical(prefix[:k], ts), (ts, prefix)
+        assert accepted, ts
+    # its K_4 part fails the K_4 boundary, so the search never enters it
+    cfg = SearchConfig(6, 2, (9, 9))
+    assert not canonical_extension_check([1, 2, 1, 1, 1, 1], cfg)
+    assert not canonical_extension_check([1, 2, 1, 1, 1, 1, 1], cfg)
+
+
+def test_extension_check_accepts_exactly_the_visited_leaves():
+    # no color can reach these thresholds on K_5, so success pruning never
+    # cuts, and the complete colorings the check accepts, in lexicographic
+    # order, are the leaves the search visits
+    for ts, canonical_leaves in (((9, 9), False), ((9, 9), True), ((6, 6, 6), False),
+                                 ((7, 6), True)):
+        cfg = SearchConfig(5, len(ts), ts, canonical_leaves=canonical_leaves)
+        accepted = [()]
+        for _ in range(10):
+            accepted = [p + (c,) for p in accepted for c in range(1, len(ts) + 1)
+                        if canonical_extension_check(p + (c,), cfg)]
+        leaves = []
+        enumerate_colorings(cfg, visitor=leaves.append)
+        got = [tuple(col.color_of(u, v) for u, v in colex_edges(5)) for col in leaves]
+        assert got == accepted, (ts, canonical_leaves)
+
+
 def test_vertex_check_beyond_eight_vertices():
     # no vertex cap: a K_9 prefix whose one color-2 edge leads is beaten by
     # the relabelling that moves that edge to the last slot
