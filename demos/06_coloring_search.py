@@ -2,7 +2,7 @@
 """Inside the coloring search: pruning, canonicity, and verdicts.
 
 The engine walks r-colorings of K_n edge by edge in colex order, so after
-C(m,2) edges the first m vertices carry a complete coloring.  Four prunes
+C(m,2) edges the first m vertices carry a complete coloring.  Five prunes
 keep the tree tiny:
 
 * success: path-matching order only grows with edges, so a color that
@@ -14,7 +14,10 @@ keep the tree tiny:
   some relabelling of the first m vertices is discarded;
 * row order: while vertex v agrees with vertex v-1 towards 0..u-1, the
   edge (u,v) may not take a color below that of (u,v-1), since swapping
-  v-1 and v would then beat the K_{v+1} prefix at its boundary.
+  v-1 and v would then beat the K_{v+1} prefix at its boundary;
+* twin order: when vertices a < b have the same color towards every other
+  vertex of K_v, the edge (b,v) may not take a color below that of (a,v),
+  since swapping a and b would then beat the K_{v+1} prefix.
 
 canonical_extension_check replays a prefix through the search's own rules,
 success pruning aside, so it accepts exactly the prefixes the search enters.

@@ -2,7 +2,7 @@
 
 The engine answers one question: does some r-coloring of K_n keep every
 color-i path-matching below its threshold p_i?  It walks colorings edge by
-edge and prunes four ways:
+edge, keeps them in an n x n color matrix, and prunes five ways:
 
 * success pruning: path-matching order is monotone under adding edges, so
   once a color reaches its threshold in a partial coloring every
@@ -23,15 +23,22 @@ edge and prunes four ways:
   agrees with vertex v-1 towards 0..u-1, the edge (u,v) may not take a
   color below that of (u,v-1).  A smaller one makes row v sort below row
   v-1, so swapping v-1 and v gives the K_{v+1} prefix a smaller image and
-  its boundary test would reject every completion.  The rule applies only
-  in rows whose boundary is tested, so it cuts nodes and no leaf.
+  its boundary test would reject every completion;
+* twin order: vertices a < b < v are twins in K_v when they have the same
+  color towards every other vertex of K_v.  Swapping them fixes the K_v
+  prefix and trades (a,v) with (b,v) in row v, so (b,v) may not take a
+  color below that of (a,v), where a is the largest twin of b below it.
 
-The lexicographically least member of each equivalence class survives all
-four prunes, so at least one representative per class is visited.  The
+The row and twin rules apply only in rows whose K_{v+1} boundary is
+tested, so they cut nodes and no leaf.  The lexicographically least member
+of each equivalence class survives all five prunes, so at least one
+representative per class is visited.  The minimality test reads the color
+matrix, whose row b up to column b is the prefix's row b, and records the
+twins of each K_m it tests, which its own search and row m then use.  The
 symmetry options become tables when the search is built (the color
-groups, the tested boundaries, the row rule's slots), and
-canonical_extension_check replays a prefix through the same tables, so it
-accepts exactly the prefixes the search enters, success pruning aside.
+groups, the tested boundaries, the rows the row and twin rules hold in),
+and canonical_extension_check replays a prefix through the same tables, so
+it accepts exactly the prefixes the search enters, success pruning aside.
 Budgets and the progress hook are the cover search's too (SearchMeter in
 results).
 """
@@ -40,7 +47,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 from .coloring import EdgeColoring
@@ -91,31 +97,53 @@ def colex_edges(n: int) -> list[tuple[int, int]]:
     return [(u, v) for v in range(1, n) for u in range(v)]
 
 
-@lru_cache(maxsize=None)
-def _colex_slots(m: int) -> tuple[tuple[int, ...], ...]:
-    """_colex_slots(m)[w][a]: the colex slot of edge {a, w} in K_m."""
-    return tuple(tuple(a * (a - 1) // 2 + w if a > w else w * (w - 1) // 2 + a
-                       for a in range(m)) for w in range(m))
+def _twin_below(col: list[list[int]], m: int, prev: list[int]) -> list[int]:
+    """For each vertex b of K_m, the largest a < b that is b's twin (the
+    same color towards every other vertex of K_m), or -1; prev is that list
+    for K_{m-1}.
+
+    Twins in K_m below m-1 are twins in K_{m-1} with one color towards
+    m-1, so b's twin is found along its chain prev[b], prev[prev[b]], ...
+    """
+    last = col[m - 1]
+    out = [-1] * m
+    for b in range(1, m - 1):
+        a = prev[b]
+        while a >= 0 and last[a] != last[b]:
+            a = prev[a]
+        out[b] = a
+    for a in range(m - 2, -1, -1):
+        ra = col[a]
+        if ra[:a] == last[:a] and ra[a + 1:m - 1] == last[a + 1:m - 1]:
+            out[m - 1] = a
+            break
+    return out
 
 
-def _no_smaller_extension(b: int, seq: Sequence[int], m: int,
-                          slots: tuple[tuple[int, ...], ...], sigma: list[int],
-                          free: list[int], cmap: list[int], mapped: list[int],
-                          groups: list[list[int]], group_of: list[int]) -> bool:
+def _no_smaller_extension(b: int, col: list[list[int]], m: int, twins: list[int],
+                          sigma: list[int], free: list[int], cmap: list[int],
+                          mapped: list[int], groups: list[list[int]],
+                          group_of: list[int]) -> bool:
     """False iff some choice of sigma(b..m-1), with the color map grown
     along, makes the image smaller than the prefix; sigma(0..b-1) and the
     partial color map give an image equal to it so far."""
-    j0 = b * (b - 1) // 2
-    first = -1  # the first candidate that ties at this level
+    row_b = col[b]  # the prefix's slots (0,b), ..., (b-1,b)
     for w in free:
         if w < 0:
             continue  # already an image of sigma(0..b-1)
-        row = slots[w]
+        a = twins[w]
+        while a >= 0 and free[a] < 0:
+            a = twins[a]
+        if a >= 0:
+            # a free twin below w repeats this branch: swapping the two is
+            # an automorphism of the prefix that fixes sigma(0..b-1)
+            continue
+        row = col[w]
         trail = []  # colors this candidate mapped
         for u in range(b):
-            x = seq[row[sigma[u]]]
+            x = row[sigma[u]]
             y = cmap[x]
-            cur = seq[j0 + u]
+            cur = row_b[u]
             if y < 0:  # unmapped: only the least free color of its group can tie
                 g = group_of[x]
                 y = groups[g][mapped[g]]
@@ -128,22 +156,10 @@ def _no_smaller_extension(b: int, seq: Sequence[int], m: int,
                     return False
                 break  # larger: cut the branch
         else:  # equal so far; at b = m - 1 an automorphism
-            # a twin of the level's first tie (the same color towards every
-            # other vertex) repeats that branch: swapping the two is an
-            # automorphism of the prefix that fixes sigma(0..b-1)
-            twin = first >= 0
-            if twin:
-                rt = slots[first]
-                for x in range(m):
-                    if x != first and x != w and seq[rt[x]] != seq[row[x]]:
-                        twin = False
-                        break
-            else:
-                first = w
-            if b + 1 < m and not twin:
+            if b + 1 < m:
                 sigma[b] = w
                 free[w] = -1
-                ok = _no_smaller_extension(b + 1, seq, m, slots, sigma, free,
+                ok = _no_smaller_extension(b + 1, col, m, twins, sigma, free,
                                            cmap, mapped, groups, group_of)
                 free[w] = w
                 if not ok:
@@ -152,29 +168,6 @@ def _no_smaller_extension(b: int, seq: Sequence[int], m: int,
             cmap[x] = -1
             mapped[group_of[x]] -= 1
     return True
-
-
-def _prefix_canonical(seq: Sequence[int], m: int, groups: list[list[int]],
-                      group_of: list[int], cmap: list[int]) -> bool:
-    """No relabelling of the first m vertices, composed with a
-    threshold-preserving color permutation, makes the K_m prefix
-    lexicographically smaller.
-
-    The relabelling sigma is built one vertex at a time.  Fixing
-    sigma(0..b) fixes the image of every slot below C(b+1, 2), so the new
-    slots (0,b), ..., (b-1,b) are compared as soon as sigma(b) is chosen: a
-    smaller image refutes canonicity, a larger one cuts the branch.  The
-    color map grows the same way: a color first met unmapped goes to the
-    least free color of its group, the only image that does not make the
-    comparison larger there, and every such partial map extends to a full
-    symmetry.  A group's mapped colors are always its first ones, and
-    singleton groups are mapped to themselves from the start.  Of twin
-    candidates at one level, only the first is followed, so a block of
-    interchangeable vertices costs one branch instead of its factorial.
-    cmap is that initial color map; the test works on a copy.
-    """
-    return _no_smaller_extension(0, seq, m, _colex_slots(m), [0] * m, list(range(m)),
-                                 cmap[:], [0] * len(groups), groups, group_of)
 
 
 class _ColoringDFS(SearchMeter):
@@ -189,7 +182,7 @@ class _ColoringDFS(SearchMeter):
         self.visitor = visitor
         # run reads no option: at level "none" every color is its own
         # group, so the first-use order never cuts; below "colors+vertices"
-        # no boundary is tested, so the row rule holds nowhere
+        # no boundary is tested, so the row and twin rules hold nowhere
         level = config.symmetry_level
         by_key: dict[int, list[int]] = {}
         for c, p in enumerate(config.thresholds):
@@ -207,22 +200,58 @@ class _ColoringDFS(SearchMeter):
         top = n + 1 if config.canonical_leaves else n
         self.boundaries = ({m * (m - 1) // 2: m for m in range(3, top)}
                            if level == SYMMETRY_FULL else {})
-        # above[k]: the slot of (u, v-1) if the row rule holds at slot
-        # k = (u, v), else -1; it holds for u < v-1 in a row whose K_{v+1}
+        # ruled[v]: the row and twin rules hold in row v, i.e. the K_{v+1}
         # boundary is tested
-        self.above = [k - (v - 1) if u < v - 1 and v * (v + 1) // 2 in self.boundaries
-                      else -1 for k, (u, v) in enumerate(self.edges)]
-        self.seq = [0] * self.E
+        self.ruled = [v * (v + 1) // 2 in self.boundaries for v in range(n)]
+        self.col = [[0] * n for _ in range(n)]  # col[u][v] = col[v][u]: color of {u, v}
+        # twin[m]: _twin_below of K_m, recorded by the K_m boundary test for
+        # the row m that follows it; those of K_0..K_2 do not depend on colors
+        self.twin = [[], [-1], [-1, 0]] + [[] for _ in range(3, n + 1)]
         self.rows = [[0] * n for _ in range(r)]
         self.used_in_group = [0] * len(self.groups)
         self.counterexample: Optional[EdgeColoring] = None
 
     def _materialize(self) -> EdgeColoring:
-        n = self.cfg.n
-        flat = [0] * self.E
-        for k, (u, v) in enumerate(self.edges):
-            flat[u * n - u * (u + 1) // 2 + (v - u - 1)] = self.seq[k] + 1
-        return EdgeColoring(n, self.cfg.r, tuple(flat))
+        n, col = self.cfg.n, self.col
+        return EdgeColoring(n, self.cfg.r,
+                            tuple(col[u][v] + 1 for u in range(n) for v in range(u + 1, n)))
+
+    def _canonical(self, m: int) -> bool:
+        """No relabelling of the first m vertices, composed with a
+        threshold-preserving color permutation, makes the K_m prefix
+        lexicographically smaller.
+
+        The relabelling sigma is built one vertex at a time.  Fixing
+        sigma(0..b) fixes the image of every slot below C(b+1, 2), so the
+        new slots (0,b), ..., (b-1,b) are compared with the prefix's row b,
+        col[b][:b], as soon as sigma(b) is chosen: a smaller image refutes
+        canonicity, a larger one cuts the branch.  The color map grows the
+        same way: a color first met unmapped goes to the least free color
+        of its group, the only image that does not make the comparison
+        larger there, and every such partial map extends to a full
+        symmetry.  A group's mapped colors are always its first ones, and
+        singleton groups are mapped to themselves from the start.  Of twin
+        candidates at one level only the least is tried, so a block of
+        interchangeable vertices costs one branch instead of its factorial;
+        the twins of K_m are recorded for row m.
+        """
+        twins = self.twin[m] = _twin_below(self.col, m, self.twin[m - 1])
+        return _no_smaller_extension(0, self.col, m, twins, [0] * m, list(range(m)),
+                                     self.cmap[:], [0] * len(self.groups), self.groups,
+                                     self.group_of)
+
+    def _least(self, u: int, v: int, tie: bool) -> int:
+        """The least color that the row rule and the twin rule allow at
+        slot (u, v), where tie says row v agrees with row v-1 towards
+        0..u-1."""
+        if not self.ruled[v]:
+            return 0
+        col = self.col
+        lo = col[u][v - 1] if tie and u < v - 1 else 0  # row rule
+        a = self.twin[v][u]
+        if a >= 0 and col[a][v] > lo:  # twin rule
+            lo = col[a][v]
+        return lo
 
     def _leaf(self) -> bool:
         """Handle a complete coloring; True means stop the whole search."""
@@ -237,16 +266,16 @@ class _ColoringDFS(SearchMeter):
     def run(self, k: int = 0, tie: bool = True) -> bool:
         """DFS from edge slot k; True aborts the search (stop requested).
 
-        tie: the row of slot k agrees with the row before it so far."""
+        tie: row v of slot k = (u, v) agrees with row v-1 towards 0..u-1."""
         if k == self.E:
             return self._leaf()
         cfg = self.cfg
         u, v = self.edges[k]
         ub, vb = 1 << u, 1 << v
+        row_u, row_v = self.col[u], self.col[v]
         boundary_m = self.boundaries.get(k + 1)
-        above = self.above[k]
-        lo = self.seq[above] if tie and above >= 0 else 0  # row rule
-        for c in range(lo, cfg.r):
+        above = row_u[v - 1] if u < v - 1 else -1  # the color of (u, v-1)
+        for c in range(self._least(u, v, tie), cfg.r):
             g = self.group_of[c]
             if self.rank_in_group[c] > self.used_in_group[g]:
                 continue  # first-use order within each equal-threshold group
@@ -254,16 +283,15 @@ class _ColoringDFS(SearchMeter):
             rows_c = self.rows[c]
             rows_c[u] |= vb
             rows_c[v] |= ub
-            self.seq[k] = c
+            row_u[v] = row_v[u] = c
             ok = pm_order_of_rows(rows_c, cfg.n) < cfg.thresholds[c]
             if ok and boundary_m is not None:
-                ok = _prefix_canonical(self.seq, boundary_m, self.groups,
-                                       self.group_of, self.cmap)
+                ok = self._canonical(boundary_m)
             if ok:
                 bumped = self.rank_in_group[c] == self.used_in_group[g]
                 if bumped:
                     self.used_in_group[g] += 1
-                if self.run(k + 1, above < 0 or (tie and c == lo)):
+                if self.run(k + 1, above < 0 or (tie and c == above)):
                     return True
                 if bumped:
                     self.used_in_group[g] -= 1
@@ -302,9 +330,10 @@ def canonical_extension_check(prefix_colors: Sequence[int], config: SearchConfig
     """True iff the search, success pruning aside, enters this prefix
     (colors of the first k colex edges, 1-indexed colors).
 
-    The prefix is replayed slot by slot through the search's own tables:
-    the row rule's least color, the first-use order, and the minimality
-    test at every tested K_m boundary that the prefix completes.
+    The prefix is replayed slot by slot through the search's own tables
+    and color matrix: the least color of the row and twin rules, the
+    first-use order, and the minimality test at every tested K_m boundary
+    that the prefix completes.
     """
     seq = [c - 1 for c in prefix_colors]
     if any(not 0 <= c < config.r for c in seq):
@@ -312,19 +341,18 @@ def canonical_extension_check(prefix_colors: Sequence[int], config: SearchConfig
     dfs = _ColoringDFS(config, None)
     if len(seq) > dfs.E:
         raise ValueError(f"prefix longer than the {dfs.E} edges of K_{config.n}")
-    used = dfs.used_in_group
+    col, used = dfs.col, dfs.used_in_group
     tie = True
     for k, c in enumerate(seq):
-        above = dfs.above[k]
-        lo = seq[above] if tie and above >= 0 else 0  # row rule
+        u, v = dfs.edges[k]
         g = dfs.group_of[c]
-        if c < lo or dfs.rank_in_group[c] > used[g]:
+        if c < dfs._least(u, v, tie) or dfs.rank_in_group[c] > used[g]:
             return False
         if dfs.rank_in_group[c] == used[g]:
             used[g] += 1
+        col[u][v] = col[v][u] = c
         m = dfs.boundaries.get(k + 1)
-        if m is not None and not _prefix_canonical(seq, m, dfs.groups, dfs.group_of,
-                                                   dfs.cmap):
+        if m is not None and not dfs._canonical(m):
             return False
-        tie = above < 0 or (tie and c == lo)
+        tie = u == v - 1 or (tie and c == col[u][v - 1])
     return True

@@ -228,17 +228,22 @@ def test_canonical_extension_check_matches_brute_force(rng):
 
 def test_row_rule_rejects_only_rows_without_minimal_completion(rng):
     # a prefix ending inside row v that the check rejects has no completion
-    # to a K_{v+1} that is the least member of its class; the row rule must
-    # reject some prefixes that the first-use order lets through
+    # to a K_{v+1} that is the least member of its class; the row and twin
+    # rules must reject some prefixes that the first-use order lets
+    # through.  In the monochromatic K_4 every vertex is a twin of every
+    # other, and row 3 is all color 1, so the row rule never cuts there
+    # and every such cut is the twin rule's.
+    mono = (1,) * 6
     for ts in ((3, 3, 3), (4, 4, 3), (5, 3)):
         r = len(ts)
         colors = range(1, r + 1)
-        row_rule_cuts = 0
+        cuts = twin_cuts = 0
         for v in (3, 4):
             cfg = SearchConfig(v + 2, r, ts)
             first_use = SearchConfig(v + 2, r, ts, symmetry_level="colors")
             kv = v * (v - 1) // 2
             bases = (list(itertools.product(colors, repeat=kv)) if v == 3 else
+                     [mono, least_image((1, 1, 2, 1, 2, 1), ts)] +
                      [least_image([rng.randint(1, r) for _ in range(kv)], ts)
                       for _ in range(3)])
             for base in bases:
@@ -250,8 +255,10 @@ def test_row_rule_rejects_only_rows_without_minimal_completion(rng):
                         if canonical_extension_check(prefix, cfg):
                             continue
                         assert all(row[:length] != part for row in minimal_rows), (ts, prefix)
-                        row_rule_cuts += canonical_extension_check(prefix, first_use)
-        assert row_rule_cuts > 0, ts
+                        cut = canonical_extension_check(prefix, first_use)
+                        cuts += cut
+                        twin_cuts += cut and base == mono
+        assert 0 < twin_cuts < cuts, ts
 
 
 def test_visited_leaves_match_oracle():
@@ -275,11 +282,13 @@ def test_visited_leaves_match_oracle():
 
 
 def test_node_counts_at_eight_vertices():
-    # deterministic regression values (16,707 and 10,316 before the row rule)
-    out = enumerate_colorings(SearchConfig(8, 3, (6, 6, 6)))
-    assert (out.status, out.nodes) == ("all-succeed", 7484)
-    out = enumerate_colorings(SearchConfig(8, 4, (5, 5, 5, 5)))
-    assert (out.status, out.nodes) == ("all-succeed", 5361)
+    # deterministic regression values; before the twin rule 7,484, 5,361,
+    # 22,365, 18,212 and 12,791, and before the row rule 16,707, 10,316,
+    # 53,294, 39,268 and 31,900
+    for ts, nodes in (((6, 6, 6), 5720), ((5, 5, 5, 5), 4216), ((6, 6, 4, 3), 15643),
+                      ((7, 6, 3, 3), 12324), ((6, 5, 4, 3), 8507)):
+        out = enumerate_colorings(SearchConfig(8, len(ts), ts))
+        assert (out.status, out.nodes) == ("all-succeed", nodes), ts
 
 
 def test_one_pm_order_call_per_node(monkeypatch):
@@ -350,21 +359,59 @@ def test_extension_check_accepts_only_canonical_parts():
     assert not canonical_extension_check([1, 2, 1, 1, 1, 1, 1], cfg)
 
 
-def test_extension_check_accepts_exactly_the_visited_leaves():
-    # no color can reach these thresholds on K_5, so success pruning never
-    # cuts, and the complete colorings the check accepts, in lexicographic
-    # order, are the leaves the search visits
-    for ts, canonical_leaves in (((9, 9), False), ((9, 9), True), ((6, 6, 6), False),
-                                 ((7, 6), True)):
-        cfg = SearchConfig(5, len(ts), ts, canonical_leaves=canonical_leaves)
-        accepted = [()]
-        for _ in range(10):
-            accepted = [p + (c,) for p in accepted for c in range(1, len(ts) + 1)
-                        if canonical_extension_check(p + (c,), cfg)]
+def test_extension_check_applies_the_twin_rule():
+    # in the monochromatic K_4 vertices 0 and 1 are twins, so in row 4 the
+    # edge (2,4) may not take a color below that of (1,4)
+    cfg = SearchConfig(6, 2, (9, 9))
+    assert canonical_extension_check([1] * 7 + [2], cfg)
+    assert not canonical_extension_check([1] * 7 + [2, 1], cfg)
+
+
+def test_twins_match_their_definition(rng):
+    # _twin_below, grown one K_m at a time, against the plain definition:
+    # a < b are twins in K_m when c(a, x) = c(b, x) for every other x < m
+    n = 8
+    for _ in range(60):
+        r = rng.randint(1, 3)
+        col = [[0] * n for _ in range(n)]
+        for u, v in colex_edges(n):
+            col[u][v] = col[v][u] = min(rng.randrange(r), rng.randrange(r))
+        twins = [[], [-1], [-1, 0]]
+        for m in range(3, n + 1):
+            twins.append(search._twin_below(col, m, twins[m - 1]))
+        for m in range(1, n + 1):
+            expect = [max((a for a in range(b)
+                           if all(col[a][x] == col[b][x] for x in range(m) if x not in (a, b))),
+                          default=-1) for b in range(m)]
+            assert twins[m] == expect, (m, col)
+
+
+def test_extension_check_accepts_exactly_the_entered_prefixes(monkeypatch):
+    # no color can reach these thresholds on K_n, so success pruning never
+    # cuts, and the tree of prefixes the check accepts is the set of
+    # prefixes the search enters: at each length the same prefixes in the
+    # same (lexicographic) order, the complete ones being the leaves
+    entered = []
+    real_run = search._ColoringDFS.run
+
+    def run(dfs, k=0, tie=True):
+        entered.append(tuple(dfs.col[u][v] + 1 for u, v in dfs.edges[:k]))
+        return real_run(dfs, k, tie)
+
+    monkeypatch.setattr(search._ColoringDFS, "run", run)
+    for n, ts, canonical_leaves in ((5, (9, 9), False), (5, (9, 9), True),
+                                    (5, (6, 6, 6), False), (5, (7, 6), True),
+                                    (6, (7, 7), False), (6, (7, 7), True), (6, (8, 7), False)):
+        cfg = SearchConfig(n, len(ts), ts, canonical_leaves=canonical_leaves)
+        entered.clear()
         leaves = []
         enumerate_colorings(cfg, visitor=leaves.append)
-        got = [tuple(col.color_of(u, v) for u, v in colex_edges(5)) for col in leaves]
-        assert got == accepted, (ts, canonical_leaves)
+        accepted = [()]
+        for k in range(1, len(colex_edges(n)) + 1):
+            accepted = [p + (c,) for p in accepted for c in range(1, len(ts) + 1)
+                        if canonical_extension_check(p + (c,), cfg)]
+            assert [p for p in entered if len(p) == k] == accepted, (n, ts, canonical_leaves, k)
+        assert [tuple(col.color_of(u, v) for u, v in colex_edges(n)) for col in leaves] == accepted
 
 
 def test_vertex_check_beyond_eight_vertices():
