@@ -28,6 +28,18 @@ def ceil_third(p: int) -> int:
     return ceil_div(p, 3)
 
 
+def nontrivial_targets(p: Sequence[int]) -> tuple[int, ...]:
+    """The entries of 3 or more, sorted nonincreasingly.  The others never
+    change a 1-core or path-matching value: their blocks hold at most one
+    vertex, and an order-2 path-matching is a single edge."""
+    return tuple(sorted((pi for pi in p if pi >= 3), reverse=True))
+
+
+def standard_formula(t: Sequence[int]) -> int:
+    """p1 - (r-1) + sum_{i>=2} ceil(pi/3) for t sorted nonincreasingly."""
+    return t[0] - (len(t) - 1) + sum(ceil_third(pi) for pi in t[1:])
+
+
 @dataclass(frozen=True)
 class BoundEntry:
     name: str
@@ -91,7 +103,7 @@ def pm_standard_value(p: Targets) -> tuple[int, bool]:
     """
     t = as_targets(p).targets
     r = len(t)
-    value = t[0] - (r - 1) + sum(ceil_third(pi) for pi in t[1:])
+    value = standard_formula(t)
     if r <= 2:
         return value, True
     # threshold p1 >= 2r - 3 - sum 3(ceil(pi/3) - pi/3), scaled by 3 to stay integral
@@ -133,13 +145,11 @@ def pm_lowers(p: Targets) -> tuple[int, int]:
               is small relative to r.
     """
     t = as_targets(p).targets
-    r = len(t)
-    if r < 2:
+    if len(t) < 2:
         raise ValueError("need at least two colors")
-    standard = t[0] - (r - 1) + sum(ceil_third(pi) for pi in t[1:])
     s = sum(1 for pi in t if pi % 3 == 0)
     design = (isqrt(8 * s + 1) + 1) // 2 + 1 + sum(ceil_third(pi) - 1 for pi in t)
-    return standard, design
+    return standard_formula(t), design
 
 
 def diagonal_guarantee(n: int, r: int) -> int:
@@ -207,10 +217,9 @@ def core_upper_main(p: Targets) -> int:
 
 def core_upper(p: Sequence[int]) -> int:
     """The proven 1-core upper bound that the exact solvers trust: the
-    smaller of the edge-count and three-term bounds.  Entries at most 2
-    are dropped first (their blocks hold at most one vertex), so the bound
-    is exact when at most one entry is 3 or more."""
-    t = sorted((pi for pi in p if pi >= 3), reverse=True)
+    smaller of the edge-count and three-term bounds, over the
+    nontrivial_targets, so exact when at most one entry is 3 or more."""
+    t = nontrivial_targets(p)
     if len(t) <= 1:
         return t[0] if t else 2
     return min(core_upper_edgecount(t), core_upper_main(t))
@@ -248,7 +257,7 @@ def techfact_holds(a: Targets) -> tuple[bool, bool, bool]:
     r = len(t)
     if r < 3 or t[0] < 3 or t[-1] < 2:
         raise ValueError("need r >= 3, a1 >= 3 and entries >= 2")
-    standard = t[0] - (r - 1) + sum(ceil_third(ai) for ai in t[1:])
+    standard = standard_formula(t)
     half_term = ceil_div(t[0] + t[1] + t[2], 2) - 1
     third_term = ceil_div(t[0] - r + sum(t), 3)
 

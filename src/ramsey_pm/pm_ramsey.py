@@ -22,10 +22,10 @@ from __future__ import annotations
 
 import time
 from itertools import chain, combinations_with_replacement, groupby, product
-from threading import Lock
 from typing import Optional, Sequence
 
-from .bounds import ceil_div, ceil_third, core_upper, pm_all3, pm_lowers, pm_standard_value
+from .bounds import (ceil_div, ceil_third, core_upper, nontrivial_targets, pm_all3, pm_lowers,
+                     pm_standard_value, standard_formula)
 from .coloring import (EdgeColoring, TargetVector, core_lift_coloring,
                        mono_pm_profile, pm_extremal_coloring)
 from .core_ramsey import BlockCover, cover_to_coloring, exact_core_ramsey
@@ -34,55 +34,45 @@ from .results import (DEFAULT_NODE_BUDGET, PROOF_CLOSED, PROOF_F3, PROOF_SEARCH,
                       RouteDisagreementError, SearchStats)
 from .search import SearchConfig, enumerate_colorings, BUDGET_EXHAUSTED
 
-# memoized 1-core results keyed by stripped sorted targets; the reduction,
+# memoized 1-core results keyed by nontrivial_targets; the reduction,
 # its cross-checks and the witness lifts ask for the same keys again
 _CORE_MEMO: dict[tuple[int, ...], RamseyResult] = {}
-_CORE_LOCK = Lock()
 
 # `auto` cross-checks a value by the other routes when it is at most this
 _CROSS_CHECK_CAP = 4
 
 
 def clear_core_cache() -> None:
-    with _CORE_LOCK:
-        _CORE_MEMO.clear()
-
-
-def _core_key(targets: Sequence[int]) -> tuple[int, ...]:
-    return tuple(sorted((p for p in targets if p >= 3), reverse=True))
+    _CORE_MEMO.clear()
 
 
 def core_value(targets: Sequence[int], *, node_budget: int = DEFAULT_NODE_BUDGET,
                time_budget: Optional[float] = None,
                stats: Optional[SearchStats] = None, progress=None) -> int:
-    """Memoized exact 1-core value; targets at most 2 are dropped since
-    their blocks hold at most one vertex, and an all-small vector is 2.
-    The progress hook reaches the cover searches of a fresh solve."""
-    key = _core_key(targets)
+    """Memoized exact 1-core value of the nontrivial_targets; an all-small
+    vector is 2.  The progress hook reaches the cover searches of a fresh
+    solve."""
+    key = nontrivial_targets(targets)
     if not key:
         return 2
-    with _CORE_LOCK:
-        hit = _CORE_MEMO.get(key)
+    hit = _CORE_MEMO.get(key)
     if hit is not None:
         return hit.value
-    hit = exact_core_ramsey(key, node_budget=node_budget,
-                            time_budget=time_budget, progress=progress)
-    with _CORE_LOCK:
-        _CORE_MEMO[key] = hit
+    hit = _CORE_MEMO[key] = exact_core_ramsey(key, node_budget=node_budget,
+                                              time_budget=time_budget, progress=progress)
     if stats is not None:
         stats.nodes += hit.stats.nodes
     return hit.value
 
 
 def _core_result(targets: Sequence[int], **kw) -> RamseyResult:
-    key = _core_key(targets)
+    key = nontrivial_targets(targets)
     if not key:
         caps = tuple(p - 1 for p in sorted(targets, reverse=True))
         return RamseyResult(tuple(sorted(targets, reverse=True)), 2, PROOF_SEARCH,
                             BlockCover(1, caps, (0,) * len(caps)))
     core_value(targets, **kw)  # fill the memo
-    with _CORE_LOCK:
-        return _CORE_MEMO[key]
+    return _CORE_MEMO[key]
 
 
 def f_d(p: Sequence[int], d: int, core_oracle) -> int:
@@ -162,13 +152,13 @@ def closed_form_value(ts: tuple[int, ...]) -> Optional[tuple[int, str]]:
     ts must be sorted nonincreasing with entries >= 2; entries equal to 2
     are ignored for the value (they never change it).
     """
-    t = tuple(p for p in ts if p >= 3)
+    t = nontrivial_targets(ts)
     r = len(t)
     if r == 0:
         return 2, PROOF_TABLE  # K_2 already contains an order-2 path
     if r == 1:
         return t[0], PROOF_CLOSED  # one color: K_n has a spanning path-matching
-    standard = t[0] - (r - 1) + sum(ceil_third(pi) for pi in t[1:])
+    standard = standard_formula(t)
     if r == 2:
         return standard, PROOF_CLOSED
     if all(p == 3 for p in t):
@@ -294,18 +284,9 @@ def find_lower_witness(n: int, targets: Sequence[int], *,
     return None
 
 
-def _auto_search_cap(r: int, explicit: Optional[int]) -> int:
-    if explicit is not None:
-        return explicit
-    if r <= 2:
-        return 7
-    return 6
-
-
 def exact_pm_ramsey(targets: Sequence[int], strategy: str = "auto", *,
                     node_budget: int = DEFAULT_NODE_BUDGET,
                     time_budget: Optional[float] = None,
-                    search_cap: Optional[int] = None,
                     want_witness: bool = True,
                     progress=None) -> RamseyResult:
     """Exact path-matching Ramsey value of the targets.
@@ -317,9 +298,8 @@ def exact_pm_ramsey(targets: Sequence[int], strategy: str = "auto", *,
       formula   closed form only (raises if none is proven);
       reduction the grid maximum over exact 1-core values;
       search    scan n upward with exhaustive coloring searches; sizes
-                beyond search_cap fall back to the reduction for the
-                remaining upper step (default cap: 7 for two colors, 6
-                otherwise).
+                beyond a fixed cap (7 for two colors, 6 otherwise) fall
+                back to the reduction for the remaining upper step.
 
     Disagreement between any two completed routes raises
     RouteDisagreementError: by the reduction identity it can only mean a
@@ -355,9 +335,7 @@ def exact_pm_ramsey(targets: Sequence[int], strategy: str = "auto", *,
     elif strategy == "reduction":
         value, method = reduction_value(), PROOF_F3
     elif strategy == "search":
-        value, method = _search_scan(ts, stats, kw,
-                                     _auto_search_cap(len(ts), search_cap),
-                                     reduction_value)
+        value, method = _search_scan(ts, stats, kw, reduction_value)
     else:  # auto
         cf = closed_form_value(ts)
         if cf is None:
@@ -369,9 +347,7 @@ def exact_pm_ramsey(targets: Sequence[int], strategy: str = "auto", *,
                     f"closed form {value} disagrees with reduction {red} on {ts}",
                     {"targets": ts, "closed-form": value, "reduction": red})
         if value <= _CROSS_CHECK_CAP:
-            sv, sm = _search_scan(ts, stats, kw,
-                                  _auto_search_cap(len(ts), search_cap),
-                                  reduction_value)
+            sv, _ = _search_scan(ts, stats, kw, reduction_value)
             if sv != value:
                 raise RouteDisagreementError(
                     f"search {sv} disagrees with {method} {value} on {ts}",
@@ -392,12 +368,12 @@ def exact_pm_ramsey(targets: Sequence[int], strategy: str = "auto", *,
 
 
 def _search_scan(ts: tuple[int, ...], stats: SearchStats, kw: dict,
-                 cap: int, reduction_value) -> tuple[int, str]:
+                 reduction_value) -> tuple[int, str]:
     """Scan n upward with exhaustive searches; (value, provenance)."""
     if len(ts) == 1:
         return ts[0], PROOF_CLOSED
-    lower = max(pm_lowers(ts))
-    n = max(2, lower)
+    cap = 7 if len(ts) == 2 else 6
+    n = max(2, *pm_lowers(ts))
     while True:
         if n > cap:
             value = reduction_value()

@@ -17,8 +17,7 @@ edge, keeps them in an n x n color matrix, and prunes five ways:
   generation (Read 1978; McKay, J. Algorithms 26, 1998): the relabelling
   is built one vertex at a time and the color map one color at a time,
   each branch stops at its first slot that differs from the prefix, and
-  nothing is tabulated, so the test runs at every boundary m < n, and at
-  m = n under canonical_leaves;
+  nothing is tabulated, so the test runs at every boundary 3 <= m < n;
 * row order: inside row v (the edges (0,v), ..., (v-1,v)), once vertex v
   agrees with vertex v-1 towards 0..u-1, the edge (u,v) may not take a
   color below that of (u,v-1).  A smaller one makes row v sort below row
@@ -34,11 +33,11 @@ tested, so they cut nodes and no leaf.  The lexicographically least member
 of each equivalence class survives all five prunes, so at least one
 representative per class is visited.  The minimality test reads the color
 matrix, whose row b up to column b is the prefix's row b, and records the
-twins of each K_m it tests, which its own search and row m then use.  The
-symmetry options become tables when the search is built (the color
-groups, the tested boundaries, the rows the row and twin rules hold in),
-and canonical_extension_check replays a prefix through the same tables, so
-it accepts exactly the prefixes the search enters, success pruning aside.
+twins of each K_m it tests, which its own search and row m then use.
+canonical_extension_check replays a prefix through the search's own
+tables (the color groups, the tested boundaries, the rows the row and twin
+rules hold in), so it accepts exactly the prefixes the search enters,
+success pruning aside.
 Budgets and the progress hook are the cover search's too (SearchMeter in
 results).
 """
@@ -53,10 +52,6 @@ from .coloring import EdgeColoring
 from .path_matching import pm_order_of_rows
 from .results import DEFAULT_NODE_BUDGET, BudgetExceededError, SearchMeter, check_budgets
 
-SYMMETRY_NONE = "none"
-SYMMETRY_COLORS = "colors"
-SYMMETRY_FULL = "colors+vertices"
-
 ALL_SUCCEED = "all-succeed"
 COUNTEREXAMPLE = "counterexample"
 BUDGET_EXHAUSTED = "budget-exhausted"
@@ -69,8 +64,6 @@ class SearchConfig:
     thresholds: tuple[int, ...]
     node_budget: int = DEFAULT_NODE_BUDGET
     time_budget: Optional[float] = None
-    symmetry_level: str = SYMMETRY_FULL
-    canonical_leaves: bool = False  # run the vertex check on complete colorings too
     # progress hook: called with {nodes, leaves, elapsed, depth_histogram}
     # at most once a second (see SearchMeter)
     progress: Optional[Callable[[dict], None]] = None
@@ -79,8 +72,6 @@ class SearchConfig:
         if len(self.thresholds) != self.r:
             raise ValueError("one threshold per color required")
         check_budgets(self.node_budget, self.time_budget)
-        if self.symmetry_level not in (SYMMETRY_NONE, SYMMETRY_COLORS, SYMMETRY_FULL):
-            raise ValueError(f"unknown symmetry level {self.symmetry_level!r}")
 
 
 @dataclass
@@ -180,13 +171,9 @@ class _ColoringDFS(SearchMeter):
                          config.time_budget, config.progress)
         self.cfg = config
         self.visitor = visitor
-        # run reads no option: at level "none" every color is its own
-        # group, so the first-use order never cuts; below "colors+vertices"
-        # no boundary is tested, so the row and twin rules hold nowhere
-        level = config.symmetry_level
         by_key: dict[int, list[int]] = {}
         for c, p in enumerate(config.thresholds):
-            by_key.setdefault(c if level == SYMMETRY_NONE else p, []).append(c)
+            by_key.setdefault(p, []).append(c)
         self.groups = list(by_key.values())  # ascending colors
         self.group_of = [0] * r
         self.rank_in_group = [0] * r
@@ -196,13 +183,11 @@ class _ColoringDFS(SearchMeter):
                 self.rank_in_group[c] = rank
         self.cmap = [c if len(self.groups[g]) == 1 else -1
                      for c, g in enumerate(self.group_of)]
-        # the K_m boundaries the search tests: m < n, and m = n under canonical_leaves
-        top = n + 1 if config.canonical_leaves else n
-        self.boundaries = ({m * (m - 1) // 2: m for m in range(3, top)}
-                           if level == SYMMETRY_FULL else {})
+        # the K_m boundaries the search tests, keyed by the slot count C(m,2)
+        self.boundaries = {m * (m - 1) // 2: m for m in range(3, n)}
         # ruled[v]: the row and twin rules hold in row v, i.e. the K_{v+1}
         # boundary is tested
-        self.ruled = [v * (v + 1) // 2 in self.boundaries for v in range(n)]
+        self.ruled = [2 <= v <= n - 2 for v in range(n)]
         self.col = [[0] * n for _ in range(n)]  # col[u][v] = col[v][u]: color of {u, v}
         # twin[m]: _twin_below of K_m, recorded by the K_m boundary test for
         # the row m that follows it; those of K_0..K_2 do not depend on colors

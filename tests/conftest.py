@@ -224,19 +224,60 @@ def brute_force_canonical(prefix, thresholds) -> bool:
     return least_image(prefix, thresholds) == tuple(prefix)
 
 
-def oracle_leaves(n, thresholds, canonical_leaves=False) -> list[tuple[int, ...]]:
-    """Every coloring of K_n (1-indexed colors of the colex edges (0,1),
-    (0,2), (1,2), (0,3), ...) that the search at level "colors+vertices"
-    must visit, in lexicographic order: every color class has path-matching
-    order below its threshold, the colors of each equal-threshold group
-    first appear in index order, and every K_m prefix with 3 <= m < n, and
-    m = n under canonical_leaves, is the least member of its class.  Built
-    slot by slot; a prefix is dropped as soon as it breaks a condition that
-    every completion keeps breaking.  Exponential; for testing only."""
+def first_use_ok(seq, thresholds) -> bool:
+    """True iff every color of seq (1-indexed) first appears after every
+    lower color of equal threshold has appeared."""
+    seen = set()
+    for c in seq:
+        if any(thresholds[d - 1] == thresholds[c - 1] and d not in seen for d in range(1, c)):
+            return False
+        seen.add(c)
+    return True
+
+
+def plain_counterexample(n, thresholds):
+    """The lexicographically least coloring of K_n (1-indexed colors of the
+    colex edges (0,1), (0,2), (1,2), (0,3), ...) in which every color class
+    has path-matching order below its threshold, or None.  A plain DFS over
+    the slots whose only prune is a color class reaching its threshold,
+    measured by packing_oracle; no symmetry is used.  For testing only."""
     r = len(thresholds)
     pairs = [(u, v) for v in range(1, n) for u in range(v)]
-    boundary = {m * (m - 1) // 2: m for m in range(3, n + 1 if canonical_leaves else n)}
-    earlier = [[d for d in range(c) if thresholds[d] == thresholds[c]] for c in range(r)]
+    rows = [[0] * n for _ in range(r)]
+    seq = []
+
+    def extend():
+        if len(seq) == len(pairs):
+            return tuple(seq)
+        u, v = pairs[len(seq)]
+        for c in range(r):
+            rows[c][u] |= 1 << v
+            rows[c][v] |= 1 << u
+            if packing_oracle(SimpleGraph(n, tuple(rows[c]))) < thresholds[c]:
+                seq.append(c + 1)
+                found = extend()
+                seq.pop()
+                if found is not None:
+                    return found
+            rows[c][u] &= ~(1 << v)
+            rows[c][v] &= ~(1 << u)
+        return None
+
+    return extend()
+
+
+def oracle_leaves(n, thresholds) -> list[tuple[int, ...]]:
+    """Every coloring of K_n (1-indexed colors of the colex edges (0,1),
+    (0,2), (1,2), (0,3), ...) that the search must visit, in lexicographic
+    order: every color class has path-matching order below its threshold,
+    the colors of each equal-threshold group first appear in index order,
+    and every K_m prefix with 3 <= m < n is the least member of its class.
+    Built slot by slot; a prefix is dropped as soon as it breaks a
+    condition that every completion keeps breaking.  Exponential; for
+    testing only."""
+    r = len(thresholds)
+    pairs = [(u, v) for v in range(1, n) for u in range(v)]
+    boundary = {m * (m - 1) // 2: m for m in range(3, n)}
     out = []
 
     def below_thresholds(seq, m):
@@ -256,7 +297,7 @@ def oracle_leaves(n, thresholds, canonical_leaves=False) -> list[tuple[int, ...]
             out.append(tuple(seq))
             return
         for c in range(1, r + 1):
-            if all(d + 1 in seq for d in earlier[c - 1]):
+            if first_use_ok(seq + [c], thresholds):
                 extend(seq + [c])
 
     extend([])

@@ -19,9 +19,9 @@ from ramsey_pm.core_ramsey import (BlockCover, cover_feasible, covering_number,
 from ramsey_pm.graphs import SimpleGraph, mask_of
 from ramsey_pm.path_matching import max_pm_order, packing_oracle
 from ramsey_pm.pm_ramsey import core_value, exact_pm_ramsey, f_d, verify_upper
-from ramsey_pm.search import SearchConfig, enumerate_colorings
+from ramsey_pm.search import SearchConfig, colex_edges, enumerate_colorings
 
-from conftest import graph_from_mask, random_graph
+from conftest import graph_from_mask, plain_counterexample, random_graph
 
 
 def _report(criterion: str, detail: str):
@@ -85,11 +85,15 @@ def test_criterion_04_reduction_identity_at_desk_scale():
         for tv in combinations_with_replacement(range(5, 2, -1), r):
             vectors.add(tuple(sorted(tv, reverse=True)))
     for tv in sorted(vectors):
-        search = exact_pm_ramsey(tv, strategy="search", want_witness=False,
-                                 search_cap=7)
+        search = exact_pm_ramsey(tv, strategy="search", want_witness=False)
         red = f_d(tv, 3, core_value)
         assert search.value == red, (tv, search.value, red)
-        assert search.method == "exhaustive-search" or len(tv) == 1
+        # the route searches up to n = 7 for two colors and n = 6 otherwise,
+        # and hands the upper step beyond that to the reduction
+        cap = 7 if len(tv) == 2 else 6
+        assert (search.method == "exhaustive-search") == (1 < len(tv) and red <= cap), tv
+        if len(tv) > 1:
+            assert verify_upper(red - 1, tv) is not None and verify_upper(red, tv) is None, tv
     _report("4", f"search == f3 over exact 1-core on {len(vectors)} vectors")
 
 
@@ -214,7 +218,8 @@ def test_criterion_09_techfact_property():
 
 
 def test_criterion_10_worker_independence():
-    # the pruned coloring search agrees with the unpruned one
+    # the pruned coloring search finds the least bad coloring that a plain
+    # DFS, sharing no code with it, finds, or none when that finds none
     coloring_cases = [(3, (3, 3, 3)), (4, (3, 3, 3)), (4, (3, 3, 3, 3)),
                       (4, (4, 3, 3, 3)), (5, (4, 3, 3, 3)), (5, (4, 4)),
                       (5, (4, 4, 4)), (6, (4, 4, 4)), (6, (5, 5, 5)), (6, (5, 5)),
@@ -222,8 +227,11 @@ def test_criterion_10_worker_independence():
     for n, p in coloring_cases:
         out = enumerate_colorings(SearchConfig(n, len(p), p))
         assert out.status in ("all-succeed", "counterexample")
-        plain = enumerate_colorings(SearchConfig(n, len(p), p, symmetry_level="none"))
-        assert out.status == plain.status, (n, p, out.status, plain.status)
+        plain = plain_counterexample(n, p)
+        assert (out.status == "counterexample") == (plain is not None), (n, p, out.status)
+        if plain is not None:
+            got = tuple(out.counterexample.color_of(u, v) for u, v in colex_edges(n))
+            assert got == plain, (n, p)
 
     # pinned cover verdicts
     cover_cases = [(4, (3, 3, 3), True), (5, (3, 3, 3), False),
@@ -233,5 +241,5 @@ def test_criterion_10_worker_independence():
                    (9, (5, 5, 5, 5), False), (7, (4, 4, 3, 2), False)]
     for n, caps, feasible in cover_cases:
         assert (cover_feasible(n, caps) is not None) == feasible, (n, caps)
-    _report("10", "pruned coloring verdicts equal unpruned ones; "
+    _report("10", "pruned coloring verdicts equal a plain DFS's; "
                   "cover verdicts as pinned")

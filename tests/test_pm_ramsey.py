@@ -130,8 +130,7 @@ def test_route_agreement_small_vectors():
             vectors.add(tuple(sorted(tv, reverse=True)))
     for tv in sorted(vectors):
         red = exact_pm_ramsey(tv, strategy="reduction", want_witness=False).value
-        srch = exact_pm_ramsey(tv, strategy="search", want_witness=False,
-                               search_cap=7).value
+        srch = exact_pm_ramsey(tv, strategy="search", want_witness=False).value
         assert red == srch, tv
 
 
@@ -140,8 +139,7 @@ def test_route_agreement_four_colors_small_values(rng):
     for tv in [(3, 3, 3, 2), (4, 3, 3, 2), (3, 3, 2, 2), (4, 3, 3, 3),
                (4, 4, 3, 3), (3, 3, 3, 3)]:
         red = exact_pm_ramsey(tv, strategy="reduction", want_witness=False).value
-        srch = exact_pm_ramsey(tv, strategy="search", want_witness=False,
-                               search_cap=6).value
+        srch = exact_pm_ramsey(tv, strategy="search", want_witness=False).value
         assert red == srch, tv
 
 

@@ -9,7 +9,8 @@ from ramsey_pm.path_matching import packing_oracle
 from ramsey_pm.search import (SearchConfig, canonical_extension_check,
                               colex_edges, enumerate_colorings)
 
-from conftest import SteppingClock, brute_force_canonical, least_image, oracle_leaves
+from conftest import (SteppingClock, brute_force_canonical, first_use_ok, least_image,
+                      oracle_leaves, plain_counterexample)
 
 
 def naive_counterexamples(n, thresholds):
@@ -47,14 +48,22 @@ def test_examples_from_contract():
 
 
 def test_verdicts_match_naive_enumeration(rng):
+    # the search and the plain DFS oracle against plain enumeration; the
+    # oracle's counterexample is the least bad coloring, and so is the
+    # search's, since the least member of a class survives every prune
     for _ in range(25):
         n = rng.randint(2, 4)
         r = rng.randint(1, 3)
         p = tuple(sorted((rng.randint(2, 5) for _ in range(r)), reverse=True))
-        naive = bool(naive_counterexamples(n, p))
-        for level in ("none", "colors", "colors+vertices"):
-            out = enumerate_colorings(SearchConfig(n, r, p, symmetry_level=level))
-            assert (out.status == "counterexample") == naive, (n, p, level)
+        naive = naive_counterexamples(n, p)
+        plain = plain_counterexample(n, p)
+        out = enumerate_colorings(SearchConfig(n, r, p))
+        assert (plain is not None) == bool(naive) == (out.status == "counterexample"), (n, p)
+        if plain is not None:
+            # naive lists colors in lexicographic edge order, plain in colex
+            by_edge = dict(zip(colex_edges(n), plain))
+            assert tuple(by_edge[u, v] for u in range(n) for v in range(u + 1, n)) in naive
+            assert tuple(out.counterexample.color_of(u, v) for u, v in colex_edges(n)) == plain
 
 
 def test_verdicts_match_naive_enumeration_n5_two_colors():
@@ -69,7 +78,7 @@ def test_every_class_has_a_representative():
     # walk at least one member of every coloring class of K_4 in 2 colors
     n, r = 4, 2
     reps = []
-    cfg = SearchConfig(n, r, (n + 1,) * r, canonical_leaves=True)
+    cfg = SearchConfig(n, r, (n + 1,) * r)
     enumerate_colorings(cfg, visitor=lambda c: reps.append(c) and None)
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
 
@@ -91,7 +100,6 @@ def test_every_class_has_a_representative():
     visited = {canon(tuple(c.color_of(u, v) for u, v in pairs)) for c in reps}
     every = {canon(combo) for combo in itertools.product((1, 2), repeat=len(pairs))}
     assert visited == every
-    assert len(reps) == len(every)  # canonical leaves: exactly one per class
 
 
 def test_success_pruning_is_monotone(rng):
@@ -154,6 +162,7 @@ def test_canonical_extension_check_first_edge():
     cfg = SearchConfig(4, 3, (3, 3, 3))
     assert canonical_extension_check([1], cfg)
     assert not canonical_extension_check([2], cfg)  # equal thresholds freeze order
+    assert not canonical_extension_check([2], SearchConfig(4, 2, (3, 3)))
 
 
 def test_canonical_extension_check_unequal_thresholds():
@@ -184,18 +193,6 @@ def test_canonical_extension_symmetry_pairs(rng):
                 if img < seq:
                     smaller_exists = True
         assert smaller_exists
-
-
-def test_canonical_extension_check_level_none_allows_everything():
-    # without symmetry breaking the engine visits the prefix (2,)
-    cfg = SearchConfig(4, 2, (3, 3), symmetry_level="none")
-    assert canonical_extension_check([2], cfg)
-    assert canonical_extension_check([2, 1, 1], cfg)
-    firsts = set()
-    enumerate_colorings(SearchConfig(2, 2, (3, 3), symmetry_level="none"),
-                        visitor=lambda col: firsts.add(col.color_of(0, 1)))
-    assert firsts == {1, 2}
-    assert not canonical_extension_check([2], SearchConfig(4, 2, (3, 3)))
 
 
 def test_canonical_extension_check_rejects_overlong_prefix():
@@ -240,7 +237,6 @@ def test_row_rule_rejects_only_rows_without_minimal_completion(rng):
         cuts = twin_cuts = 0
         for v in (3, 4):
             cfg = SearchConfig(v + 2, r, ts)
-            first_use = SearchConfig(v + 2, r, ts, symmetry_level="colors")
             kv = v * (v - 1) // 2
             bases = (list(itertools.product(colors, repeat=kv)) if v == 3 else
                      [mono, least_image((1, 1, 2, 1, 2, 1), ts)] +
@@ -255,7 +251,7 @@ def test_row_rule_rejects_only_rows_without_minimal_completion(rng):
                         if canonical_extension_check(prefix, cfg):
                             continue
                         assert all(row[:length] != part for row in minimal_rows), (ts, prefix)
-                        cut = canonical_extension_check(prefix, first_use)
+                        cut = first_use_ok(prefix, ts)
                         cuts += cut
                         twin_cuts += cut and base == mono
         assert 0 < twin_cuts < cuts, ts
@@ -265,20 +261,16 @@ def test_visited_leaves_match_oracle():
     # the collected leaves, in order, are exactly the colorings that pass
     # every threshold, the first-use order and each tested boundary by
     # brute force
-    cases = [(3, (3, 3, 3), (False, True)), (4, (3, 3, 3), (False, True)),
-             (4, (5, 5, 5), (False, True)), (5, (6, 6), (False, True)),
-             (5, (4, 4, 3), (False, True)), (5, (5, 5, 3), (False, True)),
-             (5, (5, 4, 4), (False, True)), (5, (5, 5, 5), (False, True)),
-             (5, (6, 5, 4), (False,)), (5, (6, 6, 6), (False,))]
+    cases = [(3, (3, 3, 3)), (4, (3, 3, 3)), (4, (5, 5, 5)), (5, (6, 6)),
+             (5, (4, 4, 3)), (5, (5, 5, 3)), (5, (5, 4, 4)), (5, (5, 5, 5)),
+             (5, (6, 5, 4)), (5, (6, 6, 6))]
     pairs = colex_edges(5)
-    for n, ts, modes in cases:
-        for canonical_leaves in modes:
-            leaves = []
-            cfg = SearchConfig(n, len(ts), ts, canonical_leaves=canonical_leaves)
-            enumerate_colorings(cfg, visitor=leaves.append)
-            got = [tuple(col.color_of(u, v) for u, v in pairs[:len(col.colors)])
-                   for col in leaves]
-            assert got == oracle_leaves(n, ts, canonical_leaves), (n, ts, canonical_leaves)
+    for n, ts in cases:
+        leaves = []
+        enumerate_colorings(SearchConfig(n, len(ts), ts), visitor=leaves.append)
+        got = [tuple(col.color_of(u, v) for u, v in pairs[:len(col.colors)])
+               for col in leaves]
+        assert got == oracle_leaves(n, ts), (n, ts)
 
 
 def test_node_counts_at_eight_vertices():
@@ -319,22 +311,19 @@ def test_canonical_extension_check_many_equal_colors():
 
 def test_visited_leaves_pass_the_extension_check():
     # the check tests the boundaries the search tests, so every leaf the
-    # search visits passes it, and so does every prefix of that leaf; the
-    # K_n boundary is tested only under canonical_leaves
+    # search visits passes it, and so does every prefix of that leaf
     cases = [(4, (9, 9)), (4, (4, 4, 4)), (5, (6, 6)), (5, (5, 5, 5)),
              (6, (7, 4)), (6, (6, 5, 3))]
     for n, ts in cases:
         pairs = colex_edges(n)
-        for canonical_leaves in (False, True):
-            cfg = SearchConfig(n, len(ts), ts, canonical_leaves=canonical_leaves)
-            leaves = []
-            enumerate_colorings(cfg, visitor=leaves.append)
-            assert leaves, (n, ts, canonical_leaves)
-            for col in leaves:
-                seq = [col.color_of(u, v) for u, v in pairs]
-                for k in range(1, len(seq) + 1):
-                    assert canonical_extension_check(seq[:k], cfg), \
-                        (n, ts, canonical_leaves, seq[:k])
+        cfg = SearchConfig(n, len(ts), ts)
+        leaves = []
+        enumerate_colorings(cfg, visitor=leaves.append)
+        assert leaves, (n, ts)
+        for col in leaves:
+            seq = [col.color_of(u, v) for u, v in pairs]
+            for k in range(1, len(seq) + 1):
+                assert canonical_extension_check(seq[:k], cfg), (n, ts, seq[:k])
 
 
 def test_extension_check_accepts_only_canonical_parts():
@@ -399,10 +388,8 @@ def test_extension_check_accepts_exactly_the_entered_prefixes(monkeypatch):
         return real_run(dfs, k, tie)
 
     monkeypatch.setattr(search._ColoringDFS, "run", run)
-    for n, ts, canonical_leaves in ((5, (9, 9), False), (5, (9, 9), True),
-                                    (5, (6, 6, 6), False), (5, (7, 6), True),
-                                    (6, (7, 7), False), (6, (7, 7), True), (6, (8, 7), False)):
-        cfg = SearchConfig(n, len(ts), ts, canonical_leaves=canonical_leaves)
+    for n, ts in ((5, (9, 9)), (5, (6, 6, 6)), (5, (7, 6)), (6, (7, 7)), (6, (8, 7))):
+        cfg = SearchConfig(n, len(ts), ts)
         entered.clear()
         leaves = []
         enumerate_colorings(cfg, visitor=leaves.append)
@@ -410,7 +397,7 @@ def test_extension_check_accepts_exactly_the_entered_prefixes(monkeypatch):
         for k in range(1, len(colex_edges(n)) + 1):
             accepted = [p + (c,) for p in accepted for c in range(1, len(ts) + 1)
                         if canonical_extension_check(p + (c,), cfg)]
-            assert [p for p in entered if len(p) == k] == accepted, (n, ts, canonical_leaves, k)
+            assert [p for p in entered if len(p) == k] == accepted, (n, ts, k)
         assert [tuple(col.color_of(u, v) for u, v in colex_edges(n)) for col in leaves] == accepted
 
 
