@@ -11,7 +11,9 @@ keep the tree tiny:
 * color order: among colors with equal thresholds, a new color may only
   appear after all smaller ones (first-use rule);
 * vertex canonicity: at each complete-K_m boundary, a prefix beaten by
-  some relabelling of the first m vertices is discarded;
+  some relabelling of the first m vertices is discarded; the test waits
+  for the prefix's first child that survives the other prunes, so a
+  prefix with no such child is never tested;
 * row order: while vertex v agrees with vertex v-1 towards 0..u-1, the
   edge (u,v) may not take a color below that of (u,v-1), since swapping
   v-1 and v would then beat the K_{v+1} prefix at its boundary;
@@ -20,7 +22,8 @@ keep the tree tiny:
   since swapping a and b would then beat the K_{v+1} prefix.
 
 canonical_extension_check replays a prefix through the search's own rules,
-success pruning aside, so it accepts exactly the prefixes the search enters.
+success pruning aside, so it accepts exactly the prefixes the search extends
+(recurses past, or visits as a leaf).
 """
 
 from ramsey_pm import (SearchConfig, canonical_extension_check,

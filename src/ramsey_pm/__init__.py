@@ -10,7 +10,7 @@ carries a validated lower witness.
 from .bounds import (BoundsReport, ceil_div, cockayne_lorimer, core_bounds_report,
                      core_upper_degree, core_upper_edgecount, core_upper_main,
                      covering_lower_eh, covering_lower_schonheim,
-                     diagonal_guarantee, normalize_targets, pm_all3,
+                     diagonal_guarantee, pm_all3,
                      pm_bounds_report, pm_lowers, pm_standard_value, pm_upper,
                      techfact_holds)
 from .coloring import (EdgeColoring, TargetVector, core_lift_coloring,
@@ -43,7 +43,7 @@ __all__ = [
     "diagonal_guarantee", "enumerate_colorings", "exact_core_ramsey",
     "exact_pm_ramsey", "f_d", "find_lower_witness", "has_perfect_pm", "induced",
     "isolated_count", "layered_coloring", "max_pm_order", "mono_core_profile",
-    "mono_pm_profile", "normalize_targets", "packing_oracle", "pm_all3",
+    "mono_pm_profile", "packing_oracle", "pm_all3",
     "pm_bounds_report", "pm_extremal_coloring", "pm_lowers", "pm_standard_value",
     "pm_upper", "techfact_holds", "verify_upper",
 ]

@@ -274,22 +274,6 @@ def techfact_holds(a: Targets) -> tuple[bool, bool, bool]:
     return item_i, item_ii, item_iii
 
 
-def normalize_targets(raw: Sequence[int], strip_twos: bool = False) -> TargetVector:
-    """Sort thresholds nonincreasingly and drop the trivial ones.
-
-    Entries equal to 1 never change the Ramsey value and are always
-    dropped; entries equal to 2 are equally removable and are dropped when
-    strip_twos is set.  Raises if nothing of size >= 2 remains (callers
-    treat an all-trivial vector as value 2 themselves).
-    """
-    if any(p < 1 for p in raw):
-        raise ValueError("targets must be positive")
-    kept = sorted((p for p in raw if p >= (3 if strip_twos else 2)), reverse=True)
-    if not kept:
-        raise ValueError("no nontrivial targets remain after normalization")
-    return TargetVector(tuple(kept))
-
-
 def pm_bounds_report(p: Targets) -> BoundsReport:
     """All path-matching bounds for one target vector."""
     t = as_targets(p)

@@ -17,7 +17,10 @@ edge, keeps them in an n x n color matrix, and prunes five ways:
   generation (Read 1978; McKay, J. Algorithms 26, 1998): the relabelling
   is built one vertex at a time and the color map one color at a time,
   each branch stops at its first slot that differs from the prefix, and
-  nothing is tabulated, so the test runs at every boundary 3 <= m < n;
+  nothing is tabulated, so any K_m with 3 <= m < n can be tested.  The
+  test of a K_m prefix waits for the first color at slot (0, m) that
+  survives the other prunes, so a prefix with no surviving child is never
+  tested;
 * row order: inside row v (the edges (0,v), ..., (v-1,v)), once vertex v
   agrees with vertex v-1 towards 0..u-1, the edge (u,v) may not take a
   color below that of (u,v-1).  A smaller one makes row v sort below row
@@ -36,8 +39,8 @@ matrix, whose row b up to column b is the prefix's row b, and records the
 twins of each K_m it tests, which its own search and row m then use.
 canonical_extension_check replays a prefix through the search's own
 tables (the color groups, the tested boundaries, the rows the row and twin
-rules hold in), so it accepts exactly the prefixes the search enters,
-success pruning aside.
+rules hold in), so it accepts exactly the prefixes the search extends
+(recurses past, or visits as a leaf), success pruning aside.
 Budgets and the progress hook are the cover search's too (SearchMeter in
 results).
 """
@@ -190,8 +193,10 @@ class _ColoringDFS(SearchMeter):
         self.ruled = [2 <= v <= n - 2 for v in range(n)]
         self.col = [[0] * n for _ in range(n)]  # col[u][v] = col[v][u]: color of {u, v}
         # twin[m]: _twin_below of K_m, recorded by the K_m boundary test for
-        # the row m that follows it; those of K_0..K_2 do not depend on colors
-        self.twin = [[], [-1], [-1, 0]] + [[] for _ in range(3, n + 1)]
+        # the row m that follows it; those of K_0..K_2 do not depend on colors.
+        # Slot (0, m), where the test is still due, reads only twin[m][0],
+        # which is always -1
+        self.twin = [[], [-1], [-1, 0]] + [[-1] * m for m in range(3, n + 1)]
         self.rows = [[0] * n for _ in range(r)]
         self.used_in_group = [0] * len(self.groups)
         self.counterexample: Optional[EdgeColoring] = None
@@ -248,17 +253,22 @@ class _ColoringDFS(SearchMeter):
             return bool(self.visitor(col))
         return True
 
-    def run(self, k: int = 0, tie: bool = True) -> bool:
+    def run(self, k: int = 0, tie: bool = True, pending: int = 0) -> bool:
         """DFS from edge slot k; True aborts the search (stop requested).
 
-        tie: row v of slot k = (u, v) agrees with row v-1 towards 0..u-1."""
+        tie: row v of slot k = (u, v) agrees with row v-1 towards 0..u-1.
+        pending: m when slots 0..k-1 complete a K_m whose boundary test is
+        still due (k = C(m, 2), slot k = (0, m)), else 0.  The test runs on
+        the first color here that survives the other prunes, before the
+        search goes deeper, and a rejection ends the whole subtree; so a
+        prefix none of whose children survives is never tested."""
         if k == self.E:
             return self._leaf()
         cfg = self.cfg
         u, v = self.edges[k]
         ub, vb = 1 << u, 1 << v
         row_u, row_v = self.col[u], self.col[v]
-        boundary_m = self.boundaries.get(k + 1)
+        boundary_m = self.boundaries.get(k + 1, 0)
         above = row_u[v - 1] if u < v - 1 else -1  # the color of (u, v-1)
         for c in range(self._least(u, v, tie), cfg.r):
             g = self.group_of[c]
@@ -270,13 +280,17 @@ class _ColoringDFS(SearchMeter):
             rows_c[v] |= ub
             row_u[v] = row_v[u] = c
             ok = pm_order_of_rows(rows_c, cfg.n) < cfg.thresholds[c]
-            if ok and boundary_m is not None:
-                ok = self._canonical(boundary_m)
+            if ok and pending:
+                if not self._canonical(pending):
+                    rows_c[u] &= ~vb
+                    rows_c[v] &= ~ub
+                    return False
+                pending = 0
             if ok:
                 bumped = self.rank_in_group[c] == self.used_in_group[g]
                 if bumped:
                     self.used_in_group[g] += 1
-                if self.run(k + 1, above < 0 or (tie and c == above)):
+                if self.run(k + 1, above < 0 or (tie and c == above), boundary_m):
                     return True
                 if bumped:
                     self.used_in_group[g] -= 1
@@ -312,13 +326,16 @@ def enumerate_colorings(config: SearchConfig,
 
 
 def canonical_extension_check(prefix_colors: Sequence[int], config: SearchConfig) -> bool:
-    """True iff the search, success pruning aside, enters this prefix
-    (colors of the first k colex edges, 1-indexed colors).
+    """True iff the search, success pruning aside, extends this prefix
+    (colors of the first k colex edges, 1-indexed colors): recurses past
+    it, or visits it as a leaf.
 
     The prefix is replayed slot by slot through the search's own tables
     and color matrix: the least color of the row and twin rules, the
     first-use order, and the minimality test at every tested K_m boundary
-    that the prefix completes.
+    that the prefix completes.  The search runs that test one slot later,
+    at the prefix's first surviving child, and so enters a complete K_m
+    prefix that the test rejects, but never goes past it.
     """
     seq = [c - 1 for c in prefix_colors]
     if any(not 0 <= c < config.r for c in seq):

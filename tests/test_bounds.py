@@ -8,7 +8,7 @@ import pytest
 from ramsey_pm.bounds import (ceil_div, cockayne_lorimer, core_upper, core_upper_degree,
                               core_upper_edgecount, core_upper_main,
                               covering_lower_eh, covering_lower_schonheim,
-                              diagonal_guarantee, normalize_targets, pm_all3,
+                              diagonal_guarantee, nontrivial_targets, pm_all3,
                               pm_bounds_report, pm_lowers, pm_standard_value,
                               pm_upper, techfact_holds)
 from ramsey_pm.graphs import SimpleGraph
@@ -222,14 +222,10 @@ def test_techfact_precondition():
         techfact_holds((2, 2, 2))  # a1 < 3
 
 
-def test_normalize_targets():
-    assert normalize_targets((3, 5, 2, 4)).targets == (5, 4, 3, 2)
-    assert normalize_targets((3, 5, 2, 4), strip_twos=True).targets == (5, 4, 3)
-    assert normalize_targets((6, 6, 1)).targets == (6, 6)
-    with pytest.raises(ValueError):
-        normalize_targets((2, 2), strip_twos=True)
-    with pytest.raises(ValueError):
-        normalize_targets((0, 3))
+def test_nontrivial_targets():
+    assert nontrivial_targets((3, 5, 2, 4)) == (5, 4, 3)
+    assert nontrivial_targets((6, 1, 6)) == (6, 6)
+    assert nontrivial_targets((2, 2)) == ()
 
 
 def test_bounds_report_consistency(rng):

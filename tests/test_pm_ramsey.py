@@ -7,7 +7,7 @@ from ramsey_pm.bounds import (ceil_third, core_upper_edgecount, core_upper_main,
                               pm_lowers, pm_standard_value, pm_upper)
 from ramsey_pm.coloring import core_lift_coloring, mono_pm_profile
 from ramsey_pm.pm_ramsey import (_core_result, _cover_as_coloring_for,
-                                 _f3_maximise, clear_core_cache, core_value,
+                                 _f3_maximise, _normalize, clear_core_cache, core_value,
                                  exact_pm_ramsey, f_d, find_lower_witness,
                                  verify_upper)
 from ramsey_pm.results import FormulaUnavailableError
@@ -124,14 +124,16 @@ def test_find_lower_witness_examples():
 
 
 def test_route_agreement_small_vectors():
-    vectors = set()
+    # the reduction's value against the coloring search on its own: no
+    # counterexample on K_v, a bad coloring of K_{v-1}; r <= 3 with entries
+    # 3..6, so the searches run at n = 3..8
     for r in (1, 2, 3):
-        for tv in combinations_with_replacement(range(5, 2, -1), r):
-            vectors.add(tuple(sorted(tv, reverse=True)))
-    for tv in sorted(vectors):
-        red = exact_pm_ramsey(tv, strategy="reduction", want_witness=False).value
-        srch = exact_pm_ramsey(tv, strategy="search", want_witness=False).value
-        assert red == srch, tv
+        for tv in combinations_with_replacement(range(6, 2, -1), r):
+            v = exact_pm_ramsey(tv, strategy="reduction", want_witness=False).value
+            assert verify_upper(v, tv) is None, tv
+            bad = verify_upper(v - 1, tv)
+            assert bad is not None, tv
+            assert all(q < p for q, p in zip(mono_pm_profile(bad), tv)), tv
 
 
 def test_route_agreement_four_colors_small_values(rng):
@@ -188,6 +190,15 @@ def test_trivial_targets():
     assert exact_pm_ramsey((2, 2)).value == 2
     assert exact_pm_ramsey((1, 1)).value == 2
     assert exact_pm_ramsey((2,)).value == 2
+
+
+def test_normalize_sorts_and_drops_ones():
+    assert _normalize((3, 5, 2, 4)) == (5, 4, 3, 2)
+    assert _normalize((6, 1, 6)) == (6, 6)
+    with pytest.raises(ValueError):
+        _normalize((0, 3))
+    with pytest.raises(ValueError):
+        _normalize(())
 
 
 def test_witness_attached_and_valid():

@@ -273,14 +273,53 @@ def test_visited_leaves_match_oracle():
         assert got == oracle_leaves(n, ts), (n, ts)
 
 
-def test_node_counts_at_eight_vertices():
-    # deterministic regression values; before the twin rule 7,484, 5,361,
-    # 22,365, 18,212 and 12,791, and before the row rule 16,707, 10,316,
-    # 53,294, 39,268 and 31,900
-    for ts, nodes in (((6, 6, 6), 5720), ((5, 5, 5, 5), 4216), ((6, 6, 4, 3), 15643),
-                      ((7, 6, 3, 3), 12324), ((6, 5, 4, 3), 8507)):
+def test_leaves_pinned_at_six_and_seven_vertices():
+    # every leaf of five searches with counterexamples, collected by a
+    # visitor: the count and the first and last leaf, pinned where the
+    # minimality test runs at K_4..K_6 (oracle_leaves stops at n = 5)
+    cases = (
+        (6, (5, 5, 5), 9, (1, 1, 1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 3, 2),
+         (1, 1, 1, 2, 2, 3, 2, 2, 3, 3, 1, 1, 3, 3, 3)),
+        (6, (6, 4, 3), 15, (1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 2, 2, 2, 2, 2),
+         (1, 1, 1, 1, 1, 3, 2, 2, 2, 2, 1, 1, 1, 1, 2)),
+        (6, (4, 4, 4, 4), 6, (1, 1, 1, 2, 2, 2, 3, 3, 3, 2, 4, 4, 4, 2, 3),
+         (1, 1, 2, 1, 2, 3, 4, 2, 4, 4, 1, 2, 3, 3, 4)),
+        (7, (6, 6, 6), 406,
+         (1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 2, 2, 2, 2, 2, 2, 3, 3, 3, 3, 2),
+         (1, 1, 1, 1, 2, 2, 1, 2, 3, 2, 1, 3, 3, 2, 3, 1, 3, 3, 2, 3, 3)),
+        (7, (5, 5, 5, 5), 14,
+         (1, 1, 1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 3, 2, 4, 4, 4, 4, 2, 3),
+         (1, 1, 1, 2, 2, 2, 3, 3, 4, 2, 3, 3, 4, 2, 4, 1, 1, 4, 2, 4, 4)),
+    )
+    for n, ts, count, first, last in cases:
+        leaves = []
+        enumerate_colorings(SearchConfig(n, len(ts), ts), visitor=leaves.append)
+        got = [tuple(col.color_of(u, v) for u, v in colex_edges(n)) for col in leaves]
+        assert (len(got), got[0], got[-1]) == (count, first, last), (n, ts)
+
+
+def test_node_counts_at_eight_vertices(monkeypatch):
+    # deterministic regression values for nodes and minimality tests
+    # (_canonical calls).  The test waits for a surviving child at (0, m),
+    # so a rejected K_m prefix's children there are tried first: before
+    # that, 5,720, 4,216, 15,643, 12,324 and 8,507 nodes and 1,544, 1,138,
+    # 2,636, 1,806 and 1,335 tests; before the twin rule 7,484, 5,361,
+    # 22,365, 18,212 and 12,791 nodes, and before the row rule 16,707,
+    # 10,316, 53,294, 39,268 and 31,900
+    tests = []
+    real = search._ColoringDFS._canonical
+
+    def counting(dfs, m):
+        tests.append(m)
+        return real(dfs, m)
+
+    monkeypatch.setattr(search._ColoringDFS, "_canonical", counting)
+    for ts, nodes, tested in (((6, 6, 6), 6895, 714), ((5, 5, 5, 5), 5334, 491),
+                              ((6, 6, 4, 3), 17512, 1046), ((7, 6, 3, 3), 13947, 728),
+                              ((6, 5, 4, 3), 9008, 549)):
+        tests.clear()
         out = enumerate_colorings(SearchConfig(8, len(ts), ts))
-        assert (out.status, out.nodes) == ("all-succeed", nodes), ts
+        assert (out.status, out.nodes, len(tests)) == ("all-succeed", nodes, tested), ts
 
 
 def test_one_pm_order_call_per_node(monkeypatch):
@@ -342,7 +381,7 @@ def test_extension_check_accepts_only_canonical_parts():
                         if k <= length:
                             assert brute_force_canonical(prefix[:k], ts), (ts, prefix)
         assert accepted, ts
-    # its K_4 part fails the K_4 boundary, so the search never enters it
+    # its K_4 part fails the K_4 boundary, so the search never goes past it
     cfg = SearchConfig(6, 2, (9, 9))
     assert not canonical_extension_check([1, 2, 1, 1, 1, 1], cfg)
     assert not canonical_extension_check([1, 2, 1, 1, 1, 1, 1], cfg)
@@ -375,30 +414,43 @@ def test_twins_match_their_definition(rng):
             assert twins[m] == expect, (m, col)
 
 
-def test_extension_check_accepts_exactly_the_entered_prefixes(monkeypatch):
+def test_extension_check_accepts_exactly_the_extended_prefixes(monkeypatch):
     # no color can reach these thresholds on K_n, so success pruning never
     # cuts, and the tree of prefixes the check accepts is the set of
-    # prefixes the search enters: at each length the same prefixes in the
-    # same (lexicographic) order, the complete ones being the leaves
+    # prefixes the search extends (recurses past, or visits as a leaf): at
+    # each length the same prefixes in the same (lexicographic) order, the
+    # complete ones being the leaves.  The search also enters a complete
+    # K_m prefix before its boundary test, which runs at its first child;
+    # the check rejects each one the test rejects
     entered = []
     real_run = search._ColoringDFS.run
 
-    def run(dfs, k=0, tie=True):
+    def run(dfs, k=0, tie=True, pending=0):
         entered.append(tuple(dfs.col[u][v] + 1 for u, v in dfs.edges[:k]))
-        return real_run(dfs, k, tie)
+        return real_run(dfs, k, tie, pending)
 
     monkeypatch.setattr(search._ColoringDFS, "run", run)
+    rejected = 0
     for n, ts in ((5, (9, 9)), (5, (6, 6, 6)), (5, (7, 6)), (6, (7, 7)), (6, (8, 7))):
         cfg = SearchConfig(n, len(ts), ts)
         entered.clear()
         leaves = []
         enumerate_colorings(cfg, visitor=leaves.append)
+        size = len(colex_edges(n))
+        parents = {p[:-1] for p in entered if p}
+        extended = [p for p in entered if len(p) == size or p in parents]
         accepted = [()]
-        for k in range(1, len(colex_edges(n)) + 1):
+        for k in range(1, size + 1):
             accepted = [p + (c,) for p in accepted for c in range(1, len(ts) + 1)
                         if canonical_extension_check(p + (c,), cfg)]
-            assert [p for p in entered if len(p) == k] == accepted, (n, ts, k)
+            assert [p for p in extended if len(p) == k] == accepted, (n, ts, k)
         assert [tuple(col.color_of(u, v) for u, v in colex_edges(n)) for col in leaves] == accepted
+        tested = {m * (m - 1) // 2 for m in range(3, n)}
+        for p in entered:
+            if len(p) < size and p not in parents:
+                rejected += 1
+                assert len(p) in tested and not canonical_extension_check(p, cfg), (n, ts, p)
+    assert rejected
 
 
 def test_vertex_check_beyond_eight_vertices():
