@@ -2,12 +2,16 @@
 """Inside the coloring search: pruning, canonicity, and verdicts.
 
 The engine walks r-colorings of K_n edge by edge in colex order, so after
-C(m,2) edges the first m vertices carry a complete coloring.  Five prunes
+C(m,2) edges the first m vertices carry a complete coloring.  Six prunes
 keep the tree tiny:
 
 * success: path-matching order only grows with edges, so a color that
   reaches its threshold in a partial coloring reaches it in every
   completion, and that subtree holds no counterexample;
+* dead-vertex look-ahead: vertex v+1 has no edge yet while row v is being
+  colored, so every completion colors each edge (x,v+1); when for some x
+  that edge would lift every color to its threshold, whichever color it
+  takes succeeds, and the subtree is cut like a success;
 * color order: among colors with equal thresholds, a new color may only
   appear after all smaller ones (first-use rule);
 * vertex canonicity: at each complete-K_m boundary, a prefix beaten by
@@ -22,7 +26,7 @@ keep the tree tiny:
   since swapping a and b would then beat the K_{v+1} prefix.
 
 canonical_extension_check replays a prefix through the search's own rules,
-success pruning aside, so it accepts exactly the prefixes the search extends
+success pruning and the look-ahead aside, so it accepts exactly the prefixes the search extends
 (recurses past, or visits as a leaf).
 """
 

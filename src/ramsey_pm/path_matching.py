@@ -125,6 +125,31 @@ def pm_order_of_rows(rows, n: int) -> int:
     return _pm_order(tuple(rows))
 
 
+@lru_cache(maxsize=1 << 15)
+def pendant_gains(rows: tuple[int, ...]) -> tuple[VertexSet, VertexSet]:
+    """The vertices x at which a pendant edge, from x to a new vertex,
+    raises the max path-matching order of the graph given by rows by at
+    least 1, and those where it raises it by 2 (it never does more).
+
+    An isolated x gains 2 (the edge itself); any other x is tried by one
+    matching on the graph with the new vertex.  Cached on the rows as given.
+    """
+    n = len(rows)
+    pd = _star_matching(rows)[0]
+    one = two = 0
+    for x in range(n):
+        if rows[x]:
+            ext = rows[:x] + (rows[x] | 1 << n,) + rows[x + 1:] + (1 << x,)
+            gain = pd + 1 - _star_matching(ext)[0]
+        else:
+            gain = 2
+        if gain:
+            one |= 1 << x
+            if gain == 2:
+                two |= 1 << x
+    return one, two
+
+
 def max_pm_order(g: SimpleGraph) -> int:
     """Maximum order of a path-matching in g, as n - pd(g)."""
     return pm_order_of_rows(g.rows, g.n)

@@ -187,7 +187,9 @@ def verify_upper(n: int, targets: Sequence[int], *,
     """A coloring of K_n whose color-i path-matchings all stay below p_i,
     or None when every coloring meets some threshold."""
     ts = tuple(targets)
-    if n <= 1:
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    if n == 1:
         # K_1 has no edges at all, so it is always a counterexample
         return EdgeColoring(1, len(ts), ())
     cfg = SearchConfig(n, len(ts), ts, node_budget=node_budget,
@@ -245,7 +247,9 @@ def find_lower_witness(n: int, targets: Sequence[int], *,
     ts = _normalize(targets)
     if not ts:
         ts = tuple(targets)
-    if n <= 1:
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    if n == 1:
         return EdgeColoring(1, len(ts), ())
 
     # layered extremal coloring

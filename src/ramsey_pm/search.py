@@ -2,11 +2,22 @@
 
 The engine answers one question: does some r-coloring of K_n keep every
 color-i path-matching below its threshold p_i?  It walks colorings edge by
-edge, keeps them in an n x n color matrix, and prunes five ways:
+edge, keeps them in an n x n color matrix, and prunes six ways:
 
 * success pruning: path-matching order is monotone under adding edges, so
   once a color reaches its threshold in a partial coloring every
   completion does too and the subtree is skipped;
+* dead-vertex look-ahead (forward checking, Haralick and Elliott 1980):
+  at slot (u,v) with v+1 < n, vertex v+1 has no edge yet, and every
+  completion colors (x,v+1) for each other vertex x.  If for some x an
+  edge from x to a new vertex would lift every color c to its threshold
+  p_c, that edge succeeds in whatever color it takes, so the child is cut
+  as a success.  One edge raises an order by at most 2 (a max
+  path-matching of G + e, minus e, loses at most the two ends of e), so
+  the look-ahead needs each color within 2 of its threshold.  Then an x
+  above v+1, bare in every color, gains exactly 2, so the child is cut
+  whenever v+2 < n; in the last row but one, x <= v is looked up in
+  pendant_gains;
 * color canonicity: among colors with equal thresholds, a new color may
   only enter in index order (first-use rule), valid at every prefix;
 * vertex canonicity: edges are ordered colex, (0,1), (0,2), (1,2),
@@ -32,17 +43,19 @@ edge, keeps them in an n x n color matrix, and prunes five ways:
   color below that of (a,v), where a is the largest twin of b below it.
 
 The row and twin rules apply only in rows whose K_{v+1} boundary is
-tested, so they cut nodes and no leaf.  The lexicographically least member
-of each equivalence class survives all five prunes, so at least one
+tested, so they cut nodes and no leaf; success pruning and the look-ahead
+cut only subtrees in which every completion reaches a threshold, so they
+cut no leaf either.  The lexicographically least member of each
+equivalence class survives all six prunes, so at least one
 representative per class is visited.  The minimality test reads the color
 matrix, whose row b up to column b is the prefix's row b, and records the
 twins of each K_m it tests, which its own search and row m then use.
 canonical_extension_check replays a prefix through the search's own
 tables (the color groups, the tested boundaries, the rows the row and twin
 rules hold in), so it accepts exactly the prefixes the search extends
-(recurses past, or visits as a leaf), success pruning aside.
-Budgets and the progress hook are the cover search's too (SearchMeter in
-results).
+(recurses past, or visits as a leaf), success pruning and the look-ahead
+aside.  Budgets and the progress hook are the cover search's too
+(SearchMeter in results).
 """
 
 from __future__ import annotations
@@ -52,7 +65,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .coloring import EdgeColoring
-from .path_matching import pm_order_of_rows
+from .path_matching import pendant_gains, pm_order_of_rows
 from .results import DEFAULT_NODE_BUDGET, BudgetExceededError, SearchMeter, check_budgets
 
 ALL_SUCCEED = "all-succeed"
@@ -74,6 +87,8 @@ class SearchConfig:
     def __post_init__(self):
         if len(self.thresholds) != self.r:
             raise ValueError("one threshold per color required")
+        if any(p < 1 for p in self.thresholds):
+            raise ValueError("thresholds must be positive")
         check_budgets(self.node_budget, self.time_budget)
 
 
@@ -198,6 +213,10 @@ class _ColoringDFS(SearchMeter):
         # which is always -1
         self.twin = [[], [-1], [-1, 0]] + [[-1] * m for m in range(3, n + 1)]
         self.rows = [[0] * n for _ in range(r)]
+        # order[c]: max path-matching order of color c; far: the colors
+        # more than 2 below their thresholds
+        self.order = [0] * r
+        self.far = sum(p > 2 for p in config.thresholds)
         self.used_in_group = [0] * len(self.groups)
         self.counterexample: Optional[EdgeColoring] = None
 
@@ -243,6 +262,21 @@ class _ColoringDFS(SearchMeter):
             lo = col[a][v]
         return lo
 
+    def _dead_vertex(self, v: int) -> bool:
+        """Some x other than v+1 reaches every threshold through the edge
+        (x, v+1), so whatever color that edge takes succeeds.
+
+        One edge raises an order by at most 2, so the caller asks only when
+        each color is within 2 of its threshold; then x = v+2, if it exists,
+        will do, as an edge between two bare vertices adds exactly 2."""
+        if v + 2 < self.cfg.n:
+            return True
+        ts, order = self.cfg.thresholds, self.order
+        mask = (1 << v + 1) - 1
+        for c, rows in enumerate(self.rows):
+            mask &= pendant_gains(tuple(rows))[ts[c] - order[c] - 1]
+        return mask != 0
+
     def _leaf(self) -> bool:
         """Handle a complete coloring; True means stop the whole search."""
         self.leaves += 1
@@ -261,7 +295,10 @@ class _ColoringDFS(SearchMeter):
         still due (k = C(m, 2), slot k = (0, m)), else 0.  The test runs on
         the first color here that survives the other prunes, before the
         search goes deeper, and a rejection ends the whole subtree; so a
-        prefix none of whose children survives is never tested."""
+        prefix none of whose children survives is never tested.
+        A color survives success pruning while its order, kept in order[c],
+        stays below its threshold.  far counts the colors more than 2 below
+        theirs; while it is 0, the look-ahead (_dead_vertex) runs too."""
         if k == self.E:
             return self._leaf()
         cfg = self.cfg
@@ -270,6 +307,8 @@ class _ColoringDFS(SearchMeter):
         row_u, row_v = self.col[u], self.col[v]
         boundary_m = self.boundaries.get(k + 1, 0)
         above = row_u[v - 1] if u < v - 1 else -1  # the color of (u, v-1)
+        ahead = v + 1 < cfg.n  # vertex v+1 exists and has no edge yet
+        order = self.order
         for c in range(self._least(u, v, tie), cfg.r):
             g = self.group_of[c]
             if self.rank_in_group[c] > self.used_in_group[g]:
@@ -279,11 +318,17 @@ class _ColoringDFS(SearchMeter):
             rows_c[u] |= vb
             rows_c[v] |= ub
             row_u[v] = row_v[u] = c
-            ok = pm_order_of_rows(rows_c, cfg.n) < cfg.thresholds[c]
+            p, was = cfg.thresholds[c], order[c]
+            order[c] = pm_order_of_rows(rows_c, cfg.n)
+            near = order[c] >= p - 2 > was  # color c comes within 2 of p here
+            self.far -= near
+            ok = order[c] < p and not (ahead and not self.far and self._dead_vertex(v))
             if ok and pending:
                 if not self._canonical(pending):
                     rows_c[u] &= ~vb
                     rows_c[v] &= ~ub
+                    order[c] = was
+                    self.far += near
                     return False
                 pending = 0
             if ok:
@@ -296,6 +341,8 @@ class _ColoringDFS(SearchMeter):
                     self.used_in_group[g] -= 1
             rows_c[u] &= ~vb
             rows_c[v] &= ~ub
+            order[c] = was
+            self.far += near
         return False
 
 
@@ -326,9 +373,9 @@ def enumerate_colorings(config: SearchConfig,
 
 
 def canonical_extension_check(prefix_colors: Sequence[int], config: SearchConfig) -> bool:
-    """True iff the search, success pruning aside, extends this prefix
-    (colors of the first k colex edges, 1-indexed colors): recurses past
-    it, or visits it as a leaf.
+    """True iff the search, success pruning and the look-ahead aside,
+    extends this prefix (colors of the first k colex edges, 1-indexed
+    colors): recurses past it, or visits it as a leaf.
 
     The prefix is replayed slot by slot through the search's own tables
     and color matrix: the least color of the row and twin rules, the

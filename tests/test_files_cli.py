@@ -190,6 +190,13 @@ def test_cli_witness_writes_parseable_file(tmp_path, capsys):
     assert cover.n == 6
 
 
+def test_cli_witness_below_one_vertex_exits_1(capsys):
+    for n in ("0", "-4"):
+        assert main(["witness", "pm", "--targets", "3,3", "-n", n]) == 1, n
+        captured = capsys.readouterr()
+        assert captured.out == "" and "need n >= 1" in captured.err, n
+
+
 def test_cli_deficiency(tmp_path, capsys):
     path = str(tmp_path / "g.graph")
     with open(path, "w") as fh:

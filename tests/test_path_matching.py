@@ -4,7 +4,7 @@ import pytest
 
 from ramsey_pm.graphs import SimpleGraph, complete_graph
 from ramsey_pm.path_matching import (deficiency, has_perfect_pm, max_pm_order,
-                                     packing_oracle)
+                                     packing_oracle, pendant_gains)
 
 from conftest import graph_from_mask, random_graph, subset_deficiency
 
@@ -107,6 +107,37 @@ def test_monotone_under_edge_addition():
             continue
         u, v = rng.choice(non_edges)
         assert max_pm_order(g.with_edge(u, v)) >= max_pm_order(g)
+
+
+def test_one_edge_raises_the_order_by_at_most_two():
+    # a max path-matching of G + e minus e loses at most the two ends of e
+    rng = random.Random(15)
+    for _ in range(200):
+        n = rng.randint(2, 10)
+        g = random_graph(n, rng, p=rng.random())
+        non_edges = [(u, v) for u in range(n) for v in range(u + 1, n)
+                     if not g.has_edge(u, v)]
+        if not non_edges:
+            continue
+        u, v = rng.choice(non_edges)
+        assert packing_oracle(g.with_edge(u, v)) - packing_oracle(g) <= 2, (g.rows, u, v)
+
+
+def test_pendant_gains_match_packing_oracle():
+    # bit x of the masks against the oracle's gain from an edge (x, new)
+    rng = random.Random(16)
+    seen = set()
+    for _ in range(60):
+        n = rng.randint(1, 9)
+        g = random_graph(n, rng, p=rng.random())
+        base = packing_oracle(g)
+        wide = SimpleGraph(n + 1, g.rows + (0,))
+        one, two = pendant_gains(g.rows)
+        for x in range(n):
+            gain = packing_oracle(wide.with_edge(x, n)) - base
+            assert (one >> x & 1, two >> x & 1) == (gain >= 1, gain >= 2), (g.rows, x, gain)
+            seen.add(gain)
+    assert seen == {0, 1, 2}
 
 
 def test_certificate_soundness():

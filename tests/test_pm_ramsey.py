@@ -123,6 +123,17 @@ def test_find_lower_witness_examples():
     assert all(q <= 3 for q in mono_pm_profile(col))
 
 
+def test_vertex_count_below_one_rejected():
+    # K_1 is a bad coloring of any targets, but no coloring has fewer
+    # vertices, and a K_1 answer there would have the wrong size
+    assert verify_upper(1, (3, 3)).n == find_lower_witness(1, (3, 3)).n == 1
+    for n in (0, -4):
+        with pytest.raises(ValueError):
+            verify_upper(n, (3, 3))
+        with pytest.raises(ValueError):
+            find_lower_witness(n, (3, 3))
+
+
 def test_route_agreement_small_vectors():
     # the reduction's value against the coloring search on its own: no
     # counterexample on K_v, a bad coloring of K_{v-1}; r <= 3 with entries

@@ -6,6 +6,8 @@ from ramsey_pm import results, search
 from ramsey_pm.coloring import mono_pm_profile
 from ramsey_pm.graphs import SimpleGraph
 from ramsey_pm.path_matching import packing_oracle
+from ramsey_pm.pm_ramsey import closed_form_value, verify_upper
+from ramsey_pm.results import SearchStats
 from ramsey_pm.search import (SearchConfig, canonical_extension_check,
                               colex_edges, enumerate_colorings)
 
@@ -139,6 +141,12 @@ def test_non_positive_budgets_rejected():
                 dict(time_budget=float("nan"))):
         with pytest.raises(ValueError):
             SearchConfig(6, 3, (4, 4, 4), **bad)
+
+
+def test_non_positive_thresholds_rejected():
+    for ts in ((0, 3), (3, -1)):
+        with pytest.raises(ValueError):
+            SearchConfig(4, 2, ts)
 
 
 def test_many_equal_colors_truncated_maps_stay_sound():
@@ -300,12 +308,14 @@ def test_leaves_pinned_at_six_and_seven_vertices():
 
 def test_node_counts_at_eight_vertices(monkeypatch):
     # deterministic regression values for nodes and minimality tests
-    # (_canonical calls).  The test waits for a surviving child at (0, m),
-    # so a rejected K_m prefix's children there are tried first: before
-    # that, 5,720, 4,216, 15,643, 12,324 and 8,507 nodes and 1,544, 1,138,
-    # 2,636, 1,806 and 1,335 tests; before the twin rule 7,484, 5,361,
-    # 22,365, 18,212 and 12,791 nodes, and before the row rule 16,707,
-    # 10,316, 53,294, 39,268 and 31,900
+    # (_canonical calls).  Before the dead-vertex look-ahead, 6,895, 5,334,
+    # 17,512, 13,947 and 9,008 nodes and 714, 491, 1,046, 728 and 549
+    # tests.  The test waits for a surviving child at (0, m), so a rejected
+    # K_m prefix's children there are tried first: before that, 5,720,
+    # 4,216, 15,643, 12,324 and 8,507 nodes and 1,544, 1,138, 2,636, 1,806
+    # and 1,335 tests; before the twin rule 7,484, 5,361, 22,365, 18,212
+    # and 12,791 nodes, and before the row rule 16,707, 10,316, 53,294,
+    # 39,268 and 31,900
     tests = []
     real = search._ColoringDFS._canonical
 
@@ -314,12 +324,43 @@ def test_node_counts_at_eight_vertices(monkeypatch):
         return real(dfs, m)
 
     monkeypatch.setattr(search._ColoringDFS, "_canonical", counting)
-    for ts, nodes, tested in (((6, 6, 6), 6895, 714), ((5, 5, 5, 5), 5334, 491),
-                              ((6, 6, 4, 3), 17512, 1046), ((7, 6, 3, 3), 13947, 728),
-                              ((6, 5, 4, 3), 9008, 549)):
+    for ts, nodes, tested in (((6, 6, 6), 2480, 254), ((5, 5, 5, 5), 2389, 195),
+                              ((6, 6, 4, 3), 7330, 404), ((7, 6, 3, 3), 6467, 289),
+                              ((6, 5, 4, 3), 4271, 234)):
         tests.clear()
         out = enumerate_colorings(SearchConfig(8, len(ts), ts))
         assert (out.status, out.nodes, len(tests)) == ("all-succeed", nodes, tested), ts
+
+
+def test_node_counts_at_nine_vertices():
+    # verify_upper at the closed-form value 9 of both vectors: every
+    # coloring of K_9 succeeds.  Before the dead-vertex look-ahead, 109,355
+    # and 244,342 nodes
+    for ts, nodes in (((5, 5, 5, 5, 5), 41667), ((6, 6, 6, 4), 73310)):
+        assert closed_form_value(ts)[0] == 9
+        stats = SearchStats()
+        assert verify_upper(9, ts, stats=stats) is None
+        assert stats.nodes == nodes, ts
+
+
+def test_orders_follow_the_rows():
+    # at every leaf order[c] is the order of color c's rows and far counts
+    # the colors more than 2 below their thresholds; a finished search has
+    # restored both to their start
+    for n, ts in ((6, (5, 5, 5)), (6, (6, 4, 3)), (7, (5, 5, 5, 5))):
+        dfs = search._ColoringDFS(SearchConfig(n, len(ts), ts), None)
+        seen = []
+
+        def visit(col):
+            order = [search.pm_order_of_rows(rows, n) for rows in dfs.rows]
+            assert dfs.order == order, (ts, col.colors)
+            assert dfs.far == sum(p - o > 2 for p, o in zip(ts, order)), (ts, col.colors)
+            seen.append(col)
+
+        dfs.visitor = visit
+        dfs.run()
+        assert seen and dfs.order == [0] * len(ts), ts
+        assert dfs.far == sum(p > 2 for p in ts), ts
 
 
 def test_one_pm_order_call_per_node(monkeypatch):
