@@ -13,7 +13,7 @@ from ramsey_pm import (cockayne_lorimer, core_bounds_report, diagonal_guarantee,
 
 for targets in [(5, 5), (5, 5, 5), (6, 6, 6, 6, 6), (6,) * 10, (9, 7, 4, 3)]:
     rep = pm_bounds_report(targets)
-    print(f"path-matching bounds for {tuple(rep.targets)}:")
+    print(f"path-matching bounds for {rep.targets}:")
     for e in rep.entries:
         cond = ""
         if e.condition_holds is not None:

@@ -12,8 +12,8 @@ from .bounds import (BoundsReport, ceil_div, cockayne_lorimer, core_bounds_repor
                      covering_lower_eh, covering_lower_schonheim,
                      diagonal_guarantee, pm_all3,
                      pm_bounds_report, pm_lowers, pm_standard_value, pm_upper,
-                     techfact_holds)
-from .coloring import (EdgeColoring, TargetVector, core_lift_coloring,
+                     sorted_targets, techfact_holds)
+from .coloring import (EdgeColoring, core_lift_coloring,
                        layered_coloring, mono_core_profile, mono_pm_profile,
                        pm_extremal_coloring)
 from .core_ramsey import (BlockCover, cover_feasible, cover_to_coloring,
@@ -34,7 +34,7 @@ __all__ = [
     "BlockCover", "BoundsReport", "BudgetExceededError", "DeficiencyCertificate",
     "EdgeColoring", "FormulaUnavailableError", "RamseyResult",
     "RouteDisagreementError", "SearchConfig", "SearchOutcome", "SearchStats",
-    "SimpleGraph", "TargetVector",
+    "SimpleGraph",
     "canonical_extension_check", "ceil_div", "clear_core_cache",
     "cockayne_lorimer", "complete_graph", "core_bounds_report",
     "core_lift_coloring", "core_upper_degree", "core_upper_edgecount",
@@ -45,5 +45,5 @@ __all__ = [
     "isolated_count", "layered_coloring", "max_pm_order", "mono_core_profile",
     "mono_pm_profile", "packing_oracle", "pm_all3",
     "pm_bounds_report", "pm_extremal_coloring", "pm_lowers", "pm_standard_value",
-    "pm_upper", "techfact_holds", "verify_upper",
+    "pm_upper", "sorted_targets", "techfact_holds", "verify_upper",
 ]

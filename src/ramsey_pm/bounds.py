@@ -7,10 +7,9 @@ no floats anywhere, since these values feed equality assertions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import count
 from math import isqrt
 from typing import Optional, Sequence
-
-from .coloring import TargetVector, Targets, as_targets
 
 LOWER = "lower"
 UPPER = "upper"
@@ -26,6 +25,18 @@ def ceil_div(a: int, b: int) -> int:
 
 def ceil_third(p: int) -> int:
     return ceil_div(p, 3)
+
+
+def sorted_targets(p: Sequence[int]) -> tuple[int, ...]:
+    """The targets sorted nonincreasingly, p1 >= ... >= pr, as every result
+    states them.  Raises ValueError for an empty vector or an entry below 1;
+    entries equal to 1 stay, since the f^3 reduction shifts targets down."""
+    t = tuple(sorted(p, reverse=True))
+    if not t:
+        raise ValueError("empty target vector")
+    if t[-1] < 1:
+        raise ValueError("targets must be positive")
+    return t
 
 
 def nontrivial_targets(p: Sequence[int]) -> tuple[int, ...]:
@@ -53,7 +64,7 @@ class BoundsReport:
     """Named bounds for one quantity; lowers never exceed uppers."""
 
     quantity: str
-    targets: TargetVector
+    targets: tuple[int, ...]
     entries: tuple[BoundEntry, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
@@ -61,7 +72,7 @@ class BoundsReport:
         uppers = [e.value for e in self.entries if e.kind == UPPER]
         if lowers and uppers and max(lowers) > min(uppers):
             raise ValueError(
-                f"inconsistent report for {self.quantity}{tuple(self.targets)}: "
+                f"inconsistent report for {self.quantity}{self.targets}: "
                 f"lower {max(lowers)} exceeds upper {min(uppers)}"
             )
 
@@ -74,7 +85,7 @@ class BoundsReport:
         return min(vals) if vals else None
 
 
-def cockayne_lorimer(p: Targets) -> int:
+def cockayne_lorimer(p: Sequence[int]) -> int:
     """Exact r-color Ramsey number of a matching of order p_i.
 
     A matching of order >= p has ceil(p/2) edges, so this is the classical
@@ -84,7 +95,7 @@ def cockayne_lorimer(p: Targets) -> int:
     it is one larger, since a monochromatic K_{p1} still has no matching
     of odd order p1.
     """
-    t = as_targets(p).targets
+    t = sorted_targets(p)
     if len(t) < 2:
         raise ValueError("need at least two colors")
     if t[-1] < 2:
@@ -92,7 +103,7 @@ def cockayne_lorimer(p: Targets) -> int:
     return 2 * ceil_div(t[0], 2) - (len(t) - 1) + sum(ceil_div(pi, 2) for pi in t[1:])
 
 
-def pm_standard_value(p: Targets) -> tuple[int, bool]:
+def pm_standard_value(p: Sequence[int]) -> tuple[int, bool]:
     """The standard path-matching value p1 - (r-1) + sum_{i>=2} ceil(pi/3),
     plus a flag telling whether it is proven exact.
 
@@ -101,7 +112,7 @@ def pm_standard_value(p: Targets) -> tuple[int, bool]:
     Cases below that threshold are left to the small-case tables; the flag
     never guesses.
     """
-    t = as_targets(p).targets
+    t = sorted_targets(p)
     r = len(t)
     value = standard_formula(t)
     if r <= 2:
@@ -113,9 +124,9 @@ def pm_standard_value(p: Targets) -> tuple[int, bool]:
     return value, condition
 
 
-def pm_upper(p: Targets) -> int:
+def pm_upper(p: Sequence[int]) -> int:
     """Upper bound ceil(p1 - r/3 + sum_{i>=2} pi/3), valid for r >= 2."""
-    t = as_targets(p).targets
+    t = sorted_targets(p)
     r = len(t)
     if r < 2:
         raise ValueError("need at least two colors")
@@ -135,7 +146,7 @@ def pm_all3(r: int) -> int:
     return n
 
 
-def pm_lowers(p: Targets) -> tuple[int, int]:
+def pm_lowers(p: Sequence[int]) -> tuple[int, int]:
     """(standard, design) lower bounds.
 
     standard: p1 - (r-1) + sum_{i>=2} ceil(pi/3).
@@ -144,7 +155,7 @@ def pm_lowers(p: Targets) -> tuple[int, int]:
               the standard one when every target is divisible by 3 and p1
               is small relative to r.
     """
-    t = as_targets(p).targets
+    t = sorted_targets(p)
     if len(t) < 2:
         raise ValueError("need at least two colors")
     s = sum(1 for pi in t if pi % 3 == 0)
@@ -160,13 +171,13 @@ def diagonal_guarantee(n: int, r: int) -> int:
     return 3 * (n // (r + 2))
 
 
-def core_upper_edgecount(p: Targets) -> int:
+def core_upper_edgecount(p: Sequence[int]) -> int:
     """Smallest n with sum_i C(pi-1, 2) < C(n, 2).
 
     At that size the color classes cannot even supply enough edges to
     cover K_n, so the 1-core value is at most n.
     """
-    t = as_targets(p).targets
+    t = sorted_targets(p)
     budget = sum((pi - 1) * (pi - 2) // 2 for pi in t)
     n = 2
     while n * (n - 1) // 2 <= budget:
@@ -174,28 +185,27 @@ def core_upper_edgecount(p: Targets) -> int:
     return n
 
 
-def core_upper_degree(p: Targets, scan_cap: Optional[int] = None) -> Optional[int]:
+def core_upper_degree(p: Sequence[int]) -> int:
     """Smallest n for which some t in [1, r-1] has
-    p1 <= ceil((n+t-1)/t) and sum_i (pi-1) < (t+1) n, or None within the cap.
+    p1 <= ceil((n+t-1)/t) and sum_i (pi-1) < (t+1) n.
 
     A vertex seeing at most t colors sits in a 1-core of order at least
-    ceil((n+t-1)/t), which is what the first condition exploits.
+    ceil((n+t-1)/t), which is what the first condition exploits.  At t = 1
+    the conditions read p1 <= n and sum_i (pi-1) < 2n, so the scan stops
+    by n = max(p1, floor(sum_i (pi-1) / 2) + 1).
     """
-    ts = as_targets(p).targets
+    ts = sorted_targets(p)
     r = len(ts)
     if r < 2:
         raise ValueError("need at least two colors")
-    if scan_cap is None:
-        scan_cap = 4 * sum(ts)
     deficit = sum(pi - 1 for pi in ts)
-    for n in range(2, scan_cap + 1):
+    for n in count(2):
         for t in range(1, r):
             if ts[0] <= ceil_div(n + t - 1, t) and deficit < (t + 1) * n:
                 return n
-    return None
 
 
-def core_upper_main(p: Targets) -> int:
+def core_upper_main(p: Sequence[int]) -> int:
     """Three-term 1-core upper bound
     max{p1, ceil((p1+p2+p3)/2) - 1, ceil(p1/3 - r/3 + sum pi/3)}.
 
@@ -203,7 +213,7 @@ def core_upper_main(p: Targets) -> int:
     its complement is connected, so one color always has a spanning
     1-core at that size).
     """
-    t = as_targets(p).targets
+    t = sorted_targets(p)
     r = len(t)
     if r < 2:
         raise ValueError("need at least two colors")
@@ -240,7 +250,7 @@ def covering_lower_schonheim(v: int, k: int) -> int:
     return ceil_div(v * inner, k)
 
 
-def techfact_holds(a: Targets) -> tuple[bool, bool, bool]:
+def techfact_holds(a: Sequence[int]) -> tuple[bool, bool, bool]:
     """Truth of the three arithmetic facts behind the main upper bounds,
     for a1 >= ... >= ar >= 2 with r >= 3 and a1 >= 3.
 
@@ -253,7 +263,7 @@ def techfact_holds(a: Targets) -> tuple[bool, bool, bool]:
     For (ii) and (iii) the returned booleans state whether the claimed
     equivalence holds (both directions), each side evaluated exactly.
     """
-    t = as_targets(a).targets
+    t = sorted_targets(a)
     r = len(t)
     if r < 3 or t[0] < 3 or t[-1] < 2:
         raise ValueError("need r >= 3, a1 >= 3 and entries >= 2")
@@ -274,11 +284,11 @@ def techfact_holds(a: Targets) -> tuple[bool, bool, bool]:
     return item_i, item_ii, item_iii
 
 
-def pm_bounds_report(p: Targets) -> BoundsReport:
+def pm_bounds_report(p: Sequence[int]) -> BoundsReport:
     """All path-matching bounds for one target vector."""
-    t = as_targets(p)
+    t = sorted_targets(p)
     entries = []
-    if t.r >= 2:
+    if len(t) >= 2:
         standard, design = pm_lowers(t)
         entries.append(BoundEntry("standard-lower", LOWER, standard))
         entries.append(BoundEntry("design-lower", LOWER, design))
@@ -288,14 +298,12 @@ def pm_bounds_report(p: Targets) -> BoundsReport:
     return BoundsReport("PM", t, tuple(entries))
 
 
-def core_bounds_report(p: Targets) -> BoundsReport:
+def core_bounds_report(p: Sequence[int]) -> BoundsReport:
     """All 1-core bounds for one target vector."""
-    t = as_targets(p)
-    entries = [BoundEntry("largest-target-lower", LOWER, t.targets[0])]
-    if t.r >= 2:
+    t = sorted_targets(p)
+    entries = [BoundEntry("largest-target-lower", LOWER, t[0])]
+    if len(t) >= 2:
         entries.append(BoundEntry("edgecount-upper", UPPER, core_upper_edgecount(t)))
-        deg = core_upper_degree(t)
-        if deg is not None:
-            entries.append(BoundEntry("degree-upper", UPPER, deg))
+        entries.append(BoundEntry("degree-upper", UPPER, core_upper_degree(t)))
         entries.append(BoundEntry("main-upper", UPPER, core_upper_main(t)))
     return BoundsReport("1C", t, tuple(entries))

@@ -12,7 +12,7 @@ import sys
 from typing import Optional, Sequence
 
 from . import files
-from .bounds import core_bounds_report, pm_bounds_report
+from .bounds import core_bounds_report, pm_bounds_report, sorted_targets
 from .coloring import EdgeColoring, mono_pm_profile
 from .core_ramsey import BlockCover, exact_core_ramsey
 from .path_matching import deficiency
@@ -95,14 +95,15 @@ def _result_text(res: RamseyResult) -> str:
 
 
 def cmd_exact(args) -> int:
-    targets = parse_targets(args.targets)
+    targets = sorted_targets(parse_targets(args.targets))
     cache = files.ResultCache(args.cache) if args.cache != "none" else None
     key = files.cache_key("PM" if args.kind == "pm" else "1C", targets)
-    if cache is not None and not args.no_cache:
+    # a cached value may come from any route, so it answers only `auto`
+    if cache is not None and not args.no_cache and args.strategy == "auto":
         hit = cache.get(key)
         if hit is not None:
             if args.json:
-                print(json.dumps({"targets": sorted(targets, reverse=True),
+                print(json.dumps({"targets": list(targets),
                                   "value": hit["value"], "method": hit["method"],
                                   "cached": True}))
             else:
@@ -125,18 +126,18 @@ def cmd_exact(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    targets = parse_targets(args.targets)
+    targets = sorted_targets(parse_targets(args.targets))
     pm = pm_bounds_report(targets)
     core = core_bounds_report(targets)
     if args.json:
         def dump(rep):
             return [{"name": e.name, "kind": e.kind, "value": e.value,
                      "condition_holds": e.condition_holds} for e in rep.entries]
-        print(json.dumps({"targets": sorted(targets, reverse=True),
+        print(json.dumps({"targets": list(targets),
                           "PM": dump(pm), "1C": dump(core)}))
         return EXIT_OK
     for rep in (pm, core):
-        print(f"{rep.quantity} bounds for {tuple(rep.targets)}:")
+        print(f"{rep.quantity} bounds for {rep.targets}:")
         for e in rep.entries:
             cond = ""
             if e.condition_holds is not None:

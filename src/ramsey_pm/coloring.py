@@ -7,59 +7,13 @@ Colors are 1-indexed throughout (matching the text format); vertices are
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
+from .bounds import sorted_targets
 from .graphs import MAX_VERTICES, SimpleGraph
 from .path_matching import pm_order_of_rows
 
 MAX_COLORS = 64
-
-
-@dataclass(frozen=True)
-class TargetVector:
-    """Nonincreasing Ramsey thresholds p1 >= ... >= pr.
-
-    Public vectors have entries >= 2; entries equal to 1 are tolerated
-    because the f^3 reduction shifts targets below 2 internally.
-    """
-
-    targets: tuple[int, ...]
-
-    def __post_init__(self):
-        t = self.targets
-        if len(t) < 1:
-            raise ValueError("empty target vector")
-        if any(p < 1 for p in t):
-            raise ValueError("targets must be >= 1")
-        if any(t[i] < t[i + 1] for i in range(len(t) - 1)):
-            raise ValueError("targets must be nonincreasing")
-
-    @classmethod
-    def of(cls, values: Iterable[int]) -> "TargetVector":
-        """Sort the given thresholds nonincreasingly and wrap them."""
-        return cls(tuple(sorted(values, reverse=True)))
-
-    @property
-    def r(self) -> int:
-        return len(self.targets)
-
-    def __iter__(self):
-        return iter(self.targets)
-
-    def __len__(self):
-        return len(self.targets)
-
-    def __getitem__(self, i):
-        return self.targets[i]
-
-
-Targets = TargetVector | Sequence[int]
-
-
-def as_targets(p: Targets) -> TargetVector:
-    if isinstance(p, TargetVector):
-        return p
-    return TargetVector.of(p)
 
 
 def _tri(n: int) -> int:
@@ -160,9 +114,9 @@ def layered_coloring(sizes: Sequence[int]) -> EdgeColoring:
     return coloring_from_edge_colors(n, r, lambda u, v: max(part[u], part[v]))
 
 
-def pm_extremal_coloring(p: Targets) -> EdgeColoring:
+def pm_extremal_coloring(p: Sequence[int]) -> EdgeColoring:
     """The lower-bound coloring [p1-1, ceil(p2/3)-1, ..., ceil(pr/3)-1]."""
-    t = as_targets(p).targets
+    t = sorted_targets(p)
     if t[0] < 2:
         raise ValueError("leading target must be at least 2")
     sizes = [t[0] - 1] + [(pi + 2) // 3 - 1 for pi in t[1:]]

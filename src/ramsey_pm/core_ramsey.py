@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .bounds import core_upper, covering_lower_eh, covering_lower_schonheim
+from .bounds import core_upper, covering_lower_eh, covering_lower_schonheim, sorted_targets
 from .coloring import EdgeColoring, coloring_from_edge_colors
 from .graphs import MAX_VERTICES
 from .results import (DEFAULT_NODE_BUDGET, PROOF_SEARCH, RamseyResult,
@@ -263,11 +263,6 @@ def cover_feasible_with_stats(n: int, capacities: Sequence[int], *,
     return cover, nodes
 
 
-def _trivial_cover(caps: Sequence[int]) -> BlockCover:
-    """Cover of K_1: no pairs, so empty blocks suffice."""
-    return BlockCover(1, tuple(caps), (0,) * len(caps))
-
-
 def exact_core_ramsey(targets: Sequence[int], *,
                       node_budget: int = DEFAULT_NODE_BUDGET,
                       time_budget: Optional[float] = None,
@@ -284,19 +279,18 @@ def exact_core_ramsey(targets: Sequence[int], *,
     and the progress hook apply to each cover search.
     """
     started = time.monotonic()
-    ts = tuple(sorted(targets, reverse=True))
-    if not ts or any(p < 1 for p in ts):
-        raise ValueError("targets must be positive")
+    ts = sorted_targets(targets)
     stats = SearchStats()
     caps = tuple(p - 1 for p in ts)
     if ts[0] <= 2:
-        # in K_2 the single edge already forms a 1-core of order 2
+        # in K_2 the single edge already forms a 1-core of order 2; K_1 has
+        # no pairs, so empty blocks cover it
         stats.millis = int((time.monotonic() - started) * 1000)
-        return RamseyResult(ts, 2, PROOF_SEARCH, _trivial_cover(caps), stats)
+        return RamseyResult(ts, 2, PROOF_SEARCH, BlockCover(1, caps, (0,) * len(caps)), stats)
     kw = dict(node_budget=node_budget, time_budget=time_budget, progress=progress)
 
-    lo = ts[0] - 1
-    witness = cover_feasible_with_stats(lo, caps, **kw)[0] if lo >= 2 else _trivial_cover(caps)
+    lo = ts[0] - 1  # one block swallows K_lo, so no search nodes here
+    witness = cover_feasible_with_stats(lo, caps, **kw)[0]
     bound = core_upper(ts)
     hi, refuted = bound, False
     while hi - lo > 1:

@@ -24,6 +24,7 @@ import tempfile
 import time
 from typing import Optional
 
+from .bounds import sorted_targets
 from .coloring import EdgeColoring
 from .core_ramsey import BlockCover
 from .graphs import SimpleGraph, bits, mask_of
@@ -144,8 +145,7 @@ def result_from_json(obj: dict) -> RamseyResult:
 def cache_key(kind: str, targets=None, v: int = 0, k: int = 0) -> str:
     """Canonical cache keys: "PM:5,5,5", "1C:5,5,5", "C:9/5"."""
     if kind in ("PM", "1C"):
-        ts = sorted(targets, reverse=True)
-        return f"{kind}:{','.join(str(t) for t in ts)}"
+        return f"{kind}:{','.join(str(t) for t in sorted_targets(targets))}"
     if kind == "C":
         return f"C:{v}/{k}"
     raise ValueError(f"unknown cache kind {kind!r}")

@@ -25,9 +25,8 @@ from itertools import chain, combinations_with_replacement, groupby, product
 from typing import Optional, Sequence
 
 from .bounds import (ceil_div, ceil_third, core_upper, nontrivial_targets, pm_all3, pm_lowers,
-                     pm_standard_value, standard_formula)
-from .coloring import (EdgeColoring, TargetVector, core_lift_coloring,
-                       mono_pm_profile, pm_extremal_coloring)
+                     pm_standard_value, sorted_targets, standard_formula)
+from .coloring import EdgeColoring, core_lift_coloring, mono_pm_profile, pm_extremal_coloring
 from .core_ramsey import BlockCover, cover_to_coloring, exact_core_ramsey
 from .results import (DEFAULT_NODE_BUDGET, PROOF_CLOSED, PROOF_F3, PROOF_SEARCH, PROOF_TABLE,
                       BudgetExceededError, FormulaUnavailableError, RamseyResult,
@@ -68,9 +67,7 @@ def core_value(targets: Sequence[int], *, node_budget: int = DEFAULT_NODE_BUDGET
 def _core_result(targets: Sequence[int], **kw) -> RamseyResult:
     key = nontrivial_targets(targets)
     if not key:
-        caps = tuple(p - 1 for p in sorted(targets, reverse=True))
-        return RamseyResult(tuple(sorted(targets, reverse=True)), 2, PROOF_SEARCH,
-                            BlockCover(1, caps, (0,) * len(caps)))
+        return exact_core_ramsey(targets)
     core_value(targets, **kw)  # fill the memo
     return _CORE_MEMO[key]
 
@@ -140,10 +137,7 @@ def _f3_maximise(ts: tuple[int, ...], core_oracle) -> tuple[int, list[tuple[int,
 
 def _normalize(raw: Sequence[int]) -> tuple[int, ...]:
     """Sorted targets with the always-droppable entries (1s) removed."""
-    if not raw or any(p < 1 for p in raw):
-        raise ValueError("targets must be positive")
-    kept = tuple(sorted((p for p in raw if p >= 2), reverse=True))
-    return kept
+    return tuple(p for p in sorted_targets(raw) if p >= 2)
 
 
 def closed_form_value(ts: tuple[int, ...]) -> Optional[tuple[int, str]]:
@@ -173,7 +167,7 @@ def closed_form_value(ts: tuple[int, ...]) -> Optional[tuple[int, str]]:
         if t == (4, 3, 3, 3):
             return 5, PROOF_TABLE
         return standard, PROOF_CLOSED  # exact for all quadruples except the two tables
-    _, exact = pm_standard_value(TargetVector(t))
+    _, exact = pm_standard_value(t)
     if exact:
         return standard, PROOF_CLOSED
     return None
@@ -254,7 +248,7 @@ def find_lower_witness(n: int, targets: Sequence[int], *,
 
     # layered extremal coloring
     try:
-        ext = pm_extremal_coloring(TargetVector(ts))
+        ext = pm_extremal_coloring(ts)
         if _witness_valid(ext, n, ts):
             return ext
     except ValueError:
@@ -322,8 +316,7 @@ def exact_pm_ramsey(targets: Sequence[int], strategy: str = "auto", *,
         return value
 
     if not ts:  # every target was 1: one edge settles it
-        result = RamseyResult(tuple(sorted(targets, reverse=True)), 2, PROOF_TABLE,
-                              None, stats)
+        result = RamseyResult((1,) * len(targets), 2, PROOF_TABLE, None, stats)
         if want_witness:
             result.lower_witness = EdgeColoring(1, len(targets), ())
         result.stats.millis = int((time.monotonic() - started) * 1000)

@@ -51,11 +51,12 @@ representative per class is visited.  The minimality test reads the color
 matrix, whose row b up to column b is the prefix's row b, and records the
 twins of each K_m it tests, which its own search and row m then use.
 canonical_extension_check replays a prefix through the search's own
-tables (the color groups, the tested boundaries, the rows the row and twin
-rules hold in), so it accepts exactly the prefixes the search extends
-(recurses past, or visits as a leaf), success pruning and the look-ahead
-aside.  Budgets and the progress hook are the cover search's too
-(SearchMeter in results).
+rules (the color groups; the tested boundaries, K_m for 3 <= m < n, which
+slot (m-2, m-1) ends; the rows the row and twin rules hold in, all but the
+last), so it accepts exactly the prefixes the search extends (recurses
+past, or visits as a leaf), success pruning and the look-ahead aside.
+Budgets and the progress hook are the cover search's too (SearchMeter in
+results).
 """
 
 from __future__ import annotations
@@ -201,11 +202,6 @@ class _ColoringDFS(SearchMeter):
                 self.rank_in_group[c] = rank
         self.cmap = [c if len(self.groups[g]) == 1 else -1
                      for c, g in enumerate(self.group_of)]
-        # the K_m boundaries the search tests, keyed by the slot count C(m,2)
-        self.boundaries = {m * (m - 1) // 2: m for m in range(3, n)}
-        # ruled[v]: the row and twin rules hold in row v, i.e. the K_{v+1}
-        # boundary is tested
-        self.ruled = [2 <= v <= n - 2 for v in range(n)]
         self.col = [[0] * n for _ in range(n)]  # col[u][v] = col[v][u]: color of {u, v}
         # twin[m]: _twin_below of K_m, recorded by the K_m boundary test for
         # the row m that follows it; those of K_0..K_2 do not depend on colors.
@@ -252,8 +248,9 @@ class _ColoringDFS(SearchMeter):
     def _least(self, u: int, v: int, tie: bool) -> int:
         """The least color that the row rule and the twin rule allow at
         slot (u, v), where tie says row v agrees with row v-1 towards
-        0..u-1."""
-        if not self.ruled[v]:
+        0..u-1.  Both rules hold in every row but the last, whose K_n
+        boundary is not tested; rows 0 and 1 allow every color anyway."""
+        if v == self.cfg.n - 1:
             return 0
         col = self.col
         lo = col[u][v - 1] if tie and u < v - 1 else 0  # row rule
@@ -305,9 +302,10 @@ class _ColoringDFS(SearchMeter):
         u, v = self.edges[k]
         ub, vb = 1 << u, 1 << v
         row_u, row_v = self.col[u], self.col[v]
-        boundary_m = self.boundaries.get(k + 1, 0)
         above = row_u[v - 1] if u < v - 1 else -1  # the color of (u, v-1)
         ahead = v + 1 < cfg.n  # vertex v+1 exists and has no edge yet
+        # slot (v-1, v) ends K_{v+1}, whose test is due when 3 <= v+1 < n
+        boundary_m = v + 1 if u == v - 1 and v >= 2 and ahead else 0
         order = self.order
         for c in range(self._least(u, v, tie), cfg.r):
             g = self.group_of[c]
@@ -377,7 +375,7 @@ def canonical_extension_check(prefix_colors: Sequence[int], config: SearchConfig
     extends this prefix (colors of the first k colex edges, 1-indexed
     colors): recurses past it, or visits it as a leaf.
 
-    The prefix is replayed slot by slot through the search's own tables
+    The prefix is replayed slot by slot through the search's own rules
     and color matrix: the least color of the row and twin rules, the
     first-use order, and the minimality test at every tested K_m boundary
     that the prefix completes.  The search runs that test one slot later,
@@ -400,8 +398,7 @@ def canonical_extension_check(prefix_colors: Sequence[int], config: SearchConfig
         if dfs.rank_in_group[c] == used[g]:
             used[g] += 1
         col[u][v] = col[v][u] = c
-        m = dfs.boundaries.get(k + 1)
-        if m is not None and not dfs._canonical(m):
+        if u == v - 1 and 2 <= v < config.n - 1 and not dfs._canonical(v + 1):
             return False
         tie = u == v - 1 or (tie and c == col[u][v - 1])
     return True

@@ -115,11 +115,13 @@ def test_core_upper_edgecount():
         assert core_upper_edgecount((3,) * r) == want
 
 
-def test_core_upper_degree():
+def test_core_upper_degree(rng):
     assert core_upper_degree((4, 4, 4)) == 5
     assert core_upper_degree((3, 3)) == 3
-    # nothing qualifies under a tiny scan cap
-    assert core_upper_degree((9, 9, 9), scan_cap=3) is None
+    # at t = 1 the conditions read p1 <= n and sum(pi - 1) < 2n
+    for _ in range(2000):
+        tv = [rng.randint(1, 40) for _ in range(rng.randint(2, 12))]
+        assert 2 <= core_upper_degree(tv) <= max(2, max(tv), sum(p - 1 for p in tv) // 2 + 1)
 
 
 def test_core_upper_main():

@@ -2,19 +2,18 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from ramsey_pm.coloring import (EdgeColoring, TargetVector, core_lift_coloring,
+from ramsey_pm.coloring import (EdgeColoring, core_lift_coloring,
                                 layered_coloring, mono_core_profile,
                                 mono_pm_profile, pm_extremal_coloring)
 from ramsey_pm.core_ramsey import cover_to_coloring, exact_core_ramsey
-from ramsey_pm.bounds import ceil_third
+from ramsey_pm.bounds import ceil_third, sorted_targets
 
 
 def test_target_vector_validation():
-    with pytest.raises(ValueError):
-        TargetVector((3, 4))  # not sorted
-    with pytest.raises(ValueError):
-        TargetVector((3, 0))
-    assert TargetVector.of([3, 5, 4]).targets == (5, 4, 3)
+    for bad in ((), (3, 0), (3, -1)):
+        with pytest.raises(ValueError):
+            sorted_targets(bad)
+    assert sorted_targets([3, 5, 4]) == (5, 4, 3)
 
 
 def test_layered_single_edge():

@@ -125,6 +125,21 @@ def test_cache_hit_does_not_change_value(tmp_path, capsys):
     assert fresh == 7
 
 
+def test_cache_answers_only_auto_requests(tmp_path, capsys):
+    path = str(tmp_path / "cache.json")
+    exact = ["exact", "pm", "--targets", "4,4,4", "--cache", path, "--json"]
+    assert main(exact + ["--strategy", "formula"]) == 0
+    assert json.loads(capsys.readouterr().out)["method"] == "closed-form"
+    # a named route runs even when the value is cached
+    assert main(exact + ["--strategy", "search"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["method"] == "exhaustive-search" and "cached" not in out
+    assert out["stats"]["nodes"] > 0
+    assert main(exact) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["cached"] is True and out["value"] == 6
+
+
 def test_corrupt_cache_runs_uncached(tmp_path, capsys):
     path = tmp_path / "cache.json"
     for text in ("{", "[1, 2]"):
