@@ -2,16 +2,24 @@
 """Inside the coloring search: pruning, canonicity, and verdicts.
 
 The engine walks r-colorings of K_n edge by edge in colex order, so after
-C(m,2) edges the first m vertices carry a complete coloring.  Six prunes
+C(m,2) edges the first m vertices carry a complete coloring.  Seven prunes
 keep the tree tiny:
 
 * success: path-matching order only grows with edges, so a color that
   reaches its threshold in a partial coloring reaches it in every
-  completion, and that subtree holds no counterexample;
-* dead-vertex look-ahead: vertex v+1 has no edge yet while row v is being
-  colored, so every completion colors each edge (x,v+1); when for some x
-  that edge would lift every color to its threshold, whichever color it
-  takes succeeds, and the subtree is cut like a success;
+  completion, and that subtree holds no counterexample; a color that any
+  further edge would finish (threshold 2, or 3 once it has an edge) is
+  not even tried;
+* future-clique look-ahead: while row v is being colored, the vertices
+  after v have no edge yet, so every completion colors the clique K_f on
+  them, and each color's order grows by what that clique gives it; when
+  every coloring of K_f finishes some color (a smaller instance of the
+  same question, settled by a sub-search), the subtree is cut like a
+  success;
+* dead-vertex look-ahead: in the last row but one, vertex v+1 is the one
+  bare vertex, so every completion colors each edge (x,v+1); when for
+  some x that edge would lift every color to its threshold, whichever
+  color it takes succeeds, and the subtree is cut like a success;
 * color order: among colors with equal thresholds, a new color may only
   appear after all smaller ones (first-use rule);
 * vertex canonicity: at each complete-K_m boundary, a prefix beaten by
@@ -26,7 +34,7 @@ keep the tree tiny:
   since swapping a and b would then beat the K_{v+1} prefix.
 
 canonical_extension_check replays a prefix through the search's own rules,
-success pruning and the look-ahead aside, so it accepts exactly the prefixes the search extends
+success pruning and the look-aheads aside, so it accepts exactly the prefixes the search extends
 (recurses past, or visits as a leaf).
 """
 

@@ -95,6 +95,9 @@ def _result_text(res: RamseyResult) -> str:
 
 
 def cmd_exact(args) -> int:
+    if args.kind == "core" and args.strategy != "auto":
+        raise ValueError("--strategy applies to `exact pm` only; "
+                         "`exact core` has one route, the cover search")
     targets = sorted_targets(parse_targets(args.targets))
     cache = files.ResultCache(args.cache) if args.cache != "none" else None
     key = files.cache_key("PM" if args.kind == "pm" else "1C", targets)
@@ -217,7 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
     px.add_argument("--targets", required=True,
                     help="thresholds, e.g. 5,5,5 or 6*10")
     px.add_argument("--strategy", default="auto",
-                    choices=["auto", "search", "reduction", "formula"])
+                    choices=["auto", "search", "reduction", "formula"],
+                    help="route of `exact pm`; `exact core` takes only auto")
     px.add_argument("--cache", default=files.default_cache_path(),
                     help="cache file path, or 'none'")
     px.add_argument("--no-cache", action="store_true",

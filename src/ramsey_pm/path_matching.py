@@ -58,8 +58,9 @@ def _isolated_after_removal(rows: tuple[int, ...], xm: VertexSet) -> VertexSet:
     return mask_of(v for v in bits(rest) if rows[v] & rest == 0)
 
 
-def _star_matching(rows: tuple[int, ...]) -> tuple[int, VertexSet]:
-    """(pd, least LV set) of the graph given by rows.
+def _star_matching(rows: tuple[int, ...], held: list[int] | None = None, full: int = 0,
+                   left: tuple[int, ...] | None = None) -> tuple[int, VertexSet, VertexSet]:
+    """(pd, least LV set, full) of the graph given by rows.
 
     A maximum matching of left copies (capacity 1) into right copies
     (capacity 2) along the edges, grown one left vertex at a time by
@@ -69,9 +70,16 @@ def _star_matching(rows: tuple[int, ...]) -> tuple[int, VertexSet]:
     unique one of minimum size.  A failed search never reaches a vertex
     that a later augmenting path changes, so that set is the union of the
     right vertices each failed search saw.
+
+    By default the matching starts empty and every vertex is tried.  A
+    caller may pass a matching to grow, as held (right vertex -> mask of
+    the left vertices it holds, updated in place) and full (the right
+    vertices holding two), and the left vertices to try; then pd counts
+    those of them that stay unmatched.
     """
-    held = [0] * len(rows)  # right vertex -> mask of the left vertices it holds
-    full = seen = 0  # right vertices holding two; seen by the current search
+    if held is None:
+        held = [0] * len(rows)
+    seen = 0  # right vertices seen by the current search
 
     def augment(u: int) -> bool:
         nonlocal full, seen
@@ -92,12 +100,12 @@ def _star_matching(rows: tuple[int, ...]) -> tuple[int, VertexSet]:
         return False
 
     pd = lv = 0
-    for u in range(len(rows)):
+    for u in range(len(rows)) if left is None else left:
         seen = 0
         if not augment(u):
             pd += 1
             lv |= seen
-    return pd, lv
+    return pd, lv, full
 
 
 def deficiency(g: SimpleGraph) -> tuple[int, DeficiencyCertificate]:
@@ -105,7 +113,7 @@ def deficiency(g: SimpleGraph) -> tuple[int, DeficiencyCertificate]:
 
     The LV set is the least one, so certificates are stable across runs.
     """
-    pd, lv = _star_matching(g.rows)
+    pd, lv, _ = _star_matching(g.rows)
     return pd, DeficiencyCertificate(lv, pd, _isolated_after_removal(g.rows, lv))
 
 
@@ -131,16 +139,31 @@ def pendant_gains(rows: tuple[int, ...]) -> tuple[VertexSet, VertexSet]:
     raises the max path-matching order of the graph given by rows by at
     least 1, and those where it raises it by 2 (it never does more).
 
-    An isolated x gains 2 (the edge itself); any other x is tried by one
-    matching on the graph with the new vertex.  Cached on the rows as given.
+    An isolated x gains 2 (the edge itself).  Any other x starts from one
+    maximum matching M of the graph, kept for all of them; with the new
+    vertex z and the edge (x, z) added, the gain is the number of
+    augmenting paths two searches find.  The first starts at z.  Any
+    other path starts at a vertex that M leaves unmatched, and a search
+    that fails once never succeeds later, so the second is one search from
+    all of those at once: from a virtual left vertex whose row is the
+    union of theirs (plus z when x is one of them, for the edge x -> z).
+    Cached on the rows as given.
     """
     n = len(rows)
-    pd = _star_matching(rows)[0]
+    held = [0] * (n + 1)
+    _, _, full = _star_matching(rows, held)
+    matched = reach = 0
+    for h in held:
+        matched |= h
+    for u in range(n):
+        if not matched >> u & 1:
+            reach |= rows[u]
     one = two = 0
     for x in range(n):
         if rows[x]:
-            ext = rows[:x] + (rows[x] | 1 << n,) + rows[x + 1:] + (1 << x,)
-            gain = pd + 1 - _star_matching(ext)[0]
+            source = reach | 1 << n if not matched >> x & 1 else reach
+            ext = rows[:x] + (rows[x] | 1 << n,) + rows[x + 1:] + (1 << x, source)
+            gain = 2 - _star_matching(ext, held[:], full, (n, n + 1))[0]
         else:
             gain = 2
         if gain:

@@ -2,22 +2,35 @@
 
 The engine answers one question: does some r-coloring of K_n keep every
 color-i path-matching below its threshold p_i?  It walks colorings edge by
-edge, keeps them in an n x n color matrix, and prunes six ways:
+edge, keeps them in an n x n color matrix, and prunes seven ways:
 
 * success pruning: path-matching order is monotone under adding edges, so
   once a color reaches its threshold in a partial coloring every
-  completion does too and the subtree is skipped;
+  completion does too and the subtree is skipped.  A saturated color is
+  skipped before it costs a node: one with p_c <= 2, or with p_c = 3 and
+  an edge already, reaches p_c with any further edge (an edge has order
+  2; a second one makes a P3 or two disjoint edges);
+* future-clique look-ahead: at slot (u,v) the f = n-1-v vertices after v
+  have no edge yet, and every completion colors the K_f among them.  In
+  color c those edges form a graph H_c on vertices that the prefix's G_c
+  leaves isolated, so the two are disjoint, the order of G_c + H_c is
+  order_c plus that of H_c, and by monotonicity color c succeeds once H_c
+  has order q_c = p_c - order_c.  So the child is cut as a success when
+  every coloring of K_f lifts some color c by q_c: a smaller instance of
+  the same question.  Colors with q_c <= 2 succeed on any edge of K_f; of
+  the others, K_f in the one with the largest q_1 alone stays below it iff
+  f < q_1, one such color alone is forced iff f >= q_1, and otherwise a
+  sub-search of this engine on K_f with thresholds q decides, its nodes
+  charged to this search's meter and its verdicts kept per search.  The
+  cut is justified by the sub-search's own proof tree on K_f;
 * dead-vertex look-ahead (forward checking, Haralick and Elliott 1980):
-  at slot (u,v) with v+1 < n, vertex v+1 has no edge yet, and every
-  completion colors (x,v+1) for each other vertex x.  If for some x an
-  edge from x to a new vertex would lift every color c to its threshold
-  p_c, that edge succeeds in whatever color it takes, so the child is cut
-  as a success.  One edge raises an order by at most 2 (a max
-  path-matching of G + e, minus e, loses at most the two ends of e), so
-  the look-ahead needs each color within 2 of its threshold.  Then an x
-  above v+1, bare in every color, gains exactly 2, so the child is cut
-  whenever v+2 < n; in the last row but one, x <= v is looked up in
-  pendant_gains;
+  in the last row but one, v+1 = n-1 is the one bare vertex, and every
+  completion colors (x,v+1) for each x <= v.  If for some x an edge from x
+  to a new vertex would lift every color c to p_c (pendant_gains), that
+  edge succeeds in whatever color it takes, so the child is cut as a
+  success.  One edge raises an order by at most 2 (a max path-matching of
+  G + e, minus e, loses at most the two ends of e), so it runs only while
+  each color is within 2 of its threshold;
 * color canonicity: among colors with equal thresholds, a new color may
   only enter in index order (first-use rule), valid at every prefix;
 * vertex canonicity: edges are ordered colex, (0,1), (0,2), (1,2),
@@ -43,10 +56,10 @@ edge, keeps them in an n x n color matrix, and prunes six ways:
   color below that of (a,v), where a is the largest twin of b below it.
 
 The row and twin rules apply only in rows whose K_{v+1} boundary is
-tested, so they cut nodes and no leaf; success pruning and the look-ahead
-cut only subtrees in which every completion reaches a threshold, so they
-cut no leaf either.  The lexicographically least member of each
-equivalence class survives all six prunes, so at least one
+tested, so they cut nodes and no leaf; success pruning and the two
+look-aheads cut only subtrees in which every completion reaches a
+threshold, so they cut no leaf either.  The lexicographically least member
+of each equivalence class survives all seven prunes, so at least one
 representative per class is visited.  The minimality test reads the color
 matrix, whose row b up to column b is the prefix's row b, and records the
 twins of each K_m it tests, which its own search and row m then use.
@@ -54,7 +67,7 @@ canonical_extension_check replays a prefix through the search's own
 rules (the color groups; the tested boundaries, K_m for 3 <= m < n, which
 slot (m-2, m-1) ends; the rows the row and twin rules hold in, all but the
 last), so it accepts exactly the prefixes the search extends (recurses
-past, or visits as a leaf), success pruning and the look-ahead aside.
+past, or visits as a leaf), success pruning and the look-aheads aside.
 Budgets and the progress hook are the cover search's too (SearchMeter in
 results).
 """
@@ -182,7 +195,8 @@ def _no_smaller_extension(b: int, col: list[list[int]], m: int, twins: list[int]
 
 class _ColoringDFS(SearchMeter):
     def __init__(self, config: SearchConfig,
-                 visitor: Optional[Callable[[EdgeColoring], Optional[bool]]]):
+                 visitor: Optional[Callable[[EdgeColoring], Optional[bool]]],
+                 forced: Optional[dict] = None):
         n, r = config.n, config.r
         self.edges = colex_edges(n)
         self.E = len(self.edges)
@@ -212,9 +226,16 @@ class _ColoringDFS(SearchMeter):
         # order[c]: max path-matching order of color c; far: the colors
         # more than 2 below their thresholds
         self.order = [0] * r
+        # saturated[c]: the order from which any further edge of color c
+        # reaches p_c (a threshold of at most 2, or 3 once c has an edge);
+        # p_c itself for the other colors, which never get there
+        self.saturated = [0 if p <= 2 else 2 if p == 3 else p for p in config.thresholds]
         self.far = sum(p > 2 for p in config.thresholds)
         self.used_in_group = [0] * len(self.groups)
         self.counterexample: Optional[EdgeColoring] = None
+        # forced[(f, q)]: every coloring of K_f lifts some color i to q_i;
+        # shared with the sub-searches that fill it
+        self.forced = {} if forced is None else forced
 
     def _materialize(self) -> EdgeColoring:
         n, col = self.cfg.n, self.col
@@ -260,19 +281,43 @@ class _ColoringDFS(SearchMeter):
         return lo
 
     def _dead_vertex(self, v: int) -> bool:
-        """Some x other than v+1 reaches every threshold through the edge
-        (x, v+1), so whatever color that edge takes succeeds.
-
-        One edge raises an order by at most 2, so the caller asks only when
-        each color is within 2 of its threshold; then x = v+2, if it exists,
-        will do, as an edge between two bare vertices adds exactly 2."""
-        if v + 2 < self.cfg.n:
-            return True
+        """In the last row but one, some x <= v reaches every threshold
+        through the edge (x, v+1), so whatever color that edge takes
+        succeeds.  One edge raises an order by at most 2, so the caller
+        asks only when each color is within 2 of its threshold."""
         ts, order = self.cfg.thresholds, self.order
         mask = (1 << v + 1) - 1
         for c, rows in enumerate(self.rows):
             mask &= pendant_gains(tuple(rows))[ts[c] - order[c] - 1]
         return mask != 0
+
+    def _future_forced(self, f: int, k: int) -> bool:
+        """Every coloring of the K_f on the bare vertices lifts some color
+        c by q_c = p_c - order[c], so every completion succeeds.
+
+        A color with q_c <= 2 succeeds on any edge, so only the q_c >= 3
+        count, largest first.  K_f all in the color of q_1 has order f, so
+        it stays below q_1 when f < q_1 and finishes the only such color
+        otherwise.  With two or more, a sub-search on K_f with thresholds
+        q decides, charging its nodes to this search's meter at slot k;
+        its verdicts are kept in forced."""
+        if not self.far:
+            return True
+        q = sorted((p - o for p, o in zip(self.cfg.thresholds, self.order) if p - o > 2),
+                   reverse=True)
+        if f < q[0]:
+            return False
+        if len(q) == 1:
+            return True
+        key = (f, tuple(q))
+        hit = self.forced.get(key)
+        if hit is None:
+            sub = _ColoringDFS(SearchConfig(f, len(q), key[1]), None, self.forced)
+            tick = self._tick
+            sub._tick = lambda _depth: tick(k)
+            sub.run()
+            hit = self.forced[key] = sub.counterexample is None
+        return hit
 
     def _leaf(self) -> bool:
         """Handle a complete coloring; True means stop the whole search."""
@@ -293,9 +338,16 @@ class _ColoringDFS(SearchMeter):
         the first color here that survives the other prunes, before the
         search goes deeper, and a rejection ends the whole subtree; so a
         prefix none of whose children survives is never tested.
-        A color survives success pruning while its order, kept in order[c],
-        stays below its threshold.  far counts the colors more than 2 below
-        theirs; while it is 0, the look-ahead (_dead_vertex) runs too."""
+        A saturated color is skipped without a node.  A color survives
+        success pruning while its order, kept in order[c], stays below its
+        threshold.  While v+2 < n the future-clique look-ahead
+        (_future_forced) runs on each child whose edge changed order[c]: an
+        unchanged order was asked about at the parent, on the same K_f or
+        on K_{f+1}, and the parent survived; a coloring of K_{f+1} that
+        finishes no color restricts to one of K_f.  In the last row but
+        one, while far, the number of colors more than 2 below their
+        thresholds, is 0, the dead-vertex look-ahead (_dead_vertex) runs
+        instead."""
         if k == self.E:
             return self._leaf()
         cfg = self.cfg
@@ -306,8 +358,10 @@ class _ColoringDFS(SearchMeter):
         ahead = v + 1 < cfg.n  # vertex v+1 exists and has no edge yet
         # slot (v-1, v) ends K_{v+1}, whose test is due when 3 <= v+1 < n
         boundary_m = v + 1 if u == v - 1 and v >= 2 and ahead else 0
-        order = self.order
+        order, saturated = self.order, self.saturated
         for c in range(self._least(u, v, tie), cfg.r):
+            if order[c] >= saturated[c]:
+                continue  # this edge would lift c to its threshold
             g = self.group_of[c]
             if self.rank_in_group[c] > self.used_in_group[g]:
                 continue  # first-use order within each equal-threshold group
@@ -320,7 +374,12 @@ class _ColoringDFS(SearchMeter):
             order[c] = pm_order_of_rows(rows_c, cfg.n)
             near = order[c] >= p - 2 > was  # color c comes within 2 of p here
             self.far -= near
-            ok = order[c] < p and not (ahead and not self.far and self._dead_vertex(v))
+            ok = order[c] < p
+            if ok and ahead:
+                if v + 2 < cfg.n:  # an unchanged order was asked about at the parent
+                    ok = order[c] == was or not self._future_forced(cfg.n - 1 - v, k)
+                elif not self.far:
+                    ok = not self._dead_vertex(v)
             if ok and pending:
                 if not self._canonical(pending):
                     rows_c[u] &= ~vb
@@ -371,7 +430,7 @@ def enumerate_colorings(config: SearchConfig,
 
 
 def canonical_extension_check(prefix_colors: Sequence[int], config: SearchConfig) -> bool:
-    """True iff the search, success pruning and the look-ahead aside,
+    """True iff the search, success pruning and the look-aheads aside,
     extends this prefix (colors of the first k colex edges, 1-indexed
     colors): recurses past it, or visits it as a leaf.
 

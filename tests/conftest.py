@@ -6,7 +6,7 @@ import pytest
 from ramsey_pm.bounds import ceil_div
 from ramsey_pm.core_ramsey import BlockCover, cover_feasible
 from ramsey_pm.graphs import SimpleGraph, mask_of
-from ramsey_pm.path_matching import packing_oracle
+from ramsey_pm.path_matching import packing_oracle, pm_order_of_rows
 from ramsey_pm.results import BudgetExceededError
 
 
@@ -50,6 +50,23 @@ def subset_deficiency(g: SimpleGraph) -> tuple[int, int, int]:
             if best is None or val > best[0]:
                 best = (val, xm, wit)
     return best
+
+
+def pendant_gains_by_matching(rows: tuple[int, ...]) -> tuple[int, int]:
+    """pendant_gains with one whole maximum matching per vertex x: the
+    graph with a new vertex and the edge from x to it, against the graph
+    itself.  For testing only."""
+    n = len(rows)
+    base = pm_order_of_rows(rows, n)
+    one = two = 0
+    for x in range(n):
+        ext = rows[:x] + (rows[x] | 1 << n,) + rows[x + 1:] + (1 << x,)
+        gain = pm_order_of_rows(ext, n + 1) - base
+        if gain:
+            one |= 1 << x
+            if gain == 2:
+                two |= 1 << x
+    return one, two
 
 
 def scan_core_value(targets) -> int:

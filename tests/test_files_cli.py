@@ -140,6 +140,20 @@ def test_cache_answers_only_auto_requests(tmp_path, capsys):
     assert out["cached"] is True and out["value"] == 6
 
 
+def test_exact_core_rejects_a_named_strategy(tmp_path, private_cache, capsys):
+    # the 1-core value has one route, so a named strategy is a usage error
+    # that runs no search and writes no cache entry
+    for strategy in ("search", "reduction", "formula"):
+        code = main(["exact", "core", "--targets", "4,4,4", "--strategy", strategy,
+                     "--no-cache", "--json"])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == "" and "--strategy" in err, strategy
+    assert not (tmp_path / "cache.json").exists()
+    assert main(["exact", "core", "--targets", "4,4,4", "--strategy", "auto",
+                 "--no-cache", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["value"] == 5
+
+
 def test_corrupt_cache_runs_uncached(tmp_path, capsys):
     path = tmp_path / "cache.json"
     for text in ("{", "[1, 2]"):

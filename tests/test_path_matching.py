@@ -6,7 +6,7 @@ from ramsey_pm.graphs import SimpleGraph, complete_graph
 from ramsey_pm.path_matching import (deficiency, has_perfect_pm, max_pm_order,
                                      packing_oracle, pendant_gains)
 
-from conftest import graph_from_mask, random_graph, subset_deficiency
+from conftest import graph_from_mask, pendant_gains_by_matching, random_graph, subset_deficiency
 
 
 def star(leaves: int) -> SimpleGraph:
@@ -137,6 +137,20 @@ def test_pendant_gains_match_packing_oracle():
             gain = packing_oracle(wide.with_edge(x, n)) - base
             assert (one >> x & 1, two >> x & 1) == (gain >= 1, gain >= 2), (g.rows, x, gain)
             seen.add(gain)
+    assert seen == {0, 1, 2}
+
+
+def test_pendant_gains_match_whole_matchings():
+    # the gains found from one base matching against one whole matching per
+    # vertex, on seeded random graphs of up to 16 vertices and all densities
+    rng = random.Random(17)
+    seen = set()
+    for _ in range(400):
+        n = rng.randint(1, 16)
+        g = random_graph(n, rng, p=rng.random() ** 2)
+        one, two = pendant_gains(g.rows)
+        assert (one, two) == pendant_gains_by_matching(g.rows), g.rows
+        seen.update((one >> x & 1) + (two >> x & 1) for x in range(n))
     assert seen == {0, 1, 2}
 
 

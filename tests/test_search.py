@@ -1,4 +1,7 @@
 import itertools
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -308,7 +311,10 @@ def test_leaves_pinned_at_six_and_seven_vertices():
 
 def test_node_counts_at_eight_vertices(monkeypatch):
     # deterministic regression values for nodes and minimality tests
-    # (_canonical calls).  Before the dead-vertex look-ahead, 6,895, 5,334,
+    # (_canonical calls), those of the future-clique sub-searches included.
+    # Before the future-clique look-ahead and the saturated-color skip,
+    # 2,480, 2,389, 7,330, 6,467 and 4,271 nodes and 254, 195, 404, 289
+    # and 234 tests.  Before the dead-vertex look-ahead, 6,895, 5,334,
     # 17,512, 13,947 and 9,008 nodes and 714, 491, 1,046, 728 and 549
     # tests.  The test waits for a surviving child at (0, m), so a rejected
     # K_m prefix's children there are tried first: before that, 5,720,
@@ -324,9 +330,9 @@ def test_node_counts_at_eight_vertices(monkeypatch):
         return real(dfs, m)
 
     monkeypatch.setattr(search._ColoringDFS, "_canonical", counting)
-    for ts, nodes, tested in (((6, 6, 6), 2480, 254), ((5, 5, 5, 5), 2389, 195),
-                              ((6, 6, 4, 3), 7330, 404), ((7, 6, 3, 3), 6467, 289),
-                              ((6, 5, 4, 3), 4271, 234)):
+    for ts, nodes, tested in (((6, 6, 6), 1645, 148), ((5, 5, 5, 5), 849, 92),
+                              ((6, 6, 4, 3), 2931, 198), ((7, 6, 3, 3), 1981, 158),
+                              ((6, 5, 4, 3), 1060, 98)):
         tests.clear()
         out = enumerate_colorings(SearchConfig(8, len(ts), ts))
         assert (out.status, out.nodes, len(tests)) == ("all-succeed", nodes, tested), ts
@@ -334,9 +340,10 @@ def test_node_counts_at_eight_vertices(monkeypatch):
 
 def test_node_counts_at_nine_vertices():
     # verify_upper at the closed-form value 9 of both vectors: every
-    # coloring of K_9 succeeds.  Before the dead-vertex look-ahead, 109,355
-    # and 244,342 nodes
-    for ts, nodes in (((5, 5, 5, 5, 5), 41667), ((6, 6, 6, 4), 73310)):
+    # coloring of K_9 succeeds.  Before the future-clique look-ahead and the
+    # saturated-color skip, 41,667 and 73,310 nodes; before the dead-vertex
+    # look-ahead, 109,355 and 244,342
+    for ts, nodes in (((5, 5, 5, 5, 5), 7641), ((6, 6, 6, 4), 25278)):
         assert closed_form_value(ts)[0] == 9
         stats = SearchStats()
         assert verify_upper(9, ts, stats=stats) is None
@@ -378,6 +385,80 @@ def test_one_pm_order_call_per_node(monkeypatch):
         out = enumerate_colorings(SearchConfig(6, 3, ts))
         assert out.nodes > 0 and len(calls) == out.nodes, ts
         calls.clear()
+
+
+def test_future_clique_verdicts_match_closed_forms():
+    # the look-ahead asks whether every coloring of the bare K_f lifts some
+    # color i by q_i, that is whether R^PM(q) <= f; at the root every order
+    # is 0, so q is the thresholds.  Its sub-searches against the closed
+    # forms on every q with r <= 3 and entries 3..7
+    for r in (1, 2, 3):
+        for q in itertools.combinations_with_replacement(range(7, 2, -1), r):
+            value = closed_form_value(q)[0]
+            for f in range(2, 8):
+                dfs = search._ColoringDFS(SearchConfig(f + 2, r, q), None)
+                assert dfs._future_forced(f, 0) == (f >= value), (f, q)
+
+
+def test_verdicts_match_plain_dfs_up_to_six_vertices(rng):
+    # the look-aheads and the saturated-color skip cut only subtrees whose
+    # every completion succeeds, so the verdict and the least counterexample
+    # are those of the plain DFS
+    for _ in range(60):
+        n = rng.randint(4, 6)
+        r = rng.randint(1, 3)
+        p = tuple(sorted((rng.randint(3, 6) for _ in range(r)), reverse=True))
+        plain = plain_counterexample(n, p)
+        out = enumerate_colorings(SearchConfig(n, r, p))
+        got = out.counterexample and tuple(out.counterexample.color_of(u, v)
+                                           for u, v in colex_edges(n))
+        assert got == plain, (n, p)
+
+
+def test_node_counts_do_not_depend_on_earlier_searches():
+    # sub-search verdicts are kept per search, so a search counts the same
+    # nodes in a fresh interpreter, first here, and after other searches
+    code = ("from ramsey_pm.search import SearchConfig, enumerate_colorings\n"
+            "print(enumerate_colorings(SearchConfig(8, 4, (6, 6, 4, 3))).nodes)")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(search.__file__)))
+    alone = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                           text=True, check=True)
+    cfg = SearchConfig(8, 4, (6, 6, 4, 3))
+    first = enumerate_colorings(cfg).nodes
+    for ts in ((6, 6, 6), (6, 5, 4, 3), (7, 6, 3, 3)):
+        enumerate_colorings(SearchConfig(8, len(ts), ts))
+    assert first == enumerate_colorings(cfg).nodes == int(alone.stdout)
+
+
+def test_node_budget_counts_sub_search_nodes(monkeypatch):
+    # a budget of exactly the nodes of a search whose look-ahead runs
+    # sub-searches suffices, and one less does not
+    subs = []
+    real_init = search._ColoringDFS.__init__
+
+    def init(dfs, config, visitor, forced=None):
+        subs.append(forced is not None)
+        real_init(dfs, config, visitor, forced)
+
+    monkeypatch.setattr(search._ColoringDFS, "__init__", init)
+    cfg = dict(n=8, r=3, thresholds=(6, 6, 6))
+    full = enumerate_colorings(SearchConfig(**cfg))
+    assert full.status == "all-succeed" and any(subs)
+    exact = enumerate_colorings(SearchConfig(**cfg, node_budget=full.nodes))
+    assert exact.status == "all-succeed" and exact.nodes == full.nodes
+    short = enumerate_colorings(SearchConfig(**cfg, node_budget=full.nodes - 1))
+    assert short.status == "budget-exhausted"
+
+
+def test_sub_searches_add_no_leaves_and_no_counterexample():
+    # searches with counterexamples whose look-ahead refutes some sub-search
+    # on a leaf of its own: the search's leaves are the colorings its
+    # visitor got, and its counterexample the first of them
+    for n, ts in ((7, (6, 6, 6)), (7, (6, 6, 4, 3)), (7, (7, 6, 3, 3))):
+        leaves = []
+        out = enumerate_colorings(SearchConfig(n, len(ts), ts), visitor=leaves.append)
+        assert leaves and out.leaves == len(leaves), (n, ts)
+        assert out.counterexample.colors == leaves[0].colors, (n, ts)
 
 
 def test_canonical_extension_check_many_equal_colors():
