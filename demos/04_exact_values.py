@@ -18,8 +18,8 @@ for targets in [(3, 3, 3), (3, 3, 3, 3), (4, 3, 3, 3), (4, 4, 4), (5, 5, 5),
           f"with profile {prof}")
 print()
 
-print("the same values by direct exhaustive search:")
-for targets in [(3, 3, 3), (4, 3, 3, 3), (4, 4, 4), (5, 5)]:
+print("the same values by direct exhaustive search, which runs at every size:")
+for targets in [(3, 3, 3), (4, 3, 3, 3), (4, 4, 4), (5, 5), (5, 5, 5), (6, 6, 6)]:
     res = exact_pm_ramsey(targets, strategy="search")
     print(f"  R_PM{targets} = {res.value}   ({res.method}, "
           f"{res.stats.nodes} search nodes)")

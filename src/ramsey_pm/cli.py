@@ -16,7 +16,7 @@ from .bounds import core_bounds_report, pm_bounds_report, sorted_targets
 from .coloring import EdgeColoring, mono_pm_profile
 from .core_ramsey import BlockCover, exact_core_ramsey
 from .path_matching import deficiency
-from .pm_ramsey import exact_pm_ramsey, find_lower_witness
+from .pm_ramsey import _normalize, _witness_valid, exact_pm_ramsey, find_lower_witness
 from .reproduce import render_report, run_report
 from .results import (DEFAULT_NODE_BUDGET, BudgetExceededError, RamseyResult,
                       RouteDisagreementError)
@@ -94,6 +94,26 @@ def _result_text(res: RamseyResult) -> str:
     return "\n".join(lines)
 
 
+def _cached_result(entry, kind: str, targets: tuple[int, ...]) -> Optional[RamseyResult]:
+    """The cache entry as a result, or None unless it parses and its witness
+    re-validates on value - 1 vertices: every color of the coloring below
+    its target for `pm`, a valid cover with capacities p - 1 for `core`."""
+    try:
+        value, method = int(entry["value"]), str(entry["method"])
+        witness = files.witness_from_json(entry["witness"])
+        if kind == "pm":
+            targets = _normalize(targets)
+            ok = isinstance(witness, EdgeColoring) and _witness_valid(witness, value - 1, targets)
+        else:
+            ok = (isinstance(witness, BlockCover) and witness.n == value - 1
+                  and witness.capacities == tuple(p - 1 for p in targets))
+            if ok:
+                witness.validate()
+    except (AttributeError, KeyError, TypeError, ValueError):
+        return None
+    return RamseyResult(targets, value, method, witness) if ok else None
+
+
 def cmd_exact(args) -> int:
     if args.kind == "core" and args.strategy != "auto":
         raise ValueError("--strategy applies to `exact pm` only; "
@@ -102,29 +122,23 @@ def cmd_exact(args) -> int:
     cache = files.ResultCache(args.cache) if args.cache != "none" else None
     key = files.cache_key("PM" if args.kind == "pm" else "1C", targets)
     # a cached value may come from any route, so it answers only `auto`
-    if cache is not None and not args.no_cache and args.strategy == "auto":
-        hit = cache.get(key)
-        if hit is not None:
-            if args.json:
-                print(json.dumps({"targets": list(targets),
-                                  "value": hit["value"], "method": hit["method"],
-                                  "cached": True}))
-            else:
-                print(f"value: {hit['value']} (cached, {hit['method']})")
-            return EXIT_OK
-    kw = dict(node_budget=args.node_budget, time_budget=args.time_budget)
-    if args.verbose:
-        kw["progress"] = _print_progress
-    if args.kind == "pm":
-        res = exact_pm_ramsey(targets, strategy=args.strategy, **kw)
-    else:
-        res = exact_core_ramsey(targets, **kw)
-    if cache is not None:
-        cache.put(key, res.value, res.method)
+    use_cache = cache is not None and not args.no_cache and args.strategy == "auto"
+    res = _cached_result(cache.get(key), args.kind, targets) if use_cache else None
+    cached = res is not None
+    if not cached:
+        kw = dict(node_budget=args.node_budget, time_budget=args.time_budget)
+        if args.verbose:
+            kw["progress"] = _print_progress
+        if args.kind == "pm":
+            res = exact_pm_ramsey(targets, strategy=args.strategy, **kw)
+        else:
+            res = exact_core_ramsey(targets, **kw)
+        if cache is not None:
+            cache.put(key, res.value, res.method, res.lower_witness)
     if args.json:
-        print(json.dumps(files.result_to_json(res)))
+        print(json.dumps(dict(files.result_to_json(res), **({"cached": True} if cached else {}))))
     else:
-        print(_result_text(res))
+        print(_result_text(res) + ("\ncached: true" if cached else ""))
     return EXIT_OK
 
 

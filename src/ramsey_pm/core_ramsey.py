@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence
 from .bounds import core_upper, covering_lower_eh, covering_lower_schonheim, sorted_targets
 from .coloring import EdgeColoring, coloring_from_edge_colors
 from .graphs import MAX_VERTICES
-from .results import (DEFAULT_NODE_BUDGET, PROOF_SEARCH, RamseyResult,
+from .results import (DEFAULT_NODE_BUDGET, PROOF_SEARCH, PROOF_TABLE, RamseyResult,
                       RouteDisagreementError, SearchMeter, SearchStats, check_budgets)
 
 
@@ -286,7 +286,7 @@ def exact_core_ramsey(targets: Sequence[int], *,
         # in K_2 the single edge already forms a 1-core of order 2; K_1 has
         # no pairs, so empty blocks cover it
         stats.millis = int((time.monotonic() - started) * 1000)
-        return RamseyResult(ts, 2, PROOF_SEARCH, BlockCover(1, caps, (0,) * len(caps)), stats)
+        return RamseyResult(ts, 2, PROOF_TABLE, BlockCover(1, caps, (0,) * len(caps)), stats)
     kw = dict(node_budget=node_budget, time_budget=time_budget, progress=progress)
 
     lo = ts[0] - 1  # one block swallows K_lo, so no search nodes here

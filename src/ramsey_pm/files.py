@@ -42,10 +42,11 @@ def coloring_from_text(text: str) -> EdgeColoring:
     rows = [line.split() for line in text.strip().splitlines() if line.strip()]
     if not rows:
         raise ValueError("empty coloring file")
+    if len(rows[0]) != 2:
+        raise ValueError("line 1: expected the header 'n r'")
     n, r = int(rows[0][0]), int(rows[0][1])
     if len(rows) != max(1, n):
-        if not (n == 1 and len(rows) == 1):
-            raise ValueError(f"expected {n - 1} edge lines, got {len(rows) - 1}")
+        raise ValueError(f"expected {n - 1} edge lines, got {len(rows) - 1}")
     colors = []
     for u in range(n - 1):
         vals = [int(x) for x in rows[u + 1]]
@@ -68,9 +69,10 @@ def graph_from_text(text: str) -> SimpleGraph:
         raise ValueError("empty graph file")
     n = int(rows[0][0])
     edges = []
-    for line in rows[1:]:
-        u, v = int(line[0]), int(line[1])
-        edges.append((u - 1, v - 1))
+    for i, line in enumerate(rows[1:], 2):
+        if len(line) != 2:
+            raise ValueError(f"line {i}: expected an edge 'u v'")
+        edges.append((int(line[0]) - 1, int(line[1]) - 1))
     return SimpleGraph.from_edges(n, edges)
 
 
@@ -154,7 +156,8 @@ def cache_key(kind: str, targets=None, v: int = 0, k: int = 0) -> str:
 class ResultCache:
     """A single JSON document of computed values, replaced atomically.
 
-    Entries map the canonical key to {"value", "method", "created"}.
+    Entries map the canonical key to {"value", "method", "witness",
+    "created"}, the witness in the form of witness_to_json.
     A file that is not a JSON object is never overwritten: the cache warns
     on stderr, then neither answers nor records anything.  Each `put`
     holds an exclusive lock on the sidecar file `<path>.lock` while it
@@ -186,7 +189,7 @@ class ResultCache:
     def get(self, key: str) -> Optional[dict]:
         return self.entries.get(key)
 
-    def put(self, key: str, value: int, method: str) -> None:
+    def put(self, key: str, value: int, method: str, witness=None) -> None:
         if not self.writable:
             return
         directory = os.path.dirname(os.path.abspath(self.path))
@@ -199,6 +202,7 @@ class ResultCache:
             self.entries[key] = {
                 "value": value,
                 "method": method,
+                "witness": witness_to_json(witness),
                 "created": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
             }
             fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ramsey-cache-")

@@ -136,15 +136,17 @@ def _f3_maximise(ts: tuple[int, ...], core_oracle) -> tuple[int, list[tuple[int,
 
 
 def _normalize(raw: Sequence[int]) -> tuple[int, ...]:
-    """Sorted targets with the always-droppable entries (1s) removed."""
-    return tuple(p for p in sorted_targets(raw) if p >= 2)
+    """Sorted targets without their 1s (a bad coloring never uses such a
+    color), unless every target is 1."""
+    ts = sorted_targets(raw)
+    return tuple(p for p in ts if p >= 2) or ts
 
 
 def closed_form_value(ts: tuple[int, ...]) -> Optional[tuple[int, str]]:
     """(value, provenance) where a proven closed form exists, else None.
 
-    ts must be sorted nonincreasing with entries >= 2; entries equal to 2
-    are ignored for the value (they never change it).
+    ts must be sorted nonincreasing; entries at most 2 are ignored for the
+    value (they never change it).
     """
     t = nontrivial_targets(ts)
     r = len(t)
@@ -239,8 +241,6 @@ def find_lower_witness(n: int, targets: Sequence[int], *,
     searches.
     """
     ts = _normalize(targets)
-    if not ts:
-        ts = tuple(targets)
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if n == 1:
@@ -290,18 +290,16 @@ def exact_pm_ramsey(targets: Sequence[int], strategy: str = "auto", *,
     """Exact path-matching Ramsey value of the targets.
 
     strategy:
-      auto      proven closed form if one applies, else the reduction,
-                cross-checked by the other routes when the value is at
-                most _CROSS_CHECK_CAP (4);
       formula   closed form only (raises if none is proven);
       reduction the grid maximum over exact 1-core values;
-      search    scan n upward with exhaustive coloring searches; sizes
-                beyond a fixed cap (7 for two colors, 6 otherwise) fall
-                back to the reduction for the remaining upper step.
+      search    exhaustive coloring searches alone (_search_scan);
+      auto      the closed form if one is proven, else the reduction; a
+                value of at most _CROSS_CHECK_CAP (4) is recomputed by
+                every other route.
 
-    Disagreement between any two completed routes raises
+    Disagreement between two completed routes raises
     RouteDisagreementError: by the reduction identity it can only mean a
-    bug, and both certificates are attached for diagnosis.
+    bug, and both values are attached for diagnosis.
     """
     if strategy not in ("auto", "formula", "reduction", "search"):
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -311,44 +309,31 @@ def exact_pm_ramsey(targets: Sequence[int], strategy: str = "auto", *,
     stats = SearchStats()
     kw = dict(node_budget=node_budget, time_budget=time_budget, progress=progress)
 
-    def reduction_value() -> int:
+    def formula() -> tuple[int, str]:
+        cf = closed_form_value(ts)
+        if cf is None:
+            raise FormulaUnavailableError(f"no proven closed form for targets {ts}")
+        return cf
+
+    def reduction() -> tuple[int, str]:
         value, _ = _f3_maximise(ts, lambda shifted: core_value(shifted, stats=stats, **kw))
-        return value
+        return value, PROOF_F3
 
-    if not ts:  # every target was 1: one edge settles it
-        result = RamseyResult((1,) * len(targets), 2, PROOF_TABLE, None, stats)
-        if want_witness:
-            result.lower_witness = EdgeColoring(1, len(targets), ())
-        result.stats.millis = int((time.monotonic() - started) * 1000)
-        return result
+    def search() -> tuple[int, str]:
+        return _search_scan(ts, stats, kw)
 
-    method: str
-    if strategy == "formula":
-        cf = closed_form_value(ts)
-        if cf is None:
-            raise FormulaUnavailableError(
-                f"no proven closed form for targets {ts}")
-        value, method = cf
-    elif strategy == "reduction":
-        value, method = reduction_value(), PROOF_F3
-    elif strategy == "search":
-        value, method = _search_scan(ts, stats, kw, reduction_value)
-    else:  # auto
-        cf = closed_form_value(ts)
-        if cf is None:
-            value, method = reduction_value(), PROOF_F3
-        else:
-            value, method = cf
-            if value <= _CROSS_CHECK_CAP and (red := reduction_value()) != value:
-                raise RouteDisagreementError(
-                    f"closed form {value} disagrees with reduction {red} on {ts}",
-                    {"targets": ts, "closed-form": value, "reduction": red})
+    routes = {"formula": formula, "reduction": reduction, "search": search}
+    if strategy == "auto":
+        own = "formula" if closed_form_value(ts) is not None else "reduction"
+        value, method = routes[own]()
         if value <= _CROSS_CHECK_CAP:
-            sv, _ = _search_scan(ts, stats, kw, reduction_value)
-            if sv != value:
-                raise RouteDisagreementError(
-                    f"search {sv} disagrees with {method} {value} on {ts}",
-                    {"targets": ts, "search": sv, method: value})
+            for name in ("reduction", "search"):
+                if name != own and (other := routes[name]()[0]) != value:
+                    raise RouteDisagreementError(
+                        f"{name} {other} disagrees with {method} {value} on {ts}",
+                        {"targets": ts, method: value, name: other})
+    else:
+        value, method = routes[strategy]()
 
     result = RamseyResult(ts, value, method, None, stats)
     if want_witness:
@@ -364,22 +349,18 @@ def exact_pm_ramsey(targets: Sequence[int], strategy: str = "auto", *,
     return result
 
 
-def _search_scan(ts: tuple[int, ...], stats: SearchStats, kw: dict,
-                 reduction_value) -> tuple[int, str]:
-    """Scan n upward with exhaustive searches; (value, provenance)."""
-    if len(ts) == 1:
-        return ts[0], PROOF_CLOSED
-    cap = 7 if len(ts) == 2 else 6
+def _search_scan(ts: tuple[int, ...], stats: SearchStats, kw: dict) -> tuple[int, str]:
+    """(value, provenance) by exhaustive coloring searches alone.
+
+    One color is its closed form.  Otherwise n runs up from max(2,
+    pm_lowers) while verify_upper finds a counterexample on K_n.  There is
+    no size cap: a search that runs out of its budgets in kw raises
+    BudgetExceededError, and for vectors too big to search the reduction
+    is the route.
+    """
+    if len(ts) < 2:
+        return closed_form_value(ts)
     n = max(2, *pm_lowers(ts))
-    while True:
-        if n > cap:
-            value = reduction_value()
-            if value < n:
-                raise RouteDisagreementError(
-                    f"reduction value {value} below search lower bound {n} on {ts}",
-                    {"targets": ts, "reduction": value, "search-lower": n})
-            return value, PROOF_F3
-        cex = verify_upper(n, ts, stats=stats, **kw)
-        if cex is None:
-            return n, PROOF_SEARCH
+    while verify_upper(n, ts, stats=stats, **kw) is not None:
         n += 1
+    return n, PROOF_SEARCH

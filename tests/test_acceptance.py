@@ -88,10 +88,8 @@ def test_criterion_04_reduction_identity_at_desk_scale():
         search = exact_pm_ramsey(tv, strategy="search", want_witness=False)
         red = f_d(tv, 3, core_value)
         assert search.value == red, (tv, search.value, red)
-        # the route searches up to n = 7 for two colors and n = 6 otherwise,
-        # and hands the upper step beyond that to the reduction
-        cap = 7 if len(tv) == 2 else 6
-        assert (search.method == "exhaustive-search") == (1 < len(tv) and red <= cap), tv
+        # with two or more colors the route decides every size by search
+        assert (search.method == "exhaustive-search") == (len(tv) > 1), tv
         if len(tv) > 1:
             assert verify_upper(red - 1, tv) is not None and verify_upper(red, tv) is None, tv
     _report("4", f"search == f3 over exact 1-core on {len(vectors)} vectors")

@@ -330,3 +330,76 @@ def test_env_var_cache_path(monkeypatch, tmp_path):
     target = str(tmp_path / "envcache.json")
     monkeypatch.setenv("RAMSEY_PM_CACHE", target)
     assert files.default_cache_path() == target
+
+
+def test_short_line_in_a_text_file_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "g.graph"
+    path.write_text("3\n1 2\n3\n")
+    assert main(["deficiency", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error: line 3" in captured.err
+    with pytest.raises(ValueError, match="line 1"):
+        files.coloring_from_text("3\n1 1\n1\n")
+
+
+def test_cache_entry_without_a_valid_witness_is_recomputed(tmp_path, capsys):
+    # (4,4,4) has the values 6 (pm) and 5 (core); no entry below may answer
+    mono_k8 = {"type": "coloring", "n": 8, "r": 3, "rows": [[1] * (7 - u) for u in range(7)]}
+    bare_k8 = {"type": "cover", "n": 8, "capacities": [3, 3, 3], "blocks": [[], [], []]}
+    path = tmp_path / "cache.json"
+    for kind, entry in (("pm", 5), ("pm", {"value": 9, "method": "closed-form"}),
+                        ("pm", {"value": 9, "method": "closed-form", "witness": mono_k8}),
+                        ("core", {"value": 9, "method": "exhaustive-search",
+                                  "witness": bare_k8})):
+        key, want = ("PM:4,4,4", 6) if kind == "pm" else ("1C:4,4,4", 5)
+        path.write_text(json.dumps({key: entry}))
+        assert main(["exact", kind, "--targets", "4,4,4", "--cache", str(path), "--json"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["value"] == want and "cached" not in out, entry
+        stored = json.loads(path.read_text())[key]
+        assert stored["value"] == want and stored["witness"] == out["witness"], entry
+
+
+def test_cache_hit_carries_its_witness(tmp_path, capsys):
+    path = str(tmp_path / "cache.json")
+    for kind, targets, value in (("pm", "5,5,5", 7), ("core", "4,4,4", 5)):
+        exact = ["exact", kind, "--targets", targets, "--cache", path, "--json"]
+        assert main(exact) == 0
+        fresh = json.loads(capsys.readouterr().out)
+        assert main(exact) == 0
+        hit = json.loads(capsys.readouterr().out)
+        assert hit["cached"] is True and hit["value"] == value, kind
+        assert hit["witness"] == fresh["witness"] and hit["witness"]["n"] == value - 1, kind
+
+
+def test_auto_disagreement_exits_3(monkeypatch, capsys):
+    real = pm_ramsey.closed_form_value
+    monkeypatch.setattr(pm_ramsey, "closed_form_value",
+                        lambda ts: (3, "closed-form") if ts == (3, 3, 3) else real(ts))
+    assert main(["exact", "pm", "--targets", "3,3,3", "--cache", "none"]) == 3
+    assert '"reduction": 4' in capsys.readouterr().err
+
+
+def test_search_route_out_of_budget_exits_2(capsys):
+    # the search route searches at every size; it never hands over to the
+    # reduction, whose value 16 it would otherwise print
+    assert main(["exact", "pm", "--targets", "6*10", "--strategy", "search",
+                 "--node-budget", "2000", "--cache", "none"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "budget exhausted" in captured.err
+
+
+def test_exact_core_trivial_targets_are_a_table_value(capsys):
+    # targets of at most 2 need no search, so the method says so
+    assert exact_core_ramsey((2, 2)).method == "table"
+    assert main(["exact", "core", "--targets", "2,2", "--cache", "none", "--json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["value"], out["method"], out["stats"]["nodes"]) == (2, "table", 0)
+
+
+def test_all_ones_targets_under_auto(capsys):
+    for targets, r in (("1", 1), ("1,1,1", 3)):
+        assert main(["exact", "pm", "--targets", targets, "--cache", "none", "--json"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert (out["value"], out["method"]) == (2, "table"), targets
+        assert (out["witness"]["n"], out["witness"]["r"]) == (1, r), targets

@@ -10,7 +10,7 @@ from ramsey_pm.pm_ramsey import (_core_result, _cover_as_coloring_for,
                                  _f3_maximise, _normalize, clear_core_cache, core_value,
                                  exact_pm_ramsey, f_d, find_lower_witness,
                                  verify_upper)
-from ramsey_pm.results import FormulaUnavailableError
+from ramsey_pm.results import FormulaUnavailableError, RouteDisagreementError
 
 
 def _shifted(tv, xs):
@@ -270,3 +270,43 @@ def test_unknown_strategy_rejected_before_the_trivial_case():
     for tv in ((1, 1), (5, 5)):
         with pytest.raises(ValueError, match="unknown strategy"):
             exact_pm_ramsey(tv, strategy="bogus")
+
+
+def test_auto_cross_check_catches_a_wrong_closed_form(monkeypatch):
+    # a closed form one below the true value 4 of (3,3,3) is refuted by the
+    # reduction, the first other route auto runs
+    from ramsey_pm import pm_ramsey
+    real = pm_ramsey.closed_form_value
+    monkeypatch.setattr(pm_ramsey, "closed_form_value",
+                        lambda ts: (3, "closed-form") if ts == (3, 3, 3) else real(ts))
+    with pytest.raises(RouteDisagreementError) as err:
+        exact_pm_ramsey((3, 3, 3))
+    assert err.value.details == {"targets": (3, 3, 3), "closed-form": 3, "reduction": 4}
+
+
+def test_auto_cross_check_catches_a_search_that_stops_early(monkeypatch):
+    from ramsey_pm import pm_ramsey
+    real = pm_ramsey._search_scan
+
+    def early(ts, stats, kw):
+        value, method = real(ts, stats, kw)
+        return value - 1, method
+
+    monkeypatch.setattr(pm_ramsey, "_search_scan", early)
+    with pytest.raises(RouteDisagreementError) as err:
+        exact_pm_ramsey((3, 3, 3))
+    assert err.value.details == {"targets": (3, 3, 3), "closed-form": 4, "search": 3}
+
+
+def test_search_route_runs_alone(monkeypatch):
+    # the search route never asks for a 1-core value, at any size
+    from ramsey_pm import pm_ramsey
+
+    def no_reduction(*args, **kw):
+        raise AssertionError("the search route called the reduction")
+
+    monkeypatch.setattr(pm_ramsey, "core_value", no_reduction)
+    for tv, want in {(5, 5, 5): 7, (6, 6, 6): 8, (5, 5, 5, 5): 8, (10, 10): 13}.items():
+        res = exact_pm_ramsey(tv, "search", want_witness=False)
+        assert (res.value, res.method) == (want, "exhaustive-search"), tv
+        assert res.stats.nodes > 0, tv
