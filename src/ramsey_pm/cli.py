@@ -169,7 +169,8 @@ def cmd_witness(args) -> int:
     if args.kind == "pm":
         witness = find_lower_witness(args.n, targets, **kw)
         if witness is None:
-            print(f"no bad coloring of K_{args.n} found", file=sys.stderr)
+            value = exact_pm_ramsey(targets, want_witness=False, **kw).value
+            print(f"no bad coloring of K_{args.n} exists: the value is {value}", file=sys.stderr)
             return EXIT_USAGE
         payload = files.coloring_to_text(witness)
         summary = (f"coloring of K_{witness.n}, "

@@ -154,7 +154,7 @@ def cache_key(kind: str, targets=None, v: int = 0, k: int = 0) -> str:
 
 
 class ResultCache:
-    """A single JSON document of computed values, replaced atomically.
+    """A single JSON document of computed values on one line, replaced atomically.
 
     Entries map the canonical key to {"value", "method", "witness",
     "created"}, the witness in the form of witness_to_json.
@@ -208,7 +208,7 @@ class ResultCache:
             fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ramsey-cache-")
             try:
                 with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                    json.dump(self.entries, fh, indent=1, sort_keys=True)
+                    json.dump(self.entries, fh, separators=(",", ":"), sort_keys=True)
                 os.replace(tmp, self.path)
             except BaseException:
                 if os.path.exists(tmp):

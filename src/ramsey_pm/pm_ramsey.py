@@ -16,6 +16,8 @@ Closed forms are trusted only where proven: two colors, three or four
 colors (with their small exceptional cases), uniform targets 3, 4 and 5,
 and the standard formula above its threshold.  Anything else goes through
 the reduction.  Disagreement between completed routes is a fatal error.
+The lower witness of every value is built, never searched for (_witness):
+the layered extremal coloring or a lift at a maximiser of the f^3 grid.
 """
 
 from __future__ import annotations
@@ -26,8 +28,10 @@ from typing import Optional, Sequence
 
 from .bounds import (ceil_div, ceil_third, core_upper, nontrivial_targets, pm_all3, pm_lowers,
                      pm_standard_value, sorted_targets, standard_formula)
-from .coloring import EdgeColoring, core_lift_coloring, mono_pm_profile, pm_extremal_coloring
+from .coloring import (EdgeColoring, coloring_from_edge_colors, core_lift_coloring,
+                       mono_pm_profile, pm_extremal_coloring)
 from .core_ramsey import BlockCover, cover_to_coloring, exact_core_ramsey
+from .graphs import MAX_VERTICES
 from .results import (DEFAULT_NODE_BUDGET, PROOF_CLOSED, PROOF_F3, PROOF_SEARCH, PROOF_TABLE,
                       BudgetExceededError, FormulaUnavailableError, RamseyResult,
                       RouteDisagreementError, SearchStats)
@@ -183,11 +187,6 @@ def verify_upper(n: int, targets: Sequence[int], *,
     """A coloring of K_n whose color-i path-matchings all stay below p_i,
     or None when every coloring meets some threshold."""
     ts = tuple(targets)
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    if n == 1:
-        # K_1 has no edges at all, so it is always a counterexample
-        return EdgeColoring(1, len(ts), ())
     cfg = SearchConfig(n, len(ts), ts, node_budget=node_budget,
                        time_budget=time_budget, progress=progress)
     outcome = enumerate_colorings(cfg)
@@ -225,61 +224,58 @@ def _cover_as_coloring_for(ts_shifted: Sequence[int], cover: BlockCover) -> Edge
                                         tuple(blocks)))
 
 
+def _witness(ts: tuple[int, ...], value: int, kw: dict) -> Optional[EdgeColoring]:
+    """A bad coloring of K_{value-1} from the value's own construction, or
+    None when no candidate re-validates.
+
+    Value 2 is K_1.  Otherwise the layered extremal coloring, else the lift
+    (core_lift_coloring) of the 1-core witness at each maximising point of
+    the f^3 grid, blocks X_i of size x_i; the first candidate whose
+    per-color profile stays below the targets is returned.  There is no
+    search of colorings: kw (budgets, stats, progress) reaches only the
+    1-core solves of grid points that the value's own route did not solve.
+    """
+    n = value - 1
+    if n > MAX_VERTICES:
+        raise ValueError(f"no witness for {ts}: K_{n} has more than {MAX_VERTICES} vertices")
+    if n == 1:
+        return EdgeColoring(1, len(ts), ())
+    ext = pm_extremal_coloring(ts)
+    if _witness_valid(ext, n, ts):
+        return ext
+    for xs in _f3_maximise(ts, lambda shifted: core_value(shifted, **kw))[1]:
+        shifted = tuple(p - 3 * x for p, x in zip(ts, xs))
+        cover = _core_result(shifted, **kw).lower_witness
+        lifted = core_lift_coloring(_cover_as_coloring_for(shifted, cover), xs)
+        if _witness_valid(lifted, n, ts):
+            return lifted
+    return None
+
+
 def find_lower_witness(n: int, targets: Sequence[int], *,
                        node_budget: int = DEFAULT_NODE_BUDGET,
                        time_budget: Optional[float] = None,
                        stats: Optional[SearchStats] = None,
                        progress=None) -> Optional[EdgeColoring]:
-    """A coloring of K_n with every color-i path-matching below p_i.
+    """A coloring of K_n with every color-i path-matching below p_i, or
+    None when there is none.
 
-    Tries, in order: the layered extremal coloring; the design-style lift
-    with x_i = ceil(p_i/3) - 1 over a small 1-core witness; lifts over the
-    maximizing grid points the pruned reduction solved; exhaustive search.
-    Every candidate is validated against its per-color profile before
-    being returned.  Search nodes of fresh 1-core solves and of the last
-    resort are added to stats, and the progress hook reaches their
-    searches.
+    exact_pm_ramsey (auto) gives the value v with its witness on K_{v-1}.
+    For n >= v the route that fixed v proves that every coloring of K_n
+    succeeds; below v the answer is the witness on its first n vertices,
+    which is bad because a subgraph has no larger path-matching.  The
+    nodes of that computation are added to stats, and the budgets and the
+    progress hook reach its searches.
     """
-    ts = _normalize(targets)
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    if n == 1:
-        return EdgeColoring(1, len(ts), ())
-
-    # layered extremal coloring
-    try:
-        ext = pm_extremal_coloring(ts)
-        if _witness_valid(ext, n, ts):
-            return ext
-    except ValueError:
-        pass
-
-    kw = dict(node_budget=node_budget, time_budget=time_budget, stats=stats,
-              progress=progress)
-
-    def shift_vectors():
-        # the design-style lift shifts everything to its residue core; the
-        # grid is maximised only if that lift fails
-        yield tuple(ceil_third(p) - 1 for p in ts)
-        yield from _f3_maximise(ts, lambda shifted: core_value(shifted, **kw))[1]
-
-    for xs in shift_vectors():
-        shifted = tuple(p - 3 * x for p, x in zip(ts, xs))
-        core = _core_result(shifted, **kw)
-        if core.value - 1 + sum(xs) != n or not isinstance(core.lower_witness, BlockCover):
-            continue
-        try:
-            lifted = core_lift_coloring(_cover_as_coloring_for(shifted, core.lower_witness), xs)
-        except ValueError:
-            continue
-        if _witness_valid(lifted, n, ts):
-            return lifted
-
-    # last resort: search for any bad coloring directly
-    cex = verify_upper(n, ts, **kw)
-    if cex is not None and _witness_valid(cex, n, ts):
-        return cex
-    return None
+    res = exact_pm_ramsey(targets, node_budget=node_budget, time_budget=time_budget,
+                          progress=progress)
+    if stats is not None:
+        stats.nodes += res.stats.nodes
+    if n >= res.value:
+        return None
+    return coloring_from_edge_colors(n, len(res.targets), res.lower_witness.color_of)
 
 
 def exact_pm_ramsey(targets: Sequence[int], strategy: str = "auto", *,
@@ -299,7 +295,9 @@ def exact_pm_ramsey(targets: Sequence[int], strategy: str = "auto", *,
 
     Disagreement between two completed routes raises
     RouteDisagreementError: by the reduction identity it can only mean a
-    bug, and both values are attached for diagnosis.
+    bug, and both values are attached for diagnosis.  With want_witness
+    the result carries _witness's bad coloring of K_{value-1}, whatever the
+    route; none that re-validates raises RouteDisagreementError too.
     """
     if strategy not in ("auto", "formula", "reduction", "search"):
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -337,14 +335,12 @@ def exact_pm_ramsey(targets: Sequence[int], strategy: str = "auto", *,
 
     result = RamseyResult(ts, value, method, None, stats)
     if want_witness:
-        witness = (find_lower_witness(value - 1, ts, stats=stats, **kw)
-                   if value >= 2 else None)
-        if witness is None and value > 2:
+        result.lower_witness = _witness(ts, value, dict(kw, stats=stats))
+        if result.lower_witness is None:
             raise RouteDisagreementError(
                 f"no witness coloring found on {value - 1} vertices for {ts}; "
                 "the lower bound certificate is missing",
                 {"targets": ts, "value": value})
-        result.lower_witness = witness
     result.stats.millis = int((time.monotonic() - started) * 1000)
     return result
 

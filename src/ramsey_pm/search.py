@@ -99,6 +99,8 @@ class SearchConfig:
     progress: Optional[Callable[[dict], None]] = None
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ValueError(f"need n >= 1, got {self.n}")
         if len(self.thresholds) != self.r:
             raise ValueError("one threshold per color required")
         if any(p < 1 for p in self.thresholds):
@@ -415,8 +417,6 @@ def enumerate_colorings(config: SearchConfig,
     n).  A visitor may return True to stop early.
     """
     started = time.monotonic()
-    if config.n < 2:
-        raise ValueError("need n >= 2")
     dfs = _ColoringDFS(config, visitor)
     try:
         dfs.run(0)

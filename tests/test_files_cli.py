@@ -80,6 +80,18 @@ def test_cache_roundtrip(tmp_path):
     assert reloaded.get("PM:9,9") is None
 
 
+def test_cache_file_is_one_compact_line(tmp_path, capsys):
+    path = tmp_path / "cache.json"
+    assert main(["exact", "pm", "--targets", "6*10", "--cache", str(path)]) == 0
+    capsys.readouterr()
+    cache = files.ResultCache(str(path))
+    cache.put("C:9/5", 5, "exhaustive-search")
+    text = path.read_text()
+    assert len(text.splitlines()) == 1 and ", " not in text and ": " not in text
+    assert files.ResultCache(str(path)).entries == cache.entries
+    assert set(cache.entries) == {"PM:6,6,6,6,6,6,6,6,6,6", "C:9/5"}
+
+
 def test_cache_keeps_entries_of_another_instance(tmp_path, capsys):
     # two CLI processes hold their own ResultCache on one file
     path = str(tmp_path / "cache.json")
@@ -263,17 +275,52 @@ def test_cli_exact_pm_beyond_24_vertices(capsys):
     assert json.loads(capsys.readouterr().out)["value"] == 26
 
 
-def test_witness_search_budget_exits_2(monkeypatch, capsys):
-    # reject every constructed witness so the search falls through to the
-    # exhaustive last resort, which then runs out of budget
-    def exhausted(n, targets, **kw):
-        raise BudgetExceededError(f"upper verification at n={n} exhausted its budget")
+def test_rejected_witness_exits_3_without_a_coloring_search(monkeypatch, capsys):
+    # a value whose constructed witnesses all fail re-validation has no
+    # lower certificate; nothing falls back to searching colorings
+    def no_search(*args, **kw):
+        raise AssertionError("a coloring search ran")
     monkeypatch.setattr(pm_ramsey, "_witness_valid", lambda col, n, ts: False)
-    monkeypatch.setattr(pm_ramsey, "verify_upper", exhausted)
-    with pytest.raises(BudgetExceededError):
+    monkeypatch.setattr(pm_ramsey, "verify_upper", no_search)
+    monkeypatch.setattr(pm_ramsey, "enumerate_colorings", no_search)
+    with pytest.raises(RouteDisagreementError) as err:
         exact_pm_ramsey((5, 5, 5))
-    assert main(["exact", "pm", "--targets", "5,5,5", "--cache", "none"]) == 2
+    assert err.value.details == {"targets": (5, 5, 5), "value": 7}
+    assert main(["exact", "pm", "--targets", "5,5,5", "--cache", "none"]) == 3
     capsys.readouterr()
+
+
+def test_witness_above_the_vertex_limit_exits_1(capsys):
+    # the closed forms give 133 and 66 at once; no witness search starts
+    for targets, k in (("100,100", "K_132"), ("66,3", "K_65")):
+        assert main(["exact", "pm", "--targets", targets, "--cache", "none"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "", targets
+        assert k in captured.err and "64" in captured.err, (targets, captured.err)
+
+
+def test_cli_witness_at_the_value_names_it(capsys):
+    for n in ("7", "9"):
+        assert main(["witness", "pm", "--targets", "5,5,5", "-n", n]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"no bad coloring of K_{n} exists: the value is 7" in captured.err
+
+
+def test_perfbench_boundaries_exist():
+    # perfbench/tracer.py wraps these (module, attribute) pairs; a missing
+    # one breaks `perfbench/run.py --self-check`
+    import ast
+    import importlib
+    tracer = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracer.py")
+    with open(tracer, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    pairs = [pair for node in tree.body if isinstance(node, ast.Assign)
+             and node.targets[0].id in ("BOUNDARIES", "HOT_BOUNDARIES")
+             for pair in ast.literal_eval(node.value)]
+    assert len(pairs) >= 8
+    for module, attr in pairs:
+        assert hasattr(importlib.import_module(f"ramsey_pm.{module}"), attr), (module, attr)
 
 
 def test_core_scan_past_bound_exits_3(monkeypatch, capsys):

@@ -68,7 +68,8 @@ def test_every_maximising_grid_point_lifts_to_a_witness(rng):
 
 
 def test_stats_count_every_cover_node(monkeypatch):
-    # the witness lift solves 1-cores the pruned reduction never did
+    # every cover search under the call, the reduction's and any the
+    # witness lift needs, is counted in the result's nodes
     counted = []
     real = core_ramsey.cover_feasible_with_stats
 
@@ -260,6 +261,8 @@ def test_witness_step_passes_the_progress_hook(monkeypatch):
     clear_core_cache()
     try:
         assert exact_pm_ramsey((6,) * 8, "reduction", progress=hook).value == 14
+        # a closed-form value whose witness lifts a fresh 1-core solve
+        assert exact_pm_ramsey((3,) * 6, progress=hook).value == 5
     finally:
         clear_core_cache()
     assert seen and all(h is hook for _, h in seen), seen
@@ -310,3 +313,60 @@ def test_search_route_runs_alone(monkeypatch):
         res = exact_pm_ramsey(tv, "search", want_witness=False)
         assert (res.value, res.method) == (want, "exhaustive-search"), tv
         assert res.stats.nodes > 0, tv
+
+
+def test_find_lower_witness_agrees_with_the_coloring_search(rng):
+    # the restricted witness exists exactly where the search finds a bad
+    # coloring, on every n from K_1 to one past the value
+    vectors = [(3, 3, 3), (5, 5, 5), (4, 3, 3, 3), (1, 1), (2, 2, 2)]
+    while len(vectors) < 60:
+        r = rng.randint(1, 4)
+        vectors.append(tuple(rng.randint(1, 7) for _ in range(r)))
+    for tv in vectors:
+        ts = _normalize(tv)
+        value = exact_pm_ramsey(tv, want_witness=False).value
+        for n in range(1, min(value + 1, 7) + 1):
+            col = find_lower_witness(n, tv)
+            assert (col is None) == (verify_upper(n, ts) is None), (tv, n)
+            if col is not None:
+                assert (col.n, col.r) == (n, len(ts)), (tv, n)
+                assert all(q < p for q, p in zip(mono_pm_profile(col), ts)), (tv, n)
+
+
+def test_find_lower_witness_runs_no_coloring_search(monkeypatch):
+    # values above 4, so auto runs no cross-check: the answer at and above
+    # the value, and the witness below it, come from the value's own route
+    from ramsey_pm import pm_ramsey
+
+    def no_search(*args, **kw):
+        raise AssertionError("a coloring search ran")
+
+    monkeypatch.setattr(pm_ramsey, "verify_upper", no_search)
+    monkeypatch.setattr(pm_ramsey, "enumerate_colorings", no_search)
+    for tv, value in {(5, 5, 5): 7, (3,) * 6: 5, (6,) * 8: 14, (6,) * 10: 16}.items():
+        assert find_lower_witness(value, tv) is None, tv
+        assert find_lower_witness(value + 3, tv) is None, tv
+        assert find_lower_witness(value - 1, tv).n == value - 1, tv
+
+
+def test_witness_adds_no_nodes():
+    # the witness lifts 1-cores the reduction already solved
+    for tv in [(6,) * 10, (6,) * 7 + (3, 3), (6,) * 8, (6,) * 6 + (4, 4)]:
+        clear_core_cache()
+        bare = exact_pm_ramsey(tv, want_witness=False).stats.nodes
+        clear_core_cache()
+        res = exact_pm_ramsey(tv)
+        assert res.stats.nodes == bare > 0, tv
+        assert res.lower_witness.n == res.value - 1, tv
+
+
+def test_every_witness_valid_on_the_small_box():
+    # r <= 4 with entries 1..7: 329 vectors
+    vectors = [tv for r in range(1, 5)
+               for tv in combinations_with_replacement(range(7, 0, -1), r)]
+    assert len(vectors) == 329
+    for tv in vectors:
+        res = exact_pm_ramsey(tv)
+        col = res.lower_witness
+        assert (col.n, col.r) == (res.value - 1, len(res.targets)), tv
+        assert all(q < p for q, p in zip(mono_pm_profile(col), res.targets)), tv

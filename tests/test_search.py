@@ -152,6 +152,17 @@ def test_non_positive_thresholds_rejected():
             SearchConfig(4, 2, ts)
 
 
+def test_k1_is_a_leaf_and_k0_is_rejected():
+    # K_1 has no edge, so the root is a leaf: the empty coloring is bad
+    out = enumerate_colorings(SearchConfig(1, 2, (3, 3)))
+    assert out.status == search.COUNTEREXAMPLE
+    assert (out.nodes, out.leaves) == (0, 1)
+    assert (out.counterexample.n, out.counterexample.r) == (1, 2)
+    for n in (0, -4):
+        with pytest.raises(ValueError, match=f"need n >= 1, got {n}"):
+            SearchConfig(n, 2, (3, 3))
+
+
 def test_many_equal_colors_truncated_maps_stay_sound():
     # twelve interchangeable colors: the color map is grown lazily, so
     # their 12! permutations are never listed; the verdict must match reality
