@@ -38,45 +38,46 @@ success pruning and the look-aheads aside, so it accepts exactly the prefixes th
 (recurses past, or visits as a leaf).
 """
 
-from ramsey_pm import (SearchConfig, canonical_extension_check,
+import time
+
+from ramsey_pm import (BudgetExceededError, canonical_extension_check,
                        enumerate_colorings, mono_pm_profile)
 
-cfg = SearchConfig(7, 3, (5, 5, 5))
-out = enumerate_colorings(cfg)
-print(f"targets (5,5,5) on K_7: {out.status} after only {out.nodes} nodes")
+out = enumerate_colorings(7, (5, 5, 5))
+verdict = "every coloring succeeds" if out.counterexample is None else "counterexample"
+print(f"targets (5,5,5) on K_7: {verdict} after only {out.nodes} nodes")
 print("  (3^21 colorings exist; the prunes leave almost nothing to visit)")
 print()
 
-out6 = enumerate_colorings(SearchConfig(6, 3, (5, 5, 5)))
-print(f"the same targets on K_6: {out6.status}")
+out6 = enumerate_colorings(6, (5, 5, 5))
+print(f"the same targets on K_6: counterexample after {out6.nodes} nodes")
 print(f"  witness profile: {mono_pm_profile(out6.counterexample)}")
 print()
 
 print("the first-use rule in action (equal thresholds):")
-cfg4 = SearchConfig(4, 3, (4, 4, 4))
-print(f"  prefix [1]       canonical? {canonical_extension_check([1], cfg4)}")
-print(f"  prefix [2]       canonical? {canonical_extension_check([2], cfg4)}")
-print(f"  prefix [1,2,2]   canonical? {canonical_extension_check([1, 2, 2], cfg4)}")
-print(f"  prefix [1,1,3]   canonical? {canonical_extension_check([1, 1, 3], cfg4)}")
+for prefix in ([1], [2], [1, 2, 2], [1, 1, 3]):
+    print(f"  prefix {str(prefix):<12} canonical? "
+          f"{canonical_extension_check(prefix, 4, (4, 4, 4))}")
 print()
 
 print("unequal thresholds freeze the color order, so color 2 may lead:")
-cfg_uneq = SearchConfig(4, 2, (5, 3))
-print(f"  prefix [2]       canonical? {canonical_extension_check([2], cfg_uneq)}")
+print(f"  prefix {'[2]':<12} canonical? {canonical_extension_check([2], 4, (5, 3))}")
 print()
 
 print("progress reporting on a long run: no color reaches 8 on K_7, so")
 print("nothing is pruned as a success, and the visitor never stops the")
-print("search, which ends at its 1.5 s time budget:")
-snapshots = []  # the hook fires at most once a second
-cfg_big = SearchConfig(7, 3, (8, 8, 8), time_budget=1.5,
-                       progress=snapshots.append)
-out_big = enumerate_colorings(cfg_big, visitor=lambda col: False)
-for snap in snapshots:
-    rate = snap["nodes"] / max(snap["elapsed"], 1e-9)
-    print(f"  {snap['nodes']:>6} nodes, {snap['leaves']:>4} colorings "
-          f"visited, {rate:,.0f} nodes/s")
-rate = out_big.nodes / max(out_big.millis / 1000, 1e-3)
-print(f"  outcome: {out_big.status} after {out_big.nodes} nodes, "
-      f"{out_big.leaves} colorings visited, {rate:,.0f} nodes/s")
+print("search, which runs out of its 1.5 s time budget:")
+snapshots, visited = [], []  # the hook fires at most once a second
+started = time.monotonic()
+try:
+    enumerate_colorings(7, (8, 8, 8), visited.append, time_budget=1.5,
+                        progress=snapshots.append)
+except BudgetExceededError as err:
+    elapsed = time.monotonic() - started
+    for snap in snapshots:
+        rate = snap["nodes"] / max(snap["elapsed"], 1e-9)
+        print(f"  {snap['nodes']:>6} nodes, {snap['leaves']:>4} colorings "
+              f"visited, {rate:,.0f} nodes/s")
+    print(f"  outcome: {err} after {err.nodes} nodes, {len(visited)} colorings "
+          f"visited, {err.nodes / elapsed:,.0f} nodes/s")
 print(f"  progress reports: {len(snapshots)} (at most one a second)")

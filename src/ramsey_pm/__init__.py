@@ -18,22 +18,21 @@ from .coloring import (EdgeColoring, core_lift_coloring,
                        pm_extremal_coloring)
 from .core_ramsey import (BlockCover, cover_feasible, cover_to_coloring,
                           covering_number, exact_core_ramsey)
-from .graphs import SimpleGraph, complete_graph, induced, isolated_count
+from .graphs import SimpleGraph, complete_graph
 from .path_matching import (DeficiencyCertificate, deficiency, has_perfect_pm,
                             max_pm_order, packing_oracle)
 from .pm_ramsey import (clear_core_cache, exact_pm_ramsey, f_d,
                         find_lower_witness, verify_upper)
 from .results import (BudgetExceededError, FormulaUnavailableError,
                       RamseyResult, RouteDisagreementError, SearchStats)
-from .search import (SearchConfig, SearchOutcome, canonical_extension_check,
-                     enumerate_colorings)
+from .search import SearchOutcome, canonical_extension_check, enumerate_colorings
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BlockCover", "BoundsReport", "BudgetExceededError", "DeficiencyCertificate",
     "EdgeColoring", "FormulaUnavailableError", "RamseyResult",
-    "RouteDisagreementError", "SearchConfig", "SearchOutcome", "SearchStats",
+    "RouteDisagreementError", "SearchOutcome", "SearchStats",
     "SimpleGraph",
     "canonical_extension_check", "ceil_div", "clear_core_cache",
     "cockayne_lorimer", "complete_graph", "core_bounds_report",
@@ -41,8 +40,8 @@ __all__ = [
     "core_upper_main", "cover_feasible", "cover_to_coloring", "covering_lower_eh",
     "covering_lower_schonheim", "covering_number", "deficiency",
     "diagonal_guarantee", "enumerate_colorings", "exact_core_ramsey",
-    "exact_pm_ramsey", "f_d", "find_lower_witness", "has_perfect_pm", "induced",
-    "isolated_count", "layered_coloring", "max_pm_order", "mono_core_profile",
+    "exact_pm_ramsey", "f_d", "find_lower_witness", "has_perfect_pm",
+    "layered_coloring", "max_pm_order", "mono_core_profile",
     "mono_pm_profile", "packing_oracle", "pm_all3",
     "pm_bounds_report", "pm_extremal_coloring", "pm_lowers", "pm_standard_value",
     "pm_upper", "sorted_targets", "techfact_holds", "verify_upper",

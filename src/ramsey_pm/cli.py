@@ -164,6 +164,8 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_witness(args) -> int:
+    if args.n < 1:
+        raise ValueError(f"need n >= 1, got {args.n}")
     targets = parse_targets(args.targets)
     kw = dict(node_budget=args.node_budget, time_budget=args.time_budget)
     if args.kind == "pm":
@@ -177,11 +179,13 @@ def cmd_witness(args) -> int:
                    f"pm profile {mono_pm_profile(witness)}")
     else:
         res = exact_core_ramsey(targets, **kw)
-        cover = res.lower_witness
-        if not isinstance(cover, BlockCover) or cover.n != args.n:
-            print(f"exact value is {res.value}; no cover witness on K_{args.n}",
-                  file=sys.stderr)
+        if args.n >= res.value:
+            print(f"no cover of K_{args.n} exists: the value is {res.value}", file=sys.stderr)
             return EXIT_USAGE
+        # the value's cover of K_{value-1}, restricted to its first n vertices
+        full, keep = res.lower_witness, (1 << args.n) - 1
+        cover = BlockCover(args.n, full.capacities, tuple(b & keep for b in full.blocks))
+        cover.validate()
         payload = json.dumps(files.cover_to_json(cover), indent=1) + "\n"
         summary = f"cover of K_{cover.n}, block sizes {cover.block_sizes()}"
     if args.output:
@@ -256,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     pw.add_argument("kind", choices=["pm", "core"])
     pw.add_argument("--targets", required=True)
     pw.add_argument("-n", type=int, required=True,
-                    help="vertex count of the witness (value - 1)")
+                    help="vertex count of the witness, below the value")
     pw.add_argument("-o", "--output", default=None)
     _budget_args(pw)
     pw.set_defaults(fn=cmd_witness)

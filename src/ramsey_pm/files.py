@@ -28,7 +28,7 @@ from .bounds import sorted_targets
 from .coloring import EdgeColoring
 from .core_ramsey import BlockCover
 from .graphs import SimpleGraph, bits, mask_of
-from .results import RamseyResult, SearchStats
+from .results import RamseyResult
 
 
 def coloring_to_text(c: EdgeColoring) -> str:
@@ -138,18 +138,10 @@ def result_to_json(res: RamseyResult) -> dict:
     }
 
 
-def result_from_json(obj: dict) -> RamseyResult:
-    stats = SearchStats(int(obj["stats"]["nodes"]), int(obj["stats"]["millis"]))
-    return RamseyResult(tuple(obj["targets"]), int(obj["value"]), obj["method"],
-                        witness_from_json(obj.get("witness")), stats)
-
-
-def cache_key(kind: str, targets=None, v: int = 0, k: int = 0) -> str:
-    """Canonical cache keys: "PM:5,5,5", "1C:5,5,5", "C:9/5"."""
+def cache_key(kind: str, targets) -> str:
+    """Canonical cache keys: "PM:5,5,5", "1C:5,5,5"."""
     if kind in ("PM", "1C"):
         return f"{kind}:{','.join(str(t) for t in sorted_targets(targets))}"
-    if kind == "C":
-        return f"C:{v}/{k}"
     raise ValueError(f"unknown cache kind {kind!r}")
 
 

@@ -94,9 +94,6 @@ class SimpleGraph:
         rows[v] |= 1 << u
         return SimpleGraph(self.n, tuple(rows))
 
-    def vertex_mask(self) -> VertexSet:
-        return (1 << self.n) - 1
-
 
 def complete_graph(n: int) -> SimpleGraph:
     """K_n."""
@@ -104,39 +101,3 @@ def complete_graph(n: int) -> SimpleGraph:
         raise ValueError(f"vertex count {n} outside 1..{MAX_VERTICES}")
     full = (1 << n) - 1
     return SimpleGraph(n, tuple(full ^ (1 << v) for v in range(n)))
-
-
-def isolated_count(g: SimpleGraph, s: VertexSet) -> int:
-    """Number of vertices of s with no neighbour anywhere in g.
-
-    Neighbourhoods are taken in all of g, not just inside s; callers that
-    want isolation relative to an induced subgraph pass that subgraph.
-    """
-    if s & ~g.vertex_mask():
-        raise ValueError("vertex set not contained in the graph")
-    count = 0
-    for v in bits(s):
-        if g.rows[v] == 0:
-            count += 1
-    return count
-
-
-def induced(g: SimpleGraph, s: VertexSet) -> tuple[SimpleGraph, tuple[int, ...]]:
-    """Induced subgraph on s, relabelled to 0..|s|-1.
-
-    Returns the subgraph together with the relabelling map: entry i is the
-    original label of new vertex i.
-    """
-    if s == 0:
-        raise ValueError("empty vertex set")
-    if s & ~g.vertex_mask():
-        raise ValueError("vertex set not contained in the graph")
-    keep = list(bits(s))
-    pos = {v: i for i, v in enumerate(keep)}
-    rows = []
-    for v in keep:
-        row = 0
-        for u in bits(g.rows[v] & s):
-            row |= 1 << pos[u]
-        rows.append(row)
-    return SimpleGraph(len(keep), tuple(rows)), tuple(keep)

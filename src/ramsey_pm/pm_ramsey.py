@@ -33,9 +33,8 @@ from .coloring import (EdgeColoring, coloring_from_edge_colors, core_lift_colori
 from .core_ramsey import BlockCover, cover_to_coloring, exact_core_ramsey
 from .graphs import MAX_VERTICES
 from .results import (DEFAULT_NODE_BUDGET, PROOF_CLOSED, PROOF_F3, PROOF_SEARCH, PROOF_TABLE,
-                      BudgetExceededError, FormulaUnavailableError, RamseyResult,
-                      RouteDisagreementError, SearchStats)
-from .search import SearchConfig, enumerate_colorings, BUDGET_EXHAUSTED
+                      FormulaUnavailableError, RamseyResult, RouteDisagreementError, SearchStats)
+from .search import enumerate_colorings
 
 # memoized 1-core results keyed by nontrivial_targets; the reduction,
 # its cross-checks and the witness lifts ask for the same keys again
@@ -182,20 +181,11 @@ def closed_form_value(ts: tuple[int, ...]) -> Optional[tuple[int, str]]:
 def verify_upper(n: int, targets: Sequence[int], *,
                  node_budget: int = DEFAULT_NODE_BUDGET,
                  time_budget: Optional[float] = None,
-                 stats: Optional[SearchStats] = None,
                  progress=None) -> Optional[EdgeColoring]:
     """A coloring of K_n whose color-i path-matchings all stay below p_i,
     or None when every coloring meets some threshold."""
-    ts = tuple(targets)
-    cfg = SearchConfig(n, len(ts), ts, node_budget=node_budget,
-                       time_budget=time_budget, progress=progress)
-    outcome = enumerate_colorings(cfg)
-    if stats is not None:
-        stats.nodes += outcome.nodes
-    if outcome.status == BUDGET_EXHAUSTED:
-        raise BudgetExceededError(
-            f"upper verification at n={n} exhausted its budget", outcome.nodes)
-    return outcome.counterexample
+    return enumerate_colorings(n, targets, node_budget=node_budget, time_budget=time_budget,
+                               progress=progress).counterexample
 
 
 def _witness_valid(col: EdgeColoring, n: int, ts: tuple[int, ...]) -> bool:
@@ -255,7 +245,6 @@ def _witness(ts: tuple[int, ...], value: int, kw: dict) -> Optional[EdgeColoring
 def find_lower_witness(n: int, targets: Sequence[int], *,
                        node_budget: int = DEFAULT_NODE_BUDGET,
                        time_budget: Optional[float] = None,
-                       stats: Optional[SearchStats] = None,
                        progress=None) -> Optional[EdgeColoring]:
     """A coloring of K_n with every color-i path-matching below p_i, or
     None when there is none.
@@ -264,15 +253,12 @@ def find_lower_witness(n: int, targets: Sequence[int], *,
     For n >= v the route that fixed v proves that every coloring of K_n
     succeeds; below v the answer is the witness on its first n vertices,
     which is bad because a subgraph has no larger path-matching.  The
-    nodes of that computation are added to stats, and the budgets and the
-    progress hook reach its searches.
+    budgets and the progress hook reach the searches of that computation.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     res = exact_pm_ramsey(targets, node_budget=node_budget, time_budget=time_budget,
                           progress=progress)
-    if stats is not None:
-        stats.nodes += res.stats.nodes
     if n >= res.value:
         return None
     return coloring_from_edge_colors(n, len(res.targets), res.lower_witness.color_of)
@@ -349,14 +335,18 @@ def _search_scan(ts: tuple[int, ...], stats: SearchStats, kw: dict) -> tuple[int
     """(value, provenance) by exhaustive coloring searches alone.
 
     One color is its closed form.  Otherwise n runs up from max(2,
-    pm_lowers) while verify_upper finds a counterexample on K_n.  There is
-    no size cap: a search that runs out of its budgets in kw raises
+    pm_lowers) while the coloring search finds a counterexample on K_n,
+    and the nodes of each search are added to stats.  There is no size
+    cap: a search that runs out of its budgets in kw raises
     BudgetExceededError, and for vectors too big to search the reduction
     is the route.
     """
     if len(ts) < 2:
         return closed_form_value(ts)
     n = max(2, *pm_lowers(ts))
-    while verify_upper(n, ts, stats=stats, **kw) is not None:
+    while True:
+        outcome = enumerate_colorings(n, ts, **kw)
+        stats.nodes += outcome.nodes
+        if outcome.counterexample is None:
+            return n, PROOF_SEARCH
         n += 1
-    return n, PROOF_SEARCH

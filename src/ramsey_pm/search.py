@@ -68,53 +68,30 @@ rules (the color groups; the tested boundaries, K_m for 3 <= m < n, which
 slot (m-2, m-1) ends; the rows the row and twin rules hold in, all but the
 last), so it accepts exactly the prefixes the search extends (recurses
 past, or visits as a leaf), success pruning and the look-aheads aside.
-Budgets and the progress hook are the cover search's too (SearchMeter in
-results).
+
+Both complete searches, this one and the cover search
+(core_ramsey.cover_feasible_with_stats), keep one contract: plain
+arguments, with the keywords node_budget, time_budget and progress and
+the same defaults; input checks up front, which raise ValueError; budgets
+and progress reports by SearchMeter (results); and running out of either
+budget raises BudgetExceededError instead of returning a verdict.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .coloring import EdgeColoring
 from .path_matching import pendant_gains, pm_order_of_rows
-from .results import DEFAULT_NODE_BUDGET, BudgetExceededError, SearchMeter, check_budgets
-
-ALL_SUCCEED = "all-succeed"
-COUNTEREXAMPLE = "counterexample"
-BUDGET_EXHAUSTED = "budget-exhausted"
-
-
-@dataclass
-class SearchConfig:
-    n: int
-    r: int
-    thresholds: tuple[int, ...]
-    node_budget: int = DEFAULT_NODE_BUDGET
-    time_budget: Optional[float] = None
-    # progress hook: called with {nodes, leaves, elapsed, depth_histogram}
-    # at most once a second (see SearchMeter)
-    progress: Optional[Callable[[dict], None]] = None
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"need n >= 1, got {self.n}")
-        if len(self.thresholds) != self.r:
-            raise ValueError("one threshold per color required")
-        if any(p < 1 for p in self.thresholds):
-            raise ValueError("thresholds must be positive")
-        check_budgets(self.node_budget, self.time_budget)
+from .results import DEFAULT_NODE_BUDGET, SearchMeter, check_budgets
 
 
 @dataclass
 class SearchOutcome:
-    status: str
-    counterexample: Optional[EdgeColoring] = None
-    nodes: int = 0
-    leaves: int = 0
-    millis: int = 0
+    counterexample: Optional[EdgeColoring]
+    nodes: int
+    leaves: int
 
 
 def colex_edges(n: int) -> list[tuple[int, int]]:
@@ -196,18 +173,19 @@ def _no_smaller_extension(b: int, col: list[list[int]], m: int, twins: list[int]
 
 
 class _ColoringDFS(SearchMeter):
-    def __init__(self, config: SearchConfig,
+    def __init__(self, n: int, thresholds: Sequence[int],
                  visitor: Optional[Callable[[EdgeColoring], Optional[bool]]],
-                 forced: Optional[dict] = None):
-        n, r = config.n, config.r
+                 forced: Optional[dict] = None, *, node_budget: int = DEFAULT_NODE_BUDGET,
+                 time_budget: Optional[float] = None,
+                 progress: Optional[Callable[[dict], None]] = None):
+        self.n, self.ts = n, tuple(thresholds)
+        self.r = r = len(self.ts)
         self.edges = colex_edges(n)
         self.E = len(self.edges)
-        super().__init__("coloring search", self.E + 1, config.node_budget,
-                         config.time_budget, config.progress)
-        self.cfg = config
+        super().__init__("coloring search", self.E + 1, node_budget, time_budget, progress)
         self.visitor = visitor
         by_key: dict[int, list[int]] = {}
-        for c, p in enumerate(config.thresholds):
+        for c, p in enumerate(self.ts):
             by_key.setdefault(p, []).append(c)
         self.groups = list(by_key.values())  # ascending colors
         self.group_of = [0] * r
@@ -231,8 +209,8 @@ class _ColoringDFS(SearchMeter):
         # saturated[c]: the order from which any further edge of color c
         # reaches p_c (a threshold of at most 2, or 3 once c has an edge);
         # p_c itself for the other colors, which never get there
-        self.saturated = [0 if p <= 2 else 2 if p == 3 else p for p in config.thresholds]
-        self.far = sum(p > 2 for p in config.thresholds)
+        self.saturated = [0 if p <= 2 else 2 if p == 3 else p for p in self.ts]
+        self.far = sum(p > 2 for p in self.ts)
         self.used_in_group = [0] * len(self.groups)
         self.counterexample: Optional[EdgeColoring] = None
         # forced[(f, q)]: every coloring of K_f lifts some color i to q_i;
@@ -240,8 +218,8 @@ class _ColoringDFS(SearchMeter):
         self.forced = {} if forced is None else forced
 
     def _materialize(self) -> EdgeColoring:
-        n, col = self.cfg.n, self.col
-        return EdgeColoring(n, self.cfg.r,
+        n, col = self.n, self.col
+        return EdgeColoring(n, self.r,
                             tuple(col[u][v] + 1 for u in range(n) for v in range(u + 1, n)))
 
     def _canonical(self, m: int) -> bool:
@@ -273,7 +251,7 @@ class _ColoringDFS(SearchMeter):
         slot (u, v), where tie says row v agrees with row v-1 towards
         0..u-1.  Both rules hold in every row but the last, whose K_n
         boundary is not tested; rows 0 and 1 allow every color anyway."""
-        if v == self.cfg.n - 1:
+        if v == self.n - 1:
             return 0
         col = self.col
         lo = col[u][v - 1] if tie and u < v - 1 else 0  # row rule
@@ -287,7 +265,7 @@ class _ColoringDFS(SearchMeter):
         through the edge (x, v+1), so whatever color that edge takes
         succeeds.  One edge raises an order by at most 2, so the caller
         asks only when each color is within 2 of its threshold."""
-        ts, order = self.cfg.thresholds, self.order
+        ts, order = self.ts, self.order
         mask = (1 << v + 1) - 1
         for c, rows in enumerate(self.rows):
             mask &= pendant_gains(tuple(rows))[ts[c] - order[c] - 1]
@@ -305,7 +283,7 @@ class _ColoringDFS(SearchMeter):
         its verdicts are kept in forced."""
         if not self.far:
             return True
-        q = sorted((p - o for p, o in zip(self.cfg.thresholds, self.order) if p - o > 2),
+        q = sorted((p - o for p, o in zip(self.ts, self.order) if p - o > 2),
                    reverse=True)
         if f < q[0]:
             return False
@@ -314,7 +292,7 @@ class _ColoringDFS(SearchMeter):
         key = (f, tuple(q))
         hit = self.forced.get(key)
         if hit is None:
-            sub = _ColoringDFS(SearchConfig(f, len(q), key[1]), None, self.forced)
+            sub = _ColoringDFS(f, key[1], None, self.forced)
             tick = self._tick
             sub._tick = lambda _depth: tick(k)
             sub.run()
@@ -352,16 +330,16 @@ class _ColoringDFS(SearchMeter):
         instead."""
         if k == self.E:
             return self._leaf()
-        cfg = self.cfg
+        n, ts = self.n, self.ts
         u, v = self.edges[k]
         ub, vb = 1 << u, 1 << v
         row_u, row_v = self.col[u], self.col[v]
         above = row_u[v - 1] if u < v - 1 else -1  # the color of (u, v-1)
-        ahead = v + 1 < cfg.n  # vertex v+1 exists and has no edge yet
+        ahead = v + 1 < n  # vertex v+1 exists and has no edge yet
         # slot (v-1, v) ends K_{v+1}, whose test is due when 3 <= v+1 < n
         boundary_m = v + 1 if u == v - 1 and v >= 2 and ahead else 0
         order, saturated = self.order, self.saturated
-        for c in range(self._least(u, v, tie), cfg.r):
+        for c in range(self._least(u, v, tie), self.r):
             if order[c] >= saturated[c]:
                 continue  # this edge would lift c to its threshold
             g = self.group_of[c]
@@ -372,14 +350,14 @@ class _ColoringDFS(SearchMeter):
             rows_c[u] |= vb
             rows_c[v] |= ub
             row_u[v] = row_v[u] = c
-            p, was = cfg.thresholds[c], order[c]
-            order[c] = pm_order_of_rows(rows_c, cfg.n)
+            p, was = ts[c], order[c]
+            order[c] = pm_order_of_rows(rows_c, n)
             near = order[c] >= p - 2 > was  # color c comes within 2 of p here
             self.far -= near
             ok = order[c] < p
             if ok and ahead:
-                if v + 2 < cfg.n:  # an unchanged order was asked about at the parent
-                    ok = order[c] == was or not self._future_forced(cfg.n - 1 - v, k)
+                if v + 2 < n:  # an unchanged order was asked about at the parent
+                    ok = order[c] == was or not self._future_forced(n - 1 - v, k)
                 elif not self.far:
                     ok = not self._dead_vertex(v)
             if ok and pending:
@@ -405,31 +383,35 @@ class _ColoringDFS(SearchMeter):
         return False
 
 
-def enumerate_colorings(config: SearchConfig,
-                        visitor: Optional[Callable[[EdgeColoring], Optional[bool]]] = None,
-                        ) -> SearchOutcome:
-    """Visit the surviving complete colorings of K_n.
+def enumerate_colorings(n: int, thresholds: Sequence[int],
+                        visitor: Optional[Callable[[EdgeColoring], Optional[bool]]] = None, *,
+                        node_budget: int = DEFAULT_NODE_BUDGET,
+                        time_budget: Optional[float] = None,
+                        progress: Optional[Callable[[dict], None]] = None) -> SearchOutcome:
+    """Visit the surviving complete r-colorings of K_n, r = len(thresholds).
 
     Every coloring class in which no color ever reaches its threshold has
     at least one representative visited; classes that reach a threshold
     are pruned as successes.  Without a visitor the search stops at the
     first surviving coloring (a counterexample to the Ramsey property at
-    n).  A visitor may return True to stop early.
+    n).  A visitor may return True to stop early.  The outcome's
+    counterexample is the first surviving coloring, None when every
+    coloring reaches some threshold.  Budgets and progress work as
+    SearchMeter says; running out of either raises BudgetExceededError.
     """
-    started = time.monotonic()
-    dfs = _ColoringDFS(config, visitor)
-    try:
-        dfs.run(0)
-    except BudgetExceededError:
-        status, cex = BUDGET_EXHAUSTED, None
-    else:
-        cex = dfs.counterexample
-        status = ALL_SUCCEED if cex is None else COUNTEREXAMPLE
-    return SearchOutcome(status, cex, dfs.nodes, dfs.leaves,
-                         int((time.monotonic() - started) * 1000))
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    if any(p < 1 for p in thresholds):
+        raise ValueError("thresholds must be positive")
+    check_budgets(node_budget, time_budget)
+    dfs = _ColoringDFS(n, thresholds, visitor, node_budget=node_budget,
+                       time_budget=time_budget, progress=progress)
+    dfs.run()
+    return SearchOutcome(dfs.counterexample, dfs.nodes, dfs.leaves)
 
 
-def canonical_extension_check(prefix_colors: Sequence[int], config: SearchConfig) -> bool:
+def canonical_extension_check(prefix_colors: Sequence[int], n: int,
+                              thresholds: Sequence[int]) -> bool:
     """True iff the search, success pruning and the look-aheads aside,
     extends this prefix (colors of the first k colex edges, 1-indexed
     colors): recurses past it, or visits it as a leaf.
@@ -442,11 +424,11 @@ def canonical_extension_check(prefix_colors: Sequence[int], config: SearchConfig
     prefix that the test rejects, but never goes past it.
     """
     seq = [c - 1 for c in prefix_colors]
-    if any(not 0 <= c < config.r for c in seq):
+    if any(not 0 <= c < len(thresholds) for c in seq):
         raise ValueError("colors out of range")
-    dfs = _ColoringDFS(config, None)
+    dfs = _ColoringDFS(n, thresholds, None)
     if len(seq) > dfs.E:
-        raise ValueError(f"prefix longer than the {dfs.E} edges of K_{config.n}")
+        raise ValueError(f"prefix longer than the {dfs.E} edges of K_{n}")
     col, used = dfs.col, dfs.used_in_group
     tie = True
     for k, c in enumerate(seq):
@@ -457,7 +439,7 @@ def canonical_extension_check(prefix_colors: Sequence[int], config: SearchConfig
         if dfs.rank_in_group[c] == used[g]:
             used[g] += 1
         col[u][v] = col[v][u] = c
-        if u == v - 1 and 2 <= v < config.n - 1 and not dfs._canonical(v + 1):
+        if u == v - 1 and 2 <= v < n - 1 and not dfs._canonical(v + 1):
             return False
         tie = u == v - 1 or (tie and c == col[u][v - 1])
     return True

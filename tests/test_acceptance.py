@@ -19,7 +19,7 @@ from ramsey_pm.core_ramsey import (BlockCover, cover_feasible, covering_number,
 from ramsey_pm.graphs import SimpleGraph, mask_of
 from ramsey_pm.path_matching import max_pm_order, packing_oracle
 from ramsey_pm.pm_ramsey import core_value, exact_pm_ramsey, f_d, verify_upper
-from ramsey_pm.search import SearchConfig, colex_edges, enumerate_colorings
+from ramsey_pm.search import colex_edges, enumerate_colorings
 
 from conftest import graph_from_mask, plain_counterexample, random_graph
 
@@ -223,10 +223,9 @@ def test_criterion_10_worker_independence():
                       (5, (4, 4, 4)), (6, (4, 4, 4)), (6, (5, 5, 5)), (6, (5, 5)),
                       (7, (6, 6))]
     for n, p in coloring_cases:
-        out = enumerate_colorings(SearchConfig(n, len(p), p))
-        assert out.status in ("all-succeed", "counterexample")
+        out = enumerate_colorings(n, p)
         plain = plain_counterexample(n, p)
-        assert (out.status == "counterexample") == (plain is not None), (n, p, out.status)
+        assert (out.counterexample is None) == (plain is None), (n, p)
         if plain is not None:
             got = tuple(out.counterexample.color_of(u, v) for u, v in colex_edges(n))
             assert got == plain, (n, p)

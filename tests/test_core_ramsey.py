@@ -6,14 +6,14 @@ import pytest
 from ramsey_pm.bounds import (core_upper_degree, core_upper_edgecount,
                               core_upper_main, covering_lower_eh,
                               covering_lower_schonheim, pm_all3)
-from ramsey_pm import core_ramsey, results
+from ramsey_pm import core_ramsey
 from ramsey_pm.core_ramsey import (BlockCover, cover_feasible,
                                    cover_feasible_with_stats, cover_to_coloring,
                                    covering_number, exact_core_ramsey)
 from ramsey_pm.coloring import mono_core_profile
 from ramsey_pm.results import BudgetExceededError
 
-from conftest import SteppingClock, scan_core_value, subset_cover_search
+from conftest import scan_core_value, subset_cover_search
 
 
 def core_search_brute(n: int, targets) -> bool:
@@ -168,14 +168,6 @@ def test_budget_is_an_error_not_an_answer():
         cover_feasible(12, (5,) * 10, node_budget=50)
 
 
-def test_time_budget_read_on_every_node(monkeypatch):
-    _, nodes = cover_feasible_with_stats(9, (5,) * 5)
-    assert 1 < nodes < 1024
-    monkeypatch.setattr(results, "time", SteppingClock())
-    with pytest.raises(BudgetExceededError):
-        cover_feasible_with_stats(9, (5,) * 5, time_budget=60.0)
-
-
 def test_trivial_targets():
     res = exact_core_ramsey((2, 2, 2))
     assert res.value == 2
@@ -212,23 +204,6 @@ def test_cover_feasible_fuzz_against_brute_force(rng):
             brute = False
         search = cover_feasible(n, caps) is not None
         assert brute == search, (n, caps)
-
-
-def test_cover_node_budget_boundary():
-    # a budget of exactly the nodes a search needs suffices; one less does not
-    cover, nodes = cover_feasible_with_stats(9, (5,) * 5)
-    assert cover is not None and nodes > 1
-    assert cover_feasible_with_stats(9, (5,) * 5, node_budget=nodes) == (cover, nodes)
-    with pytest.raises(BudgetExceededError):
-        cover_feasible_with_stats(9, (5,) * 5, node_budget=nodes - 1)
-
-
-def test_cover_non_positive_budgets_rejected():
-    for bad in (dict(node_budget=0), dict(node_budget=-5),
-                dict(time_budget=0), dict(time_budget=-1.0),
-                dict(time_budget=float("nan"))):
-        with pytest.raises(ValueError):
-            cover_feasible_with_stats(9, (5,) * 5, **bad)
 
 
 def test_cover_search_matches_subset_oracle():

@@ -6,13 +6,13 @@ import sys
 
 import pytest
 
-from ramsey_pm import core_ramsey, files, pm_ramsey, reproduce, results
+import ramsey_pm
+from ramsey_pm import core_ramsey, files, pm_ramsey, reproduce, results, search
 from ramsey_pm.cli import build_parser, main, parse_targets
-from ramsey_pm.coloring import EdgeColoring, layered_coloring
+from ramsey_pm.coloring import EdgeColoring, layered_coloring, mono_pm_profile
 from ramsey_pm.core_ramsey import BlockCover, exact_core_ramsey
 from ramsey_pm.pm_ramsey import clear_core_cache, exact_pm_ramsey
 from ramsey_pm.results import BudgetExceededError, RouteDisagreementError
-from ramsey_pm.search import SearchConfig
 
 from conftest import SteppingClock, random_graph
 
@@ -61,22 +61,20 @@ def test_cover_json_roundtrip():
 
 def test_result_json_roundtrip():
     res = exact_pm_ramsey((4, 4, 4))
-    blob = json.dumps(files.result_to_json(res))
-    again = files.result_from_json(json.loads(blob))
-    assert again.value == res.value
-    assert again.targets == res.targets
-    assert again.method == res.method
-    assert again.lower_witness == res.lower_witness
+    again = json.loads(json.dumps(files.result_to_json(res)))
+    assert (again["targets"], again["value"], again["method"]) == \
+        (list(res.targets), res.value, res.method)
+    assert files.witness_from_json(again["witness"]) == res.lower_witness
 
 
 def test_cache_roundtrip(tmp_path):
     path = str(tmp_path / "cache.json")
     cache = files.ResultCache(path)
     cache.put(files.cache_key("PM", (5, 5, 5)), 7, "closed-form")
-    cache.put(files.cache_key("C", v=9, k=5), 5, "exhaustive-search")
+    cache.put(files.cache_key("1C", (5, 5, 5)), 7, "exhaustive-search")
     reloaded = files.ResultCache(path)
     assert reloaded.get("PM:5,5,5")["value"] == 7
-    assert reloaded.get("C:9/5")["value"] == 5
+    assert reloaded.get("1C:5,5,5")["value"] == 7
     assert reloaded.get("PM:9,9") is None
 
 
@@ -300,11 +298,34 @@ def test_witness_above_the_vertex_limit_exits_1(capsys):
 
 
 def test_cli_witness_at_the_value_names_it(capsys):
-    for n in ("7", "9"):
-        assert main(["witness", "pm", "--targets", "5,5,5", "-n", n]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert f"no bad coloring of K_{n} exists: the value is 7" in captured.err
+    # both kinds have the value 7 on these targets
+    for kind, noun in (("pm", "bad coloring"), ("core", "cover")):
+        for n in ("7", "9"):
+            assert main(["witness", kind, "--targets", "5,5,5", "-n", n]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"no {noun} of K_{n} exists: the value is 7" in captured.err
+
+
+def test_cli_witness_below_the_value(capsys):
+    # both kinds write the value's witness on its first n vertices, for
+    # every n from 1 to value - 1 = 6
+    for n in range(1, 7):
+        assert main(["witness", "pm", "--targets", "5,5,5", "-n", str(n)]) == 0
+        col = files.coloring_from_text(capsys.readouterr().out)
+        assert col.n == n and all(q < 5 for q in mono_pm_profile(col)), n
+        assert main(["witness", "core", "--targets", "5,5,5", "-n", str(n)]) == 0
+        cover = files.cover_from_json(json.loads(capsys.readouterr().out))
+        cover.validate()
+        assert (cover.n, cover.capacities) == (n, (4, 4, 4)), n
+
+
+def test_public_names_resolve_once():
+    # every name the package exports exists, and none is listed twice
+    names = ramsey_pm.__all__
+    assert len(names) == len(set(names))
+    for name in names:
+        assert hasattr(ramsey_pm, name), name
 
 
 def test_perfbench_boundaries_exist():
@@ -363,10 +384,10 @@ def test_every_search_entry_point_has_one_default_budget():
     entry_points = (core_ramsey.cover_feasible, core_ramsey.cover_feasible_with_stats,
                     core_ramsey.exact_core_ramsey, core_ramsey.covering_number,
                     pm_ramsey.core_value, pm_ramsey.verify_upper,
-                    pm_ramsey.find_lower_witness, pm_ramsey.exact_pm_ramsey)
+                    pm_ramsey.find_lower_witness, pm_ramsey.exact_pm_ramsey,
+                    search.enumerate_colorings)
     for fn in entry_points:
         assert inspect.signature(fn).parameters["node_budget"].default == 50_000_000, fn
-    assert SearchConfig(3, 1, (3,)).node_budget == 50_000_000
     parser = build_parser()
     for argv in (["exact", "core", "--targets", "4,4,4"],
                  ["witness", "pm", "--targets", "5,5,5", "-n", "6"]):

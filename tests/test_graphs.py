@@ -1,11 +1,6 @@
-import random
-
 import pytest
 
-from ramsey_pm.graphs import (SimpleGraph, bits, complete_graph, induced,
-                              isolated_count, mask_of)
-
-from conftest import graph_from_mask, random_graph
+from ramsey_pm.graphs import SimpleGraph, bits, complete_graph, mask_of
 
 
 def test_complete_graph_edge_counts():
@@ -26,74 +21,6 @@ def test_validation_rejects_asymmetry_and_loops():
         SimpleGraph(3, (0b010, 0b000, 0b000))  # 0-1 present only one way
     with pytest.raises(ValueError):
         SimpleGraph(2, (0b01, 0b10))  # self-loop at 0
-
-
-def test_isolated_count_examples():
-    assert isolated_count(SimpleGraph.empty(5), 0b11111) == 5
-    assert isolated_count(complete_graph(3), 0b111) == 0
-    g = SimpleGraph.from_edges(4, [(0, 1)])
-    assert isolated_count(g, mask_of([1, 2, 3])) == 2
-
-
-def test_isolated_count_rejects_foreign_vertices():
-    with pytest.raises(ValueError):
-        isolated_count(complete_graph(3), 0b1000)
-
-
-def test_isolated_count_plus_nonisolated_is_n():
-    # exhaustive on up to 5 vertices
-    for n in range(1, 6):
-        for mask in range(1 << (n * (n - 1) // 2)):
-            g = graph_from_mask(n, mask)
-            iso = isolated_count(g, g.vertex_mask())
-            non = sum(1 for v in range(n) if g.rows[v])
-            assert iso + non == n
-    # random larger graphs up to the 64-vertex cap
-    rng = random.Random(1)
-    for _ in range(1000):
-        n = rng.randint(2, 64)
-        g = random_graph(n, rng, p=rng.random())
-        iso = isolated_count(g, g.vertex_mask())
-        non = sum(1 for v in range(n) if g.rows[v])
-        assert iso + non == n
-
-
-def test_induced_examples():
-    k4 = complete_graph(4)
-    sub, relabel = induced(k4, 0b1011)
-    assert sub.edge_count() == 3 and sub.n == 3
-    assert relabel == (0, 1, 3)
-
-    path = SimpleGraph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
-    sub, relabel = induced(path, mask_of([0, 2, 3]))
-    assert relabel == (0, 2, 3)
-    assert sub.edges() == [(1, 2)]  # old {2,3}; old 0 isolated
-
-
-def test_induced_full_set_is_identity():
-    rng = random.Random(2)
-    for _ in range(50):
-        g = random_graph(rng.randint(1, 10), rng)
-        sub, relabel = induced(g, g.vertex_mask())
-        assert sub == g
-        assert relabel == tuple(range(g.n))
-
-
-def test_induced_idempotent():
-    rng = random.Random(3)
-    for _ in range(50):
-        g = random_graph(rng.randint(2, 12), rng)
-        s = 0
-        while s == 0:
-            s = rng.randint(1, g.vertex_mask())
-        sub, _ = induced(g, s)
-        again, relabel = induced(sub, sub.vertex_mask())
-        assert again == sub and relabel == tuple(range(sub.n))
-
-
-def test_induced_rejects_empty():
-    with pytest.raises(ValueError):
-        induced(complete_graph(3), 0)
 
 
 def test_bits_roundtrip():

@@ -253,7 +253,7 @@ def test_witness_step_passes_the_progress_hook(monkeypatch):
         monkeypatch.setattr(pm_ramsey, name, wrapper)
 
     wrap("exact_core_ramsey", lambda args, kw: kw.get("progress"))
-    wrap("enumerate_colorings", lambda args, kw: args[0].progress)
+    wrap("enumerate_colorings", lambda args, kw: kw.get("progress"))
 
     def hook(snapshot):
         pass

@@ -7,12 +7,12 @@ import pytest
 
 from ramsey_pm import results, search
 from ramsey_pm.coloring import mono_pm_profile
+from ramsey_pm.core_ramsey import cover_feasible_with_stats
 from ramsey_pm.graphs import SimpleGraph
 from ramsey_pm.path_matching import packing_oracle
-from ramsey_pm.pm_ramsey import closed_form_value, verify_upper
-from ramsey_pm.results import SearchStats
-from ramsey_pm.search import (SearchConfig, canonical_extension_check,
-                              colex_edges, enumerate_colorings)
+from ramsey_pm.pm_ramsey import closed_form_value
+from ramsey_pm.results import BudgetExceededError
+from ramsey_pm.search import canonical_extension_check, colex_edges, enumerate_colorings
 
 from conftest import (SteppingClock, brute_force_canonical, first_use_ok, least_image,
                       oracle_leaves, plain_counterexample)
@@ -37,17 +37,12 @@ def naive_counterexamples(n, thresholds):
 
 
 def test_examples_from_contract():
-    out = enumerate_colorings(SearchConfig(3, 3, (3, 3, 3)))
-    assert out.status == "counterexample"
+    out = enumerate_colorings(3, (3, 3, 3))
     assert mono_pm_profile(out.counterexample) == (2, 2, 2)
 
-    out = enumerate_colorings(SearchConfig(4, 3, (3, 3, 3)))
-    assert out.status == "all-succeed"
-
-    out = enumerate_colorings(SearchConfig(5, 4, (4, 3, 3, 3)))
-    assert out.status == "all-succeed"
-    out = enumerate_colorings(SearchConfig(4, 4, (4, 3, 3, 3)))
-    assert out.status == "counterexample"
+    assert enumerate_colorings(4, (3, 3, 3)).counterexample is None
+    assert enumerate_colorings(5, (4, 3, 3, 3)).counterexample is None
+    out = enumerate_colorings(4, (4, 3, 3, 3))
     prof = mono_pm_profile(out.counterexample)
     assert all(q <= p - 1 for q, p in zip(prof, (4, 3, 3, 3)))
 
@@ -62,8 +57,8 @@ def test_verdicts_match_naive_enumeration(rng):
         p = tuple(sorted((rng.randint(2, 5) for _ in range(r)), reverse=True))
         naive = naive_counterexamples(n, p)
         plain = plain_counterexample(n, p)
-        out = enumerate_colorings(SearchConfig(n, r, p))
-        assert (plain is not None) == bool(naive) == (out.status == "counterexample"), (n, p)
+        out = enumerate_colorings(n, p)
+        assert (plain is not None) == bool(naive) == (out.counterexample is not None), (n, p)
         if plain is not None:
             # naive lists colors in lexicographic edge order, plain in colex
             by_edge = dict(zip(colex_edges(n), plain))
@@ -74,8 +69,8 @@ def test_verdicts_match_naive_enumeration(rng):
 def test_verdicts_match_naive_enumeration_n5_two_colors():
     for p in [(4, 4), (5, 4), (5, 5), (4, 3), (6, 6), (6, 3), (5, 2)]:
         naive = bool(naive_counterexamples(5, p))
-        out = enumerate_colorings(SearchConfig(5, 2, p))
-        assert (out.status == "counterexample") == naive, p
+        out = enumerate_colorings(5, p)
+        assert (out.counterexample is not None) == naive, p
 
 
 def test_every_class_has_a_representative():
@@ -83,8 +78,7 @@ def test_every_class_has_a_representative():
     # walk at least one member of every coloring class of K_4 in 2 colors
     n, r = 4, 2
     reps = []
-    cfg = SearchConfig(n, r, (n + 1,) * r)
-    enumerate_colorings(cfg, visitor=lambda c: reps.append(c) and None)
+    enumerate_colorings(n, (n + 1,) * r, visitor=lambda c: reps.append(c) and None)
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
 
     def canon(colors: tuple[int, ...]) -> tuple[int, ...]:
@@ -122,85 +116,114 @@ def test_success_pruning_is_monotone(rng):
 
 
 def test_deterministic_counterexample():
-    cfg = SearchConfig(6, 3, (5, 5, 5))
-    first = enumerate_colorings(cfg).counterexample
-    second = enumerate_colorings(cfg).counterexample
+    first = enumerate_colorings(6, (5, 5, 5)).counterexample
+    second = enumerate_colorings(6, (5, 5, 5)).counterexample
     assert first is not None and first.colors == second.colors
 
 
+def _coloring_search(**budgets):
+    out = enumerate_colorings(6, (4, 4, 4), **budgets)
+    return out.counterexample, out.nodes
+
+
+def _cover_search(**budgets):
+    return cover_feasible_with_stats(9, (5,) * 5, **budgets)
+
+
+# both complete searches, as (verdict, nodes), on instances that need more
+# than one node and fewer than 1,024: every 3-coloring of K_6 finishes a
+# color at threshold 4, and five blocks of 5 cover K_9.  The budget tests
+# below run each of them, since the two share one contract
+SEARCHES = {"coloring": _coloring_search, "cover": _cover_search}
+
+
 def test_node_budget_boundary():
-    # a budget of exactly the nodes a search needs suffices; one less does not
-    full = enumerate_colorings(SearchConfig(6, 3, (4, 4, 4)))
-    assert full.status == "all-succeed" and full.nodes > 1
-    exact = enumerate_colorings(SearchConfig(6, 3, (4, 4, 4), node_budget=full.nodes))
-    assert exact.status == "all-succeed" and exact.nodes == full.nodes
-    short = enumerate_colorings(SearchConfig(6, 3, (4, 4, 4), node_budget=full.nodes - 1))
-    assert short.status == "budget-exhausted"
+    # a budget of exactly the nodes a search needs suffices; one less does
+    # not, and the error counts the node that broke the budget
+    for name, run in SEARCHES.items():
+        verdict, nodes = run()
+        assert 1 < nodes < 1024, name
+        assert run(node_budget=nodes) == (verdict, nodes), name
+        with pytest.raises(BudgetExceededError) as err:
+            run(node_budget=nodes - 1)
+        assert err.value.nodes == nodes, name
 
 
 def test_non_positive_budgets_rejected():
-    for bad in (dict(node_budget=0), dict(node_budget=-5),
-                dict(time_budget=0), dict(time_budget=-1.0),
-                dict(time_budget=float("nan"))):
-        with pytest.raises(ValueError):
-            SearchConfig(6, 3, (4, 4, 4), **bad)
+    for run in SEARCHES.values():
+        for bad in (dict(node_budget=0), dict(node_budget=-5),
+                    dict(time_budget=0), dict(time_budget=-1.0),
+                    dict(time_budget=float("nan"))):
+            with pytest.raises(ValueError):
+                run(**bad)
+
+
+def test_time_budget_read_on_every_node(monkeypatch):
+    # each reading of the stepping clock is an hour after the one before,
+    # and each search needs fewer than 1,024 nodes, so a meter that read
+    # the clock only every so many nodes would finish within 60 s
+    for name, run in SEARCHES.items():
+        verdict, nodes = run(time_budget=60.0)
+        assert (verdict, nodes) == run() and nodes < 1024, name
+    monkeypatch.setattr(results, "time", SteppingClock())
+    for run in SEARCHES.values():
+        with pytest.raises(BudgetExceededError, match="time budget"):
+            run(time_budget=60.0)
 
 
 def test_non_positive_thresholds_rejected():
     for ts in ((0, 3), (3, -1)):
         with pytest.raises(ValueError):
-            SearchConfig(4, 2, ts)
+            enumerate_colorings(4, ts)
 
 
 def test_k1_is_a_leaf_and_k0_is_rejected():
     # K_1 has no edge, so the root is a leaf: the empty coloring is bad
-    out = enumerate_colorings(SearchConfig(1, 2, (3, 3)))
-    assert out.status == search.COUNTEREXAMPLE
+    out = enumerate_colorings(1, (3, 3))
     assert (out.nodes, out.leaves) == (0, 1)
     assert (out.counterexample.n, out.counterexample.r) == (1, 2)
     for n in (0, -4):
         with pytest.raises(ValueError, match=f"need n >= 1, got {n}"):
-            SearchConfig(n, 2, (3, 3))
+            enumerate_colorings(n, (3, 3))
 
 
 def test_many_equal_colors_truncated_maps_stay_sound():
     # twelve interchangeable colors: the color map is grown lazily, so
     # their 12! permutations are never listed; the verdict must match reality
-    out = enumerate_colorings(SearchConfig(5, 12, (3,) * 12))
-    assert out.status == "counterexample"  # ten edges, one color each
-    out = enumerate_colorings(SearchConfig(6, 12, (3,) * 12))
-    assert out.status == "all-succeed"  # fifteen pairs force a repeated color
+    # ten edges, one color each
+    assert enumerate_colorings(5, (3,) * 12).counterexample is not None
+    # fifteen pairs force a repeated color
+    assert enumerate_colorings(6, (3,) * 12).counterexample is None
 
 
 def test_budget_exhaustion_is_reported():
     # unreachable thresholds and a never-satisfied visitor force a full
     # enumeration, which a 50-node budget cannot finish
-    cfg = SearchConfig(6, 3, (7, 7, 7), node_budget=50)
-    out = enumerate_colorings(cfg, visitor=lambda col: False)
-    assert out.status == "budget-exhausted"
+    with pytest.raises(BudgetExceededError):
+        enumerate_colorings(6, (7, 7, 7), lambda col: False, node_budget=50)
 
 
 def test_canonical_extension_check_first_edge():
-    cfg = SearchConfig(4, 3, (3, 3, 3))
-    assert canonical_extension_check([1], cfg)
-    assert not canonical_extension_check([2], cfg)  # equal thresholds freeze order
-    assert not canonical_extension_check([2], SearchConfig(4, 2, (3, 3)))
+    cfg = (4, (3, 3, 3))
+    assert canonical_extension_check([1], *cfg)
+    assert not canonical_extension_check([2], *cfg)  # equal thresholds freeze order
+    assert not canonical_extension_check([2], 4, (3, 3))
 
 
 def test_canonical_extension_check_unequal_thresholds():
-    cfg = SearchConfig(4, 2, (5, 3))
+    cfg = (4, (5, 3))
     # distinct thresholds: no color interchange, so color 2 may lead
-    assert canonical_extension_check([2], cfg)
+    assert canonical_extension_check([2], *cfg)
 
 
 def test_canonical_extension_symmetry_pairs(rng):
     # of a prefix and a strictly smaller image, only the image survives
-    cfg = SearchConfig(4, 2, (9, 9))
+    cfg = (4, (9, 9))
     edges = colex_edges(4)
     for _ in range(40):
         k = 3  # complete K_3 prefix
         seq = [rng.randint(1, 2) for _ in range(k)]
-        if canonical_extension_check(seq, cfg):
+        if canonical_extension_check(seq, *cfg):
             continue
         # some symmetry must produce a smaller canonical prefix
         smaller_exists = False
@@ -218,31 +241,31 @@ def test_canonical_extension_symmetry_pairs(rng):
 
 
 def test_canonical_extension_check_rejects_overlong_prefix():
-    cfg = SearchConfig(4, 2, (5, 5))
-    assert canonical_extension_check([1] * 6, cfg)  # all C(4,2) edges
+    cfg = (4, (5, 5))
+    assert canonical_extension_check([1] * 6, *cfg)  # all C(4,2) edges
     for length in (7, 40):
         with pytest.raises(ValueError):
-            canonical_extension_check([1] * length, cfg)
+            canonical_extension_check([1] * length, *cfg)
 
 
 def test_canonical_extension_check_matches_brute_force(rng):
     # every complete K_3 and K_4 prefix
     for ts in ((3, 3, 3), (4, 4, 3), (5, 3)):
-        cfg = SearchConfig(6, len(ts), ts)
+        cfg = (6, ts)
         for m in (3, 4):
             for combo in itertools.product(range(1, len(ts) + 1), repeat=m * (m - 1) // 2):
-                assert canonical_extension_check(combo, cfg) == \
+                assert canonical_extension_check(combo, *cfg) == \
                     brute_force_canonical(combo, ts), (ts, combo)
     # seeded random K_5 and K_6 prefixes, and the least member of each class
     for m, count in ((5, 30), (6, 4)):
         for _ in range(count):
             ts = rng.choice(((3, 3, 3), (4, 4, 3), (5, 3), (4, 4), (6, 5, 4)))
-            cfg = SearchConfig(m + 1, len(ts), ts)
+            cfg = (m + 1, ts)
             combo = tuple(min(rng.randint(1, len(ts)), rng.randint(1, len(ts)))
                           for _ in range(m * (m - 1) // 2))
             least = least_image(combo, ts)
-            assert canonical_extension_check(combo, cfg) == (least == combo), (ts, combo)
-            assert canonical_extension_check(least, cfg), (ts, least)
+            assert canonical_extension_check(combo, *cfg) == (least == combo), (ts, combo)
+            assert canonical_extension_check(least, *cfg), (ts, least)
 
 
 def test_row_rule_rejects_only_rows_without_minimal_completion(rng):
@@ -258,7 +281,7 @@ def test_row_rule_rejects_only_rows_without_minimal_completion(rng):
         colors = range(1, r + 1)
         cuts = twin_cuts = 0
         for v in (3, 4):
-            cfg = SearchConfig(v + 2, r, ts)
+            cfg = (v + 2, ts)
             kv = v * (v - 1) // 2
             bases = (list(itertools.product(colors, repeat=kv)) if v == 3 else
                      [mono, least_image((1, 1, 2, 1, 2, 1), ts)] +
@@ -270,7 +293,7 @@ def test_row_rule_rejects_only_rows_without_minimal_completion(rng):
                 for length in range(1, v):
                     for part in itertools.product(colors, repeat=length):
                         prefix = tuple(base) + part
-                        if canonical_extension_check(prefix, cfg):
+                        if canonical_extension_check(prefix, *cfg):
                             continue
                         assert all(row[:length] != part for row in minimal_rows), (ts, prefix)
                         cut = first_use_ok(prefix, ts)
@@ -289,7 +312,7 @@ def test_visited_leaves_match_oracle():
     pairs = colex_edges(5)
     for n, ts in cases:
         leaves = []
-        enumerate_colorings(SearchConfig(n, len(ts), ts), visitor=leaves.append)
+        enumerate_colorings(n, ts, visitor=leaves.append)
         got = [tuple(col.color_of(u, v) for u, v in pairs[:len(col.colors)])
                for col in leaves]
         assert got == oracle_leaves(n, ts), (n, ts)
@@ -315,7 +338,7 @@ def test_leaves_pinned_at_six_and_seven_vertices():
     )
     for n, ts, count, first, last in cases:
         leaves = []
-        enumerate_colorings(SearchConfig(n, len(ts), ts), visitor=leaves.append)
+        enumerate_colorings(n, ts, visitor=leaves.append)
         got = [tuple(col.color_of(u, v) for u, v in colex_edges(n)) for col in leaves]
         assert (len(got), got[0], got[-1]) == (count, first, last), (n, ts)
 
@@ -345,20 +368,19 @@ def test_node_counts_at_eight_vertices(monkeypatch):
                               ((6, 6, 4, 3), 2931, 198), ((7, 6, 3, 3), 1981, 158),
                               ((6, 5, 4, 3), 1060, 98)):
         tests.clear()
-        out = enumerate_colorings(SearchConfig(8, len(ts), ts))
-        assert (out.status, out.nodes, len(tests)) == ("all-succeed", nodes, tested), ts
+        out = enumerate_colorings(8, ts)
+        assert (out.counterexample, out.nodes, len(tests)) == (None, nodes, tested), ts
 
 
 def test_node_counts_at_nine_vertices():
-    # verify_upper at the closed-form value 9 of both vectors: every
+    # the search at the closed-form value 9 of both vectors: every
     # coloring of K_9 succeeds.  Before the future-clique look-ahead and the
     # saturated-color skip, 41,667 and 73,310 nodes; before the dead-vertex
     # look-ahead, 109,355 and 244,342
     for ts, nodes in (((5, 5, 5, 5, 5), 7641), ((6, 6, 6, 4), 25278)):
         assert closed_form_value(ts)[0] == 9
-        stats = SearchStats()
-        assert verify_upper(9, ts, stats=stats) is None
-        assert stats.nodes == nodes, ts
+        out = enumerate_colorings(9, ts)
+        assert (out.counterexample, out.nodes) == (None, nodes), ts
 
 
 def test_orders_follow_the_rows():
@@ -366,7 +388,7 @@ def test_orders_follow_the_rows():
     # the colors more than 2 below their thresholds; a finished search has
     # restored both to their start
     for n, ts in ((6, (5, 5, 5)), (6, (6, 4, 3)), (7, (5, 5, 5, 5))):
-        dfs = search._ColoringDFS(SearchConfig(n, len(ts), ts), None)
+        dfs = search._ColoringDFS(n, ts, None)
         seen = []
 
         def visit(col):
@@ -393,7 +415,7 @@ def test_one_pm_order_call_per_node(monkeypatch):
 
     monkeypatch.setattr(search, "pm_order_of_rows", counting)
     for ts in ((5, 5, 5), (6, 4, 3)):
-        out = enumerate_colorings(SearchConfig(6, 3, ts))
+        out = enumerate_colorings(6, ts)
         assert out.nodes > 0 and len(calls) == out.nodes, ts
         calls.clear()
 
@@ -407,7 +429,7 @@ def test_future_clique_verdicts_match_closed_forms():
         for q in itertools.combinations_with_replacement(range(7, 2, -1), r):
             value = closed_form_value(q)[0]
             for f in range(2, 8):
-                dfs = search._ColoringDFS(SearchConfig(f + 2, r, q), None)
+                dfs = search._ColoringDFS(f + 2, q, None)
                 assert dfs._future_forced(f, 0) == (f >= value), (f, q)
 
 
@@ -420,7 +442,7 @@ def test_verdicts_match_plain_dfs_up_to_six_vertices(rng):
         r = rng.randint(1, 3)
         p = tuple(sorted((rng.randint(3, 6) for _ in range(r)), reverse=True))
         plain = plain_counterexample(n, p)
-        out = enumerate_colorings(SearchConfig(n, r, p))
+        out = enumerate_colorings(n, p)
         got = out.counterexample and tuple(out.counterexample.color_of(u, v)
                                            for u, v in colex_edges(n))
         assert got == plain, (n, p)
@@ -429,16 +451,16 @@ def test_verdicts_match_plain_dfs_up_to_six_vertices(rng):
 def test_node_counts_do_not_depend_on_earlier_searches():
     # sub-search verdicts are kept per search, so a search counts the same
     # nodes in a fresh interpreter, first here, and after other searches
-    code = ("from ramsey_pm.search import SearchConfig, enumerate_colorings\n"
-            "print(enumerate_colorings(SearchConfig(8, 4, (6, 6, 4, 3))).nodes)")
+    code = ("from ramsey_pm.search import enumerate_colorings\n"
+            "print(enumerate_colorings(8, (6, 6, 4, 3)).nodes)")
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(search.__file__)))
     alone = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                            text=True, check=True)
-    cfg = SearchConfig(8, 4, (6, 6, 4, 3))
-    first = enumerate_colorings(cfg).nodes
+    cfg = (8, (6, 6, 4, 3))
+    first = enumerate_colorings(*cfg).nodes
     for ts in ((6, 6, 6), (6, 5, 4, 3), (7, 6, 3, 3)):
-        enumerate_colorings(SearchConfig(8, len(ts), ts))
-    assert first == enumerate_colorings(cfg).nodes == int(alone.stdout)
+        enumerate_colorings(8, ts)
+    assert first == enumerate_colorings(*cfg).nodes == int(alone.stdout)
 
 
 def test_node_budget_counts_sub_search_nodes(monkeypatch):
@@ -447,18 +469,18 @@ def test_node_budget_counts_sub_search_nodes(monkeypatch):
     subs = []
     real_init = search._ColoringDFS.__init__
 
-    def init(dfs, config, visitor, forced=None):
+    def init(dfs, n, thresholds, visitor, forced=None, **budgets):
         subs.append(forced is not None)
-        real_init(dfs, config, visitor, forced)
+        real_init(dfs, n, thresholds, visitor, forced, **budgets)
 
     monkeypatch.setattr(search._ColoringDFS, "__init__", init)
-    cfg = dict(n=8, r=3, thresholds=(6, 6, 6))
-    full = enumerate_colorings(SearchConfig(**cfg))
-    assert full.status == "all-succeed" and any(subs)
-    exact = enumerate_colorings(SearchConfig(**cfg, node_budget=full.nodes))
-    assert exact.status == "all-succeed" and exact.nodes == full.nodes
-    short = enumerate_colorings(SearchConfig(**cfg, node_budget=full.nodes - 1))
-    assert short.status == "budget-exhausted"
+    full = enumerate_colorings(8, (6, 6, 6))
+    assert full.counterexample is None and any(subs)
+    exact = enumerate_colorings(8, (6, 6, 6), node_budget=full.nodes)
+    assert exact.counterexample is None and exact.nodes == full.nodes
+    with pytest.raises(BudgetExceededError) as err:
+        enumerate_colorings(8, (6, 6, 6), node_budget=full.nodes - 1)
+    assert err.value.nodes == full.nodes
 
 
 def test_sub_searches_add_no_leaves_and_no_counterexample():
@@ -467,7 +489,7 @@ def test_sub_searches_add_no_leaves_and_no_counterexample():
     # visitor got, and its counterexample the first of them
     for n, ts in ((7, (6, 6, 6)), (7, (6, 6, 4, 3)), (7, (7, 6, 3, 3))):
         leaves = []
-        out = enumerate_colorings(SearchConfig(n, len(ts), ts), visitor=leaves.append)
+        out = enumerate_colorings(n, ts, visitor=leaves.append)
         assert leaves and out.leaves == len(leaves), (n, ts)
         assert out.counterexample.colors == leaves[0].colors, (n, ts)
 
@@ -477,8 +499,8 @@ def test_canonical_extension_check_many_equal_colors():
     # boundary is tested; swapping the two colors and moving the triangle
     # first gives 1,1,1,... < 1,1,2,...
     prefix = [1, 1, 2, 1, 2, 2]
-    assert not canonical_extension_check(prefix, SearchConfig(5, 2, (3, 3)))
-    assert not canonical_extension_check(prefix, SearchConfig(5, 9, (3,) * 9))
+    assert not canonical_extension_check(prefix, 5, (3, 3))
+    assert not canonical_extension_check(prefix, 5, (3,) * 9)
 
 
 def test_visited_leaves_pass_the_extension_check():
@@ -488,14 +510,14 @@ def test_visited_leaves_pass_the_extension_check():
              (6, (7, 4)), (6, (6, 5, 3))]
     for n, ts in cases:
         pairs = colex_edges(n)
-        cfg = SearchConfig(n, len(ts), ts)
+        cfg = (n, ts)
         leaves = []
-        enumerate_colorings(cfg, visitor=leaves.append)
+        enumerate_colorings(*cfg, visitor=leaves.append)
         assert leaves, (n, ts)
         for col in leaves:
             seq = [col.color_of(u, v) for u, v in pairs]
             for k in range(1, len(seq) + 1):
-                assert canonical_extension_check(seq[:k], cfg), (n, ts, seq[:k])
+                assert canonical_extension_check(seq[:k], *cfg), (n, ts, seq[:k])
 
 
 def test_extension_check_accepts_only_canonical_parts():
@@ -503,29 +525,29 @@ def test_extension_check_accepts_only_canonical_parts():
     # complete K_m part of an accepted prefix is the least of its class;
     # every prefix of up to 10 slots at n = 6 and of up to 8 slots at n = 5
     for n, ts, longest in ((6, (9, 9), 10), (6, (5, 3), 10), (5, (4, 4, 4), 8)):
-        cfg = SearchConfig(n, len(ts), ts)
+        cfg = (n, ts)
         parts = [m * (m - 1) // 2 for m in range(3, n)]
         accepted = 0
         for length in range(1, longest + 1):
             for prefix in itertools.product(range(1, len(ts) + 1), repeat=length):
-                if canonical_extension_check(prefix, cfg):
+                if canonical_extension_check(prefix, *cfg):
                     accepted += 1
                     for k in parts:
                         if k <= length:
                             assert brute_force_canonical(prefix[:k], ts), (ts, prefix)
         assert accepted, ts
     # its K_4 part fails the K_4 boundary, so the search never goes past it
-    cfg = SearchConfig(6, 2, (9, 9))
-    assert not canonical_extension_check([1, 2, 1, 1, 1, 1], cfg)
-    assert not canonical_extension_check([1, 2, 1, 1, 1, 1, 1], cfg)
+    cfg = (6, (9, 9))
+    assert not canonical_extension_check([1, 2, 1, 1, 1, 1], *cfg)
+    assert not canonical_extension_check([1, 2, 1, 1, 1, 1, 1], *cfg)
 
 
 def test_extension_check_applies_the_twin_rule():
     # in the monochromatic K_4 vertices 0 and 1 are twins, so in row 4 the
     # edge (2,4) may not take a color below that of (1,4)
-    cfg = SearchConfig(6, 2, (9, 9))
-    assert canonical_extension_check([1] * 7 + [2], cfg)
-    assert not canonical_extension_check([1] * 7 + [2, 1], cfg)
+    cfg = (6, (9, 9))
+    assert canonical_extension_check([1] * 7 + [2], *cfg)
+    assert not canonical_extension_check([1] * 7 + [2, 1], *cfg)
 
 
 def test_twins_match_their_definition(rng):
@@ -565,37 +587,37 @@ def test_extension_check_accepts_exactly_the_extended_prefixes(monkeypatch):
     monkeypatch.setattr(search._ColoringDFS, "run", run)
     rejected = 0
     for n, ts in ((5, (9, 9)), (5, (6, 6, 6)), (5, (7, 6)), (6, (7, 7)), (6, (8, 7))):
-        cfg = SearchConfig(n, len(ts), ts)
+        cfg = (n, ts)
         entered.clear()
         leaves = []
-        enumerate_colorings(cfg, visitor=leaves.append)
+        enumerate_colorings(*cfg, visitor=leaves.append)
         size = len(colex_edges(n))
         parents = {p[:-1] for p in entered if p}
         extended = [p for p in entered if len(p) == size or p in parents]
         accepted = [()]
         for k in range(1, size + 1):
             accepted = [p + (c,) for p in accepted for c in range(1, len(ts) + 1)
-                        if canonical_extension_check(p + (c,), cfg)]
+                        if canonical_extension_check(p + (c,), *cfg)]
             assert [p for p in extended if len(p) == k] == accepted, (n, ts, k)
         assert [tuple(col.color_of(u, v) for u, v in colex_edges(n)) for col in leaves] == accepted
         tested = {m * (m - 1) // 2 for m in range(3, n)}
         for p in entered:
             if len(p) < size and p not in parents:
                 rejected += 1
-                assert len(p) in tested and not canonical_extension_check(p, cfg), (n, ts, p)
+                assert len(p) in tested and not canonical_extension_check(p, *cfg), (n, ts, p)
     assert rejected
 
 
 def test_vertex_check_beyond_eight_vertices():
     # no vertex cap: a K_9 prefix whose one color-2 edge leads is beaten by
     # the relabelling that moves that edge to the last slot
-    cfg = SearchConfig(10, 2, (11, 3))
-    assert not canonical_extension_check([2] + [1] * 35, cfg)
-    assert canonical_extension_check([1] * 35 + [2], cfg)
+    cfg = (10, (11, 3))
+    assert not canonical_extension_check([2] + [1] * 35, *cfg)
+    assert canonical_extension_check([1] * 35 + [2], *cfg)
     # twin vertices keep a monochromatic K_12 from costing 12! relabellings
-    assert canonical_extension_check([1] * 66, SearchConfig(12, 2, (13, 3)))
-    out = enumerate_colorings(SearchConfig(13, 2, (14, 3)))
-    assert out.status == "counterexample" and out.nodes == 78
+    assert canonical_extension_check([1] * 66, 12, (13, 3))
+    out = enumerate_colorings(13, (14, 3))
+    assert out.counterexample is not None and out.nodes == 78
 
 
 def test_progress_hook_reports_rate_material(monkeypatch):
@@ -603,23 +625,15 @@ def test_progress_hook_reports_rate_material(monkeypatch):
     # once at the start and once per node, and reports at most once a
     # second, so on every fourth node
     monkeypatch.setattr(results, "time", SteppingClock(0.25))
-    snaps = []
-    cfg = SearchConfig(6, 3, (7, 7, 7), node_budget=400, progress=snaps.append)
-    out = enumerate_colorings(cfg, visitor=lambda col: False)
-    assert out.status == "budget-exhausted"
+    snaps, leaves = [], []
+    with pytest.raises(BudgetExceededError):
+        enumerate_colorings(6, (7, 7, 7), leaves.append, node_budget=400,
+                            progress=snaps.append)
     assert [s["nodes"] for s in snaps] == list(range(4, 401, 4))
     assert {"nodes", "leaves", "elapsed", "depth_histogram"} <= set(snaps[0])
     assert snaps[0]["elapsed"] == 1.0
-    assert 0 < snaps[-1]["leaves"] <= out.leaves
+    assert 0 < snaps[-1]["leaves"] <= len(leaves)
     assert sum(snaps[-1]["depth_histogram"]) == snaps[-1]["nodes"]
-
-
-def test_coloring_time_budget_read_on_every_node(monkeypatch):
-    cfg = SearchConfig(6, 3, (4, 4, 4), time_budget=60.0)
-    out = enumerate_colorings(cfg)
-    assert out.status == "all-succeed" and 1 < out.nodes < 1024
-    monkeypatch.setattr(results, "time", SteppingClock())
-    assert enumerate_colorings(cfg).status == "budget-exhausted"
 
 
 def test_visitor_early_stop():
@@ -629,6 +643,6 @@ def test_visitor_early_stop():
         seen.append(col)
         return True
 
-    out = enumerate_colorings(SearchConfig(3, 3, (3, 3, 3)), visitor=visitor)
+    out = enumerate_colorings(3, (3, 3, 3), visitor=visitor)
     assert len(seen) == 1
     assert out.counterexample is not None
