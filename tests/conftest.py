@@ -3,6 +3,7 @@ from itertools import combinations, permutations
 
 import pytest
 
+from ramsey_pm import results
 from ramsey_pm.bounds import ceil_div
 from ramsey_pm.core_ramsey import BlockCover, cover_feasible
 from ramsey_pm.graphs import SimpleGraph, mask_of
@@ -332,6 +333,40 @@ class SteppingClock:
     def monotonic(self) -> float:
         self.now += self.step
         return self.now
+
+
+# The complete searches share one budget contract.  Each check below takes a
+# search as run(**budgets) -> (verdict, nodes) on an instance that needs more
+# than one node and fewer than 1,024, and each engine's tests call it.
+
+def check_node_budget_boundary(run):
+    """A budget of exactly the nodes a search needs suffices; one less does
+    not, and the error counts the node that broke the budget."""
+    verdict, nodes = run()
+    assert 1 < nodes < 1024
+    assert run(node_budget=nodes) == (verdict, nodes)
+    with pytest.raises(BudgetExceededError) as err:
+        run(node_budget=nodes - 1)
+    assert err.value.nodes == nodes
+
+
+def check_non_positive_budgets_rejected(run):
+    for bad in (dict(node_budget=0), dict(node_budget=-5),
+                dict(time_budget=0), dict(time_budget=-1.0),
+                dict(time_budget=float("nan"))):
+        with pytest.raises(ValueError):
+            run(**bad)
+
+
+def check_time_budget_read_on_every_node(run, monkeypatch):
+    """Each reading of the stepping clock is an hour after the one before,
+    and the search needs fewer than 1,024 nodes, so a meter that read the
+    clock only every so many nodes would finish within 60 s."""
+    verdict, nodes = run(time_budget=60.0)
+    assert (verdict, nodes) == run() and nodes < 1024
+    monkeypatch.setattr(results, "time", SteppingClock())
+    with pytest.raises(BudgetExceededError, match="time budget"):
+        run(time_budget=60.0)
 
 
 @pytest.fixture(autouse=True)

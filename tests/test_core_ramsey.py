@@ -13,7 +13,9 @@ from ramsey_pm.core_ramsey import (BlockCover, cover_feasible,
 from ramsey_pm.coloring import mono_core_profile
 from ramsey_pm.results import BudgetExceededError
 
-from conftest import scan_core_value, subset_cover_search
+from conftest import (check_node_budget_boundary, check_non_positive_budgets_rejected,
+                      check_time_budget_read_on_every_node, scan_core_value,
+                      subset_cover_search)
 
 
 def core_search_brute(n: int, targets) -> bool:
@@ -166,6 +168,23 @@ def test_budget_is_an_error_not_an_answer():
     # this feasible instance needs 4,849 nodes
     with pytest.raises(BudgetExceededError):
         cover_feasible(12, (5,) * 10, node_budget=50)
+
+
+def _cover_search(**budgets):
+    # five blocks of 5 cover K_9
+    return cover_feasible_with_stats(9, (5,) * 5, **budgets)
+
+
+def test_time_budget_read_on_every_node(monkeypatch):
+    check_time_budget_read_on_every_node(_cover_search, monkeypatch)
+
+
+def test_cover_node_budget_boundary():
+    check_node_budget_boundary(_cover_search)
+
+
+def test_cover_non_positive_budgets_rejected():
+    check_non_positive_budgets_rejected(_cover_search)
 
 
 def test_trivial_targets():

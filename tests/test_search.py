@@ -7,14 +7,15 @@ import pytest
 
 from ramsey_pm import results, search
 from ramsey_pm.coloring import mono_pm_profile
-from ramsey_pm.core_ramsey import cover_feasible_with_stats
 from ramsey_pm.graphs import SimpleGraph
 from ramsey_pm.path_matching import packing_oracle
 from ramsey_pm.pm_ramsey import closed_form_value
 from ramsey_pm.results import BudgetExceededError
 from ramsey_pm.search import canonical_extension_check, colex_edges, enumerate_colorings
 
-from conftest import (SteppingClock, brute_force_canonical, first_use_ok, least_image,
+from conftest import (SteppingClock, brute_force_canonical, check_node_budget_boundary,
+                      check_non_positive_budgets_rejected,
+                      check_time_budget_read_on_every_node, first_use_ok, least_image,
                       oracle_leaves, plain_counterexample)
 
 
@@ -122,53 +123,21 @@ def test_deterministic_counterexample():
 
 
 def _coloring_search(**budgets):
+    # every 3-coloring of K_6 finishes a color at threshold 4
     out = enumerate_colorings(6, (4, 4, 4), **budgets)
     return out.counterexample, out.nodes
 
 
-def _cover_search(**budgets):
-    return cover_feasible_with_stats(9, (5,) * 5, **budgets)
-
-
-# both complete searches, as (verdict, nodes), on instances that need more
-# than one node and fewer than 1,024: every 3-coloring of K_6 finishes a
-# color at threshold 4, and five blocks of 5 cover K_9.  The budget tests
-# below run each of them, since the two share one contract
-SEARCHES = {"coloring": _coloring_search, "cover": _cover_search}
-
-
 def test_node_budget_boundary():
-    # a budget of exactly the nodes a search needs suffices; one less does
-    # not, and the error counts the node that broke the budget
-    for name, run in SEARCHES.items():
-        verdict, nodes = run()
-        assert 1 < nodes < 1024, name
-        assert run(node_budget=nodes) == (verdict, nodes), name
-        with pytest.raises(BudgetExceededError) as err:
-            run(node_budget=nodes - 1)
-        assert err.value.nodes == nodes, name
+    check_node_budget_boundary(_coloring_search)
 
 
 def test_non_positive_budgets_rejected():
-    for run in SEARCHES.values():
-        for bad in (dict(node_budget=0), dict(node_budget=-5),
-                    dict(time_budget=0), dict(time_budget=-1.0),
-                    dict(time_budget=float("nan"))):
-            with pytest.raises(ValueError):
-                run(**bad)
+    check_non_positive_budgets_rejected(_coloring_search)
 
 
-def test_time_budget_read_on_every_node(monkeypatch):
-    # each reading of the stepping clock is an hour after the one before,
-    # and each search needs fewer than 1,024 nodes, so a meter that read
-    # the clock only every so many nodes would finish within 60 s
-    for name, run in SEARCHES.items():
-        verdict, nodes = run(time_budget=60.0)
-        assert (verdict, nodes) == run() and nodes < 1024, name
-    monkeypatch.setattr(results, "time", SteppingClock())
-    for run in SEARCHES.values():
-        with pytest.raises(BudgetExceededError, match="time budget"):
-            run(time_budget=60.0)
+def test_coloring_time_budget_read_on_every_node(monkeypatch):
+    check_time_budget_read_on_every_node(_coloring_search, monkeypatch)
 
 
 def test_non_positive_thresholds_rejected():
