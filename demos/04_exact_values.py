@@ -27,7 +27,7 @@ print()
 
 print("path-matchings versus 1-cores: the two values can split")
 for targets in [(5, 5, 5), (4, 4, 4), (4, 3, 3, 3)]:
-    pm = exact_pm_ramsey(targets, strategy="reduction", want_witness=False).value
+    pm = exact_pm_ramsey(targets, strategy="reduction").value
     core = exact_core_ramsey(targets).value
     relation = "=" if pm == core else ">"
     print(f"  R_PM{targets} = {pm} {relation} {core} = R_1C{targets}")
@@ -35,6 +35,6 @@ print()
 
 print("uniform families: targets 4 and 5 grow linearly in the color count")
 for r in range(2, 6):
-    r4 = exact_pm_ramsey((4,) * r, strategy="reduction", want_witness=False).value
-    r5 = exact_pm_ramsey((5,) * r, strategy="reduction", want_witness=False).value
+    r4 = exact_pm_ramsey((4,) * r, strategy="reduction").value
+    r5 = exact_pm_ramsey((5,) * r, strategy="reduction").value
     print(f"  r={r}: R_PM_r(4) = {r4} = r+3,   R_PM_r(5) = {r5} = r+4")

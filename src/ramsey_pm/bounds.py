@@ -285,8 +285,10 @@ def techfact_holds(a: Sequence[int]) -> tuple[bool, bool, bool]:
 
 
 def pm_bounds_report(p: Sequence[int]) -> BoundsReport:
-    """All path-matching bounds for one target vector."""
-    t = sorted_targets(p)
+    """All path-matching bounds for one target vector.  The bounds assume
+    entries of at least 2, so each 1, which forbids every edge of its color
+    as a 2 does, is evaluated as a 2: the value is the same."""
+    t = tuple(max(pi, 2) for pi in sorted_targets(p))
     entries = []
     if len(t) >= 2:
         standard, design = pm_lowers(t)
@@ -295,15 +297,16 @@ def pm_bounds_report(p: Sequence[int]) -> BoundsReport:
         entries.append(BoundEntry("upper", UPPER, pm_upper(t)))
     value, exact = pm_standard_value(t)
     entries.append(BoundEntry("standard-value", EXACT_IF, value, exact))
-    return BoundsReport("PM", t, tuple(entries))
+    return BoundsReport("PM", sorted_targets(p), tuple(entries))
 
 
 def core_bounds_report(p: Sequence[int]) -> BoundsReport:
-    """All 1-core bounds for one target vector."""
-    t = sorted_targets(p)
+    """All 1-core bounds for one target vector, each 1 evaluated as a 2
+    (see pm_bounds_report)."""
+    t = tuple(max(pi, 2) for pi in sorted_targets(p))
     entries = [BoundEntry("largest-target-lower", LOWER, t[0])]
     if len(t) >= 2:
         entries.append(BoundEntry("edgecount-upper", UPPER, core_upper_edgecount(t)))
         entries.append(BoundEntry("degree-upper", UPPER, core_upper_degree(t)))
         entries.append(BoundEntry("main-upper", UPPER, core_upper_main(t)))
-    return BoundsReport("1C", t, tuple(entries))
+    return BoundsReport("1C", sorted_targets(p), tuple(entries))

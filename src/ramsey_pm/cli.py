@@ -13,10 +13,10 @@ from typing import Optional, Sequence
 
 from . import files
 from .bounds import core_bounds_report, pm_bounds_report, sorted_targets
-from .coloring import EdgeColoring, mono_pm_profile
+from .coloring import EdgeColoring, coloring_from_edge_colors, mono_pm_profile
 from .core_ramsey import BlockCover, exact_core_ramsey
 from .path_matching import deficiency
-from .pm_ramsey import _normalize, _witness_valid, exact_pm_ramsey, find_lower_witness
+from .pm_ramsey import _witness_valid, exact_pm_ramsey
 from .reproduce import render_report, run_report
 from .results import (DEFAULT_NODE_BUDGET, BudgetExceededError, RamseyResult,
                       RouteDisagreementError)
@@ -102,7 +102,6 @@ def _cached_result(entry, kind: str, targets: tuple[int, ...]) -> Optional[Ramse
         value, method = int(entry["value"]), str(entry["method"])
         witness = files.witness_from_json(entry["witness"])
         if kind == "pm":
-            targets = _normalize(targets)
             ok = isinstance(witness, EdgeColoring) and _witness_valid(witness, value - 1, targets)
         else:
             ok = (isinstance(witness, BlockCover) and witness.n == value - 1
@@ -166,24 +165,21 @@ def cmd_bounds(args) -> int:
 def cmd_witness(args) -> int:
     if args.n < 1:
         raise ValueError(f"need n >= 1, got {args.n}")
-    targets = parse_targets(args.targets)
-    kw = dict(node_budget=args.node_budget, time_budget=args.time_budget)
-    if args.kind == "pm":
-        witness = find_lower_witness(args.n, targets, **kw)
-        if witness is None:
-            value = exact_pm_ramsey(targets, want_witness=False, **kw).value
-            print(f"no bad coloring of K_{args.n} exists: the value is {value}", file=sys.stderr)
-            return EXIT_USAGE
-        payload = files.coloring_to_text(witness)
-        summary = (f"coloring of K_{witness.n}, "
-                   f"pm profile {mono_pm_profile(witness)}")
+    pm = args.kind == "pm"
+    res = (exact_pm_ramsey if pm else exact_core_ramsey)(
+        parse_targets(args.targets), node_budget=args.node_budget, time_budget=args.time_budget)
+    if args.n >= res.value:
+        print(f"no {'bad coloring' if pm else 'cover'} of K_{args.n} exists: "
+              f"the value is {res.value}", file=sys.stderr)
+        return EXIT_USAGE
+    # the value's witness on K_{value-1}, restricted to its first n vertices
+    full = res.lower_witness
+    if pm:
+        col = coloring_from_edge_colors(args.n, full.r, full.color_of)
+        payload = files.coloring_to_text(col)
+        summary = f"coloring of K_{col.n}, pm profile {mono_pm_profile(col)}"
     else:
-        res = exact_core_ramsey(targets, **kw)
-        if args.n >= res.value:
-            print(f"no cover of K_{args.n} exists: the value is {res.value}", file=sys.stderr)
-            return EXIT_USAGE
-        # the value's cover of K_{value-1}, restricted to its first n vertices
-        full, keep = res.lower_witness, (1 << args.n) - 1
+        keep = (1 << args.n) - 1
         cover = BlockCover(args.n, full.capacities, tuple(b & keep for b in full.blocks))
         cover.validate()
         payload = json.dumps(files.cover_to_json(cover), indent=1) + "\n"

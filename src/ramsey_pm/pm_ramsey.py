@@ -138,13 +138,6 @@ def _f3_maximise(ts: tuple[int, ...], core_oracle) -> tuple[int, list[tuple[int,
     return best, argmax
 
 
-def _normalize(raw: Sequence[int]) -> tuple[int, ...]:
-    """Sorted targets without their 1s (a bad coloring never uses such a
-    color), unless every target is 1."""
-    ts = sorted_targets(raw)
-    return tuple(p for p in ts if p >= 2) or ts
-
-
 def closed_form_value(ts: tuple[int, ...]) -> Optional[tuple[int, str]]:
     """(value, provenance) where a proven closed form exists, else None.
 
@@ -267,7 +260,6 @@ def find_lower_witness(n: int, targets: Sequence[int], *,
 def exact_pm_ramsey(targets: Sequence[int], strategy: str = "auto", *,
                     node_budget: int = DEFAULT_NODE_BUDGET,
                     time_budget: Optional[float] = None,
-                    want_witness: bool = True,
                     progress=None) -> RamseyResult:
     """Exact path-matching Ramsey value of the targets.
 
@@ -281,15 +273,16 @@ def exact_pm_ramsey(targets: Sequence[int], strategy: str = "auto", *,
 
     Disagreement between two completed routes raises
     RouteDisagreementError: by the reduction identity it can only mean a
-    bug, and both values are attached for diagnosis.  With want_witness
-    the result carries _witness's bad coloring of K_{value-1}, whatever the
-    route; none that re-validates raises RouteDisagreementError too.
+    bug, and both values are attached for diagnosis.  Every result carries
+    _witness's bad coloring of K_{value-1}, whatever the route, with one
+    color per sorted target: a target 1 or 2 keeps a color it never uses.
+    None that re-validates raises RouteDisagreementError too.
     """
     if strategy not in ("auto", "formula", "reduction", "search"):
         raise ValueError(f"unknown strategy {strategy!r}")
 
     started = time.monotonic()
-    ts = _normalize(targets)
+    ts = sorted_targets(targets)
     stats = SearchStats()
     kw = dict(node_budget=node_budget, time_budget=time_budget, progress=progress)
 
@@ -319,14 +312,12 @@ def exact_pm_ramsey(targets: Sequence[int], strategy: str = "auto", *,
     else:
         value, method = routes[strategy]()
 
-    result = RamseyResult(ts, value, method, None, stats)
-    if want_witness:
-        result.lower_witness = _witness(ts, value, dict(kw, stats=stats))
-        if result.lower_witness is None:
-            raise RouteDisagreementError(
-                f"no witness coloring found on {value - 1} vertices for {ts}; "
-                "the lower bound certificate is missing",
-                {"targets": ts, "value": value})
+    result = RamseyResult(ts, value, method, _witness(ts, value, dict(kw, stats=stats)), stats)
+    if result.lower_witness is None:
+        raise RouteDisagreementError(
+            f"no witness coloring found on {value - 1} vertices for {ts}; "
+            "the lower bound certificate is missing",
+            {"targets": ts, "value": value})
     result.stats.millis = int((time.monotonic() - started) * 1000)
     return result
 

@@ -28,7 +28,7 @@ class ReportRow:
 
 
 def _pm_value(targets, strategy="auto"):
-    return exact_pm_ramsey(targets, strategy=strategy, want_witness=False).value
+    return exact_pm_ramsey(targets, strategy=strategy).value
 
 
 def _check_rows() -> list[tuple[str, str, Callable[[], tuple[str, bool]]]]:
@@ -130,11 +130,17 @@ def _check_rows() -> list[tuple[str, str, Callable[[], tuple[str, bool]]]]:
 
 
 def run_report(only: Optional[str] = None) -> list[ReportRow]:
-    pattern = re.compile(only) if only else None
+    """The checked rows whose names match the regex only, if given; an
+    invalid pattern, or one that matches no row, raises ValueError."""
+    try:
+        pattern = re.compile(only) if only else None
+    except re.error as err:
+        raise ValueError(f"invalid --only pattern {only!r}: {err}") from None
+    checks = [row for row in _check_rows() if not pattern or pattern.search(row[0])]
+    if not checks:
+        raise ValueError(f"--only pattern {only!r} matches no row")
     out = []
-    for name, expected, fn in _check_rows():
-        if pattern and not pattern.search(name):
-            continue
+    for name, expected, fn in checks:
         started = time.monotonic()
         try:
             computed, passed = fn()

@@ -52,7 +52,7 @@ def test_criterion_02_exact_pm_values():
     for p1 in range(2, 7):
         for p2 in range(2, p1 + 1):
             want = p1 + ceil_third(p2) - 1
-            res = exact_pm_ramsey((p1, p2), strategy="search", want_witness=False)
+            res = exact_pm_ramsey((p1, p2), strategy="search")
             assert res.value == want, (p1, p2, res.value)
     _report("2", "published values and the full two-color table via search")
 
@@ -85,7 +85,7 @@ def test_criterion_04_reduction_identity_at_desk_scale():
         for tv in combinations_with_replacement(range(5, 2, -1), r):
             vectors.add(tuple(sorted(tv, reverse=True)))
     for tv in sorted(vectors):
-        search = exact_pm_ramsey(tv, strategy="search", want_witness=False)
+        search = exact_pm_ramsey(tv, strategy="search")
         red = f_d(tv, 3, core_value)
         assert search.value == red, (tv, search.value, red)
         # with two or more colors the route decides every size by search
@@ -112,7 +112,7 @@ def test_criterion_06_sandwich_on_sampled_vectors():
     for _ in range(200):
         r = rng.randint(2, 6)
         tv = tuple(sorted((rng.randint(2, 9) for _ in range(r)), reverse=True))
-        value = exact_pm_ramsey(tv, strategy="reduction", want_witness=False).value
+        value = exact_pm_ramsey(tv, strategy="reduction").value
         lo_std, lo_design = pm_lowers(tv)
         assert max(lo_std, lo_design) <= value <= pm_upper(tv), tv
         sv, exact = pm_standard_value(tv)
@@ -140,8 +140,7 @@ def test_criterion_07_witness_suite():
     assert witness is not None and witness.n == 15
     prof = mono_pm_profile(witness)
     assert all(q <= 5 for q in prof)
-    assert exact_pm_ramsey((6,) * 10, strategy="reduction",
-                           want_witness=False).value > 15
+    assert exact_pm_ramsey((6,) * 10, strategy="reduction").value > 15
 
     # the two published constructions on six and four vertices:
     # [4,1,1] for the path-matching side of (5,5,5)
@@ -182,8 +181,7 @@ def test_criterion_08_diagonal_guarantee():
             target = 3 * n // (r + 2)
             if target < 2:
                 continue
-            value = exact_pm_ramsey((target,) * r, strategy="reduction",
-                                    want_witness=False).value
+            value = exact_pm_ramsey((target,) * r, strategy="reduction").value
             assert value <= n, (r, n, value)
             sizes = [3 * n // (r + 2)] + [n // (r + 2)] * (r - 1)
             col = layered_coloring(sizes)
@@ -215,7 +213,7 @@ def test_criterion_09_techfact_property():
     _report("9", "500 random vectors, all three facts with both directions")
 
 
-def test_criterion_10_worker_independence():
+def test_criterion_10_pruned_verdicts_match_plain_dfs_and_pins():
     # the pruned coloring search finds the least bad coloring that a plain
     # DFS, sharing no code with it, finds, or none when that finds none
     coloring_cases = [(3, (3, 3, 3)), (4, (3, 3, 3)), (4, (3, 3, 3, 3)),

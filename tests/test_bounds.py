@@ -5,13 +5,16 @@ from math import ceil, comb, sqrt
 
 import pytest
 
-from ramsey_pm.bounds import (ceil_div, cockayne_lorimer, core_upper, core_upper_degree,
+from ramsey_pm.bounds import (EXACT_IF, ceil_div, cockayne_lorimer, core_bounds_report,
+                              core_upper, core_upper_degree,
                               core_upper_edgecount, core_upper_main,
                               covering_lower_eh, covering_lower_schonheim,
                               diagonal_guarantee, nontrivial_targets, pm_all3,
                               pm_bounds_report, pm_lowers, pm_standard_value,
                               pm_upper, techfact_holds)
+from ramsey_pm.core_ramsey import exact_core_ramsey
 from ramsey_pm.graphs import SimpleGraph
+from ramsey_pm.pm_ramsey import exact_pm_ramsey
 
 
 def max_matching_order(g: SimpleGraph) -> int:
@@ -236,6 +239,24 @@ def test_bounds_report_consistency(rng):
         tv = tuple(sorted((rng.randint(2, 12) for _ in range(r)), reverse=True))
         rep = pm_bounds_report(tv)
         assert rep.best_lower() <= rep.best_upper()
+
+
+def test_bounds_reports_bracket_the_exact_values():
+    # r <= 4 with entries 1..5, targets of 1 included: each report's best
+    # lower and upper bracket the exact value, and an exact-if entry whose
+    # condition holds is the value
+    for r in range(1, 5):
+        for tv in combinations_with_replacement(range(5, 0, -1), r):
+            for report, exact in ((pm_bounds_report, exact_pm_ramsey),
+                                  (core_bounds_report, exact_core_ramsey)):
+                rep = report(tv)
+                value = exact(tv).value
+                assert rep.targets == tv, (report, tv)
+                assert (rep.best_lower() or value) <= value <= (rep.best_upper() or value), \
+                    (report, tv)
+                for e in rep.entries:
+                    if e.kind == EXACT_IF and e.condition_holds:
+                        assert e.value == value, (report, tv, e.name)
 
 
 def test_ceil_div_negative_numerator():

@@ -131,7 +131,7 @@ def test_cache_hit_does_not_change_value(tmp_path, capsys):
     second = capsys.readouterr().out
     assert "value: 7" in second and "cached" in second
     # recompute and compare against the cached answer
-    fresh = exact_pm_ramsey((5, 5, 5), want_witness=False).value
+    fresh = exact_pm_ramsey((5, 5, 5)).value
     assert fresh == 7
 
 
@@ -268,7 +268,7 @@ def test_cli_non_positive_budgets_exit_1(capsys):
     capsys.readouterr()
 
 
-def test_cli_exact_pm_beyond_24_vertices(capsys):
+def test_cli_exact_pm_with_a_25_vertex_witness(capsys):
     assert main(["exact", "pm", "--targets", "26,3", "--no-cache", "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["value"] == 26
 
@@ -320,6 +320,34 @@ def test_cli_witness_below_the_value(capsys):
         assert (cover.n, cover.capacities) == (n, (4, 4, 4)), n
 
 
+def test_cli_witness_pm_computes_the_value_once(monkeypatch, capsys):
+    from ramsey_pm import cli
+    calls = []
+
+    def counted(*args, **kw):
+        calls.append(args)
+        return exact_pm_ramsey(*args, **kw)
+
+    monkeypatch.setattr(pm_ramsey, "exact_pm_ramsey", counted)
+    monkeypatch.setattr(cli, "exact_pm_ramsey", counted)
+    # the value is 16: n = 15 writes a witness, n = 16 names the value
+    for n, code in (("15", 0), ("16", 1)):
+        calls.clear()
+        assert main(["witness", "pm", "--targets", "6*10", "-n", n]) == code, n
+        capsys.readouterr()
+        assert len(calls) == 1, n
+
+
+def test_cli_targets_of_one_keep_their_color(tmp_path, capsys):
+    assert main(["exact", "pm", "--targets", "6,1,6", "--cache", "none", "--json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["targets"], out["value"], out["witness"]["r"]) == ([6, 6, 1], 7, 3)
+    path = tmp_path / "w.coloring"
+    assert main(["witness", "pm", "--targets", "3,1", "-n", "2", "-o", str(path)]) == 0
+    capsys.readouterr()
+    assert path.read_text().splitlines()[0] == "2 2"
+
+
 def test_public_names_resolve_once():
     # every name the package exports exists, and none is listed twice
     names = ramsey_pm.__all__
@@ -352,6 +380,22 @@ def test_core_scan_past_bound_exits_3(monkeypatch, capsys):
     assert err.value.details == {"targets": (4, 4, 4), "n": 5, "bound": 4}
     assert main(["exact", "core", "--targets", "4,4,4", "--cache", "none"]) == 3
     capsys.readouterr()
+
+
+def test_cli_reproduce_full_report(capsys):
+    assert main(["reproduce", "--json"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert len(rows) == 80 and all(row["passed"] for row in rows)
+
+
+def test_cli_reproduce_bad_filter_exits_1(capsys):
+    # an invalid pattern and one that matches no row are usage errors
+    for pattern, message in (("(", "invalid --only pattern"),
+                             ("^no such row$", "'^no such row$' matches no row")):
+        assert main(["reproduce", "--only", pattern]) == 1, pattern
+        captured = capsys.readouterr()
+        assert captured.out == "", pattern
+        assert captured.err.startswith("error: ") and message in captured.err, pattern
 
 
 def test_cli_reproduce_filtered(capsys):

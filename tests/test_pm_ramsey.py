@@ -4,13 +4,13 @@ import pytest
 
 from ramsey_pm import core_ramsey
 from ramsey_pm.bounds import (ceil_third, core_upper_edgecount, core_upper_main,
-                              pm_lowers, pm_standard_value, pm_upper)
+                              pm_lowers, pm_standard_value, pm_upper, sorted_targets)
 from ramsey_pm.coloring import core_lift_coloring, mono_pm_profile
 from ramsey_pm.pm_ramsey import (_core_result, _cover_as_coloring_for,
-                                 _f3_maximise, _normalize, clear_core_cache, core_value,
+                                 _f3_maximise, clear_core_cache, core_value,
                                  exact_pm_ramsey, f_d, find_lower_witness,
                                  verify_upper)
-from ramsey_pm.results import FormulaUnavailableError, RouteDisagreementError
+from ramsey_pm.results import FormulaUnavailableError, RouteDisagreementError, SearchStats
 
 
 def _shifted(tv, xs):
@@ -93,7 +93,7 @@ def test_exact_values_match_published_table():
             assert exact_pm_ramsey(tv, strategy=strategy).value == want
 
 
-def test_exact_pm_beyond_24_vertices():
+def test_exact_pm_with_a_25_vertex_witness():
     res = exact_pm_ramsey((26, 3))
     assert res.value == 26
     assert res.lower_witness.n == 25
@@ -141,7 +141,7 @@ def test_route_agreement_small_vectors():
     # 3..6, so the searches run at n = 3..8
     for r in (1, 2, 3):
         for tv in combinations_with_replacement(range(6, 2, -1), r):
-            v = exact_pm_ramsey(tv, strategy="reduction", want_witness=False).value
+            v = exact_pm_ramsey(tv, strategy="reduction").value
             assert verify_upper(v, tv) is None, tv
             bad = verify_upper(v - 1, tv)
             assert bad is not None, tv
@@ -152,8 +152,8 @@ def test_route_agreement_four_colors_small_values(rng):
     # quadruples whose value stays within genuine search range
     for tv in [(3, 3, 3, 2), (4, 3, 3, 2), (3, 3, 2, 2), (4, 3, 3, 3),
                (4, 4, 3, 3), (3, 3, 3, 3)]:
-        red = exact_pm_ramsey(tv, strategy="reduction", want_witness=False).value
-        srch = exact_pm_ramsey(tv, strategy="search", want_witness=False).value
+        red = exact_pm_ramsey(tv, strategy="reduction").value
+        srch = exact_pm_ramsey(tv, strategy="search").value
         assert red == srch, tv
 
 
@@ -161,7 +161,7 @@ def test_sandwich_and_exactness(rng):
     for _ in range(60):
         r = rng.randint(2, 6)
         tv = tuple(sorted((rng.randint(2, 9) for _ in range(r)), reverse=True))
-        value = exact_pm_ramsey(tv, strategy="reduction", want_witness=False).value
+        value = exact_pm_ramsey(tv, strategy="reduction").value
         lo_std, lo_design = pm_lowers(tv)
         assert max(lo_std, lo_design) <= value <= pm_upper(tv), tv
         sv, exact = pm_standard_value(tv)
@@ -179,22 +179,20 @@ def test_appending_twos_never_changes_value():
     for r in range(1, 5):
         for tv in [(6,) * r, (5, 4, 3)[:max(1, r)], (4,) * r]:
             tv = tuple(sorted(tv, reverse=True))
-            base = exact_pm_ramsey(tv, strategy="reduction", want_witness=False).value
-            extended = exact_pm_ramsey(tv + (2,), strategy="reduction",
-                                       want_witness=False).value
+            base = exact_pm_ramsey(tv, strategy="reduction").value
+            extended = exact_pm_ramsey(tv + (2,), strategy="reduction").value
             assert base == extended, tv
 
 
 def test_monotone_in_each_target():
     solved = [(3, 3, 3), (4, 3, 3), (4, 4, 3), (4, 4, 4), (5, 4, 4), (5, 5, 4)]
-    values = {tv: exact_pm_ramsey(tv, strategy="reduction", want_witness=False).value
+    values = {tv: exact_pm_ramsey(tv, strategy="reduction").value
               for tv in solved}
     for tv, val in values.items():
         for i in range(len(tv)):
             bumped = tuple(sorted((tv[j] + (1 if j == i else 0)
                                    for j in range(len(tv))), reverse=True))
-            bigger = exact_pm_ramsey(bumped, strategy="reduction",
-                                     want_witness=False).value
+            bigger = exact_pm_ramsey(bumped, strategy="reduction").value
             assert bigger >= val, (tv, bumped)
 
 
@@ -204,13 +202,18 @@ def test_trivial_targets():
     assert exact_pm_ramsey((2,)).value == 2
 
 
-def test_normalize_sorts_and_drops_ones():
-    assert _normalize((3, 5, 2, 4)) == (5, 4, 3, 2)
-    assert _normalize((6, 1, 6)) == (6, 6)
-    with pytest.raises(ValueError):
-        _normalize((0, 3))
-    with pytest.raises(ValueError):
-        _normalize(())
+def test_targets_of_one_keep_an_unused_color():
+    # a target 1, like a target 2, forbids every edge of its color; it is
+    # kept in the result's targets and its witness color stays unused
+    for tv, targets, value in (((6, 1, 6), (6, 6, 1), 7), ((3, 1), (3, 1), 3),
+                               ((1, 1, 1), (1, 1, 1), 2), ((6, 2, 6), (6, 6, 2), 7)):
+        res = exact_pm_ramsey(tv)
+        col = res.lower_witness
+        assert (res.targets, res.value) == (targets, value), tv
+        assert (col.n, col.r) == (value - 1, len(targets)), tv
+        for color, p in enumerate(targets, start=1):
+            if p <= 2:
+                assert color not in col.colors, (tv, color)
 
 
 def test_witness_attached_and_valid():
@@ -231,10 +234,8 @@ def test_formula_strategy_refuses_unproven():
 
 def test_formula_strategy_on_proven_cases():
     assert exact_pm_ramsey((5, 5), strategy="formula").value == 6
-    assert exact_pm_ramsey((7, 6, 6, 6, 6), strategy="formula",
-                           want_witness=False).value == 11
-    assert exact_pm_ramsey((6, 5, 4), strategy="formula",
-                           want_witness=False).value == 6 + 2 + 2 - 2
+    assert exact_pm_ramsey((7, 6, 6, 6, 6), strategy="formula").value == 11
+    assert exact_pm_ramsey((6, 5, 4), strategy="formula").value == 6 + 2 + 2 - 2
 
 
 def test_witness_step_passes_the_progress_hook(monkeypatch):
@@ -310,7 +311,7 @@ def test_search_route_runs_alone(monkeypatch):
 
     monkeypatch.setattr(pm_ramsey, "core_value", no_reduction)
     for tv, want in {(5, 5, 5): 7, (6, 6, 6): 8, (5, 5, 5, 5): 8, (10, 10): 13}.items():
-        res = exact_pm_ramsey(tv, "search", want_witness=False)
+        res = exact_pm_ramsey(tv, "search")
         assert (res.value, res.method) == (want, "exhaustive-search"), tv
         assert res.stats.nodes > 0, tv
 
@@ -323,8 +324,8 @@ def test_find_lower_witness_agrees_with_the_coloring_search(rng):
         r = rng.randint(1, 4)
         vectors.append(tuple(rng.randint(1, 7) for _ in range(r)))
     for tv in vectors:
-        ts = _normalize(tv)
-        value = exact_pm_ramsey(tv, want_witness=False).value
+        ts = sorted_targets(tv)
+        value = exact_pm_ramsey(tv).value
         for n in range(1, min(value + 1, 7) + 1):
             col = find_lower_witness(n, tv)
             assert (col is None) == (verify_upper(n, ts) is None), (tv, n)
@@ -350,13 +351,15 @@ def test_find_lower_witness_runs_no_coloring_search(monkeypatch):
 
 
 def test_witness_adds_no_nodes():
-    # the witness lifts 1-cores the reduction already solved
+    # the witness lifts 1-cores the reduction already solved, so the result
+    # counts the nodes of the reduction's grid alone
     for tv in [(6,) * 10, (6,) * 7 + (3, 3), (6,) * 8, (6,) * 6 + (4, 4)]:
         clear_core_cache()
-        bare = exact_pm_ramsey(tv, want_witness=False).stats.nodes
+        bare = SearchStats()
+        _f3_maximise(tv, lambda shifted: core_value(shifted, stats=bare))
         clear_core_cache()
         res = exact_pm_ramsey(tv)
-        assert res.stats.nodes == bare > 0, tv
+        assert res.stats.nodes == bare.nodes > 0, tv
         assert res.lower_witness.n == res.value - 1, tv
 
 
