@@ -33,15 +33,15 @@ keep the tree tiny:
   vertex of K_v, the edge (b,v) may not take a color below that of (a,v),
   since swapping a and b would then beat the K_{v+1} prefix.
 
-canonical_extension_check replays a prefix through the search's own rules,
-success pruning and the look-aheads aside, so it accepts exactly the prefixes the search extends
-(recurses past, or visits as a leaf).
+A visitor sees every coloring the search keeps.  On K_3 no color can reach
+4, so with targets (4,4,4) the visitor sees the first-use rule alone at
+work: color 1 leads and color 3 comes only after color 2.  With (5,3) the
+two colors are not interchangeable, so color 2 may lead.
 """
 
 import time
 
-from ramsey_pm import (BudgetExceededError, canonical_extension_check,
-                       enumerate_colorings, mono_pm_profile)
+from ramsey_pm import BudgetExceededError, enumerate_colorings, mono_pm_profile
 
 out = enumerate_colorings(7, (5, 5, 5))
 verdict = "every coloring succeeds" if out.counterexample is None else "counterexample"
@@ -54,14 +54,13 @@ print(f"the same targets on K_6: counterexample after {out6.nodes} nodes")
 print(f"  witness profile: {mono_pm_profile(out6.counterexample)}")
 print()
 
-print("the first-use rule in action (equal thresholds):")
-for prefix in ([1], [2], [1, 2, 2], [1, 1, 3]):
-    print(f"  prefix {str(prefix):<12} canonical? "
-          f"{canonical_extension_check(prefix, 4, (4, 4, 4))}")
-print()
-
-print("unequal thresholds freeze the color order, so color 2 may lead:")
-print(f"  prefix {'[2]':<12} canonical? {canonical_extension_check([2], 4, (5, 3))}")
+print("the colorings of K_3 that a visitor sees, as colors of (0,1), (0,2), (1,2):")
+for ts, note in (((4, 4, 4), "equal thresholds: first-use order, color 1 leads"),
+                 ((5, 3), "unequal thresholds: color 2 may lead")):
+    leaves = []
+    enumerate_colorings(3, ts, leaves.append)
+    print(f"  targets {ts} ({note}):")
+    print("    " + "  ".join("".join(map(str, col.colors)) for col in leaves))
 print()
 
 print("progress reporting on a long run: no color reaches 8 on K_7, so")

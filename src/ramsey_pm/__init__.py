@@ -19,13 +19,13 @@ from .coloring import (EdgeColoring, core_lift_coloring,
 from .core_ramsey import (BlockCover, cover_feasible, cover_to_coloring,
                           covering_number, exact_core_ramsey)
 from .graphs import SimpleGraph, complete_graph
-from .path_matching import (DeficiencyCertificate, deficiency, has_perfect_pm,
-                            max_pm_order, packing_oracle)
+from .path_matching import (DeficiencyCertificate, deficiency, max_pm_order,
+                            packing_oracle)
 from .pm_ramsey import (clear_core_cache, exact_pm_ramsey, f_d,
                         find_lower_witness, verify_upper)
 from .results import (BudgetExceededError, FormulaUnavailableError,
                       RamseyResult, RouteDisagreementError, SearchStats)
-from .search import SearchOutcome, canonical_extension_check, enumerate_colorings
+from .search import SearchOutcome, enumerate_colorings
 
 __version__ = "0.1.0"
 
@@ -34,13 +34,13 @@ __all__ = [
     "EdgeColoring", "FormulaUnavailableError", "RamseyResult",
     "RouteDisagreementError", "SearchOutcome", "SearchStats",
     "SimpleGraph",
-    "canonical_extension_check", "ceil_div", "clear_core_cache",
+    "ceil_div", "clear_core_cache",
     "cockayne_lorimer", "complete_graph", "core_bounds_report",
     "core_lift_coloring", "core_upper_degree", "core_upper_edgecount",
     "core_upper_main", "cover_feasible", "cover_to_coloring", "covering_lower_eh",
     "covering_lower_schonheim", "covering_number", "deficiency",
     "diagonal_guarantee", "enumerate_colorings", "exact_core_ramsey",
-    "exact_pm_ramsey", "f_d", "find_lower_witness", "has_perfect_pm",
+    "exact_pm_ramsey", "f_d", "find_lower_witness",
     "layered_coloring", "max_pm_order", "mono_core_profile",
     "mono_pm_profile", "packing_oracle", "pm_all3",
     "pm_bounds_report", "pm_extremal_coloring", "pm_lowers", "pm_standard_value",

@@ -46,8 +46,10 @@ def parse_targets(text: str) -> list[int]:
         if not chunk:
             continue
         if "*" in chunk:
-            base, times = chunk.split("*", 1)
-            out.extend([int(base)] * int(times))
+            base, times = (int(part) for part in chunk.split("*", 1))
+            if times < 1:
+                raise ValueError(f"repeat count must be at least 1 in {chunk!r}")
+            out.extend([base] * times)
         else:
             out.append(int(chunk))
     if not out:

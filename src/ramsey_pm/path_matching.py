@@ -178,11 +178,6 @@ def max_pm_order(g: SimpleGraph) -> int:
     return pm_order_of_rows(g.rows, g.n)
 
 
-def has_perfect_pm(g: SimpleGraph) -> bool:
-    """True iff some path-matching covers every vertex, i.e. pd(g) = 0."""
-    return pm_order_of_rows(g.rows, g.n) == g.n
-
-
 def packing_oracle(g: SimpleGraph) -> int:
     """Exhaustive {P2, P3}-packing, independent of the deficiency formula.
 

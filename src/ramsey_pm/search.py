@@ -63,11 +63,6 @@ of each equivalence class survives all seven prunes, so at least one
 representative per class is visited.  The minimality test reads the color
 matrix, whose row b up to column b is the prefix's row b, and records the
 twins of each K_m it tests, which its own search and row m then use.
-canonical_extension_check replays a prefix through the search's own
-rules (the color groups; the tested boundaries, K_m for 3 <= m < n, which
-slot (m-2, m-1) ends; the rows the row and twin rules hold in, all but the
-last), so it accepts exactly the prefixes the search extends (recurses
-past, or visits as a leaf), success pruning and the look-aheads aside.
 
 Both complete searches, this one and the cover search
 (core_ramsey.cover_feasible_with_stats), keep one contract: plain
@@ -409,37 +404,3 @@ def enumerate_colorings(n: int, thresholds: Sequence[int],
     dfs.run()
     return SearchOutcome(dfs.counterexample, dfs.nodes, dfs.leaves)
 
-
-def canonical_extension_check(prefix_colors: Sequence[int], n: int,
-                              thresholds: Sequence[int]) -> bool:
-    """True iff the search, success pruning and the look-aheads aside,
-    extends this prefix (colors of the first k colex edges, 1-indexed
-    colors): recurses past it, or visits it as a leaf.
-
-    The prefix is replayed slot by slot through the search's own rules
-    and color matrix: the least color of the row and twin rules, the
-    first-use order, and the minimality test at every tested K_m boundary
-    that the prefix completes.  The search runs that test one slot later,
-    at the prefix's first surviving child, and so enters a complete K_m
-    prefix that the test rejects, but never goes past it.
-    """
-    seq = [c - 1 for c in prefix_colors]
-    if any(not 0 <= c < len(thresholds) for c in seq):
-        raise ValueError("colors out of range")
-    dfs = _ColoringDFS(n, thresholds, None)
-    if len(seq) > dfs.E:
-        raise ValueError(f"prefix longer than the {dfs.E} edges of K_{n}")
-    col, used = dfs.col, dfs.used_in_group
-    tie = True
-    for k, c in enumerate(seq):
-        u, v = dfs.edges[k]
-        g = dfs.group_of[c]
-        if c < dfs._least(u, v, tie) or dfs.rank_in_group[c] > used[g]:
-            return False
-        if dfs.rank_in_group[c] == used[g]:
-            used[g] += 1
-        col[u][v] = col[v][u] = c
-        if u == v - 1 and 2 <= v < n - 1 and not dfs._canonical(v + 1):
-            return False
-        tie = u == v - 1 or (tie and c == col[u][v - 1])
-    return True

@@ -9,6 +9,7 @@ from ramsey_pm.core_ramsey import BlockCover, cover_feasible
 from ramsey_pm.graphs import SimpleGraph, mask_of
 from ramsey_pm.path_matching import packing_oracle, pm_order_of_rows
 from ramsey_pm.results import BudgetExceededError
+from ramsey_pm.search import _ColoringDFS
 
 
 def random_graph(n: int, rng: random.Random, p: float = 0.5) -> SimpleGraph:
@@ -240,6 +241,30 @@ def least_image(prefix, thresholds) -> tuple[int, ...]:
 def brute_force_canonical(prefix, thresholds) -> bool:
     """True iff no symmetry of the complete K_m prefix makes it smaller."""
     return least_image(prefix, thresholds) == tuple(prefix)
+
+
+def search_extends(prefix, n, thresholds) -> bool:
+    """True iff the coloring search extends this prefix (1-indexed colors
+    of the first colex edges of K_n): recurses past it, or visits it as a
+    leaf.  Each threshold is lifted to 2n plus its rank among the distinct
+    thresholds, so equal ones stay equal and the color groups are the same,
+    while no color of K_n comes near one, so success pruning and the
+    look-aheads never cut.  The search itself runs; only its entry is
+    watched.  For testing only."""
+    seq = [c - 1 for c in prefix]
+    ranks = sorted(set(thresholds))
+
+    class Following(_ColoringDFS):
+        def run(self, k=0, tie=True, pending=0):
+            if 0 < k <= len(seq):
+                u, v = self.edges[k - 1]  # the slots below k - 1 matched at the parent
+                if self.col[u][v] != seq[k - 1]:
+                    return False
+            if k > len(seq) or k == self.E:
+                return True
+            return super().run(k, tie, pending)
+
+    return Following(n, [2 * n + ranks.index(p) for p in thresholds], None).run()
 
 
 def first_use_ok(seq, thresholds) -> bool:

@@ -21,8 +21,9 @@ def test_parse_targets():
     assert parse_targets("5,5,5") == [5, 5, 5]
     assert parse_targets("6*10") == [6] * 10
     assert parse_targets("6*3,5") == [6, 6, 6, 5]
-    with pytest.raises(ValueError):
-        parse_targets("")
+    for bad in ("", "5,5*-1", "6*0,4"):
+        with pytest.raises(ValueError):
+            parse_targets(bad)
 
 
 def test_coloring_text_roundtrip(rng):
@@ -250,6 +251,10 @@ def test_cli_deficiency(tmp_path, capsys):
 def test_cli_exit_codes(tmp_path, capsys):
     assert main(["exact", "pm", "--targets", "bogus", "--cache", "none"]) == 1
     capsys.readouterr()
+    # a repeat count below 1 is an error, not a dropped chunk
+    assert main(["exact", "pm", "--targets", "5,5*-1", "--cache", "none"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "repeat count" in captured.err
     code = main(["exact", "core", "--targets", "6,6,6,6", "--cache", "none",
                  "--node-budget", "3"])
     assert code == 2
@@ -370,6 +375,38 @@ def test_perfbench_boundaries_exist():
     assert len(pairs) >= 8
     for module, attr in pairs:
         assert hasattr(importlib.import_module(f"ramsey_pm.{module}"), attr), (module, attr)
+
+
+def test_perfbench_library_names_exist():
+    # every name perfbench imports from ramsey_pm, and every "module.func"
+    # it names: each workload Call's function and the module-level names
+    # such as child.py's REDUCTION.  A deletion in the library then fails
+    # here rather than in a benchmark run
+    import ast
+    import importlib
+    import re
+    bench = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
+    imported, named = [], []
+    for name in sorted(os.listdir(bench)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(bench, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("ramsey_pm"):
+                imported += [(node.module, alias.name) for alias in node.names]
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Call":
+                named.append(ast.literal_eval(node.args[0]))
+        named += [node.value.value for node in tree.body if isinstance(node, ast.Assign)
+                  and isinstance(node.value, ast.Constant)
+                  and re.fullmatch(r"[a-z_]+\.[a-z_]+", str(node.value.value))]
+    assert {"packing_oracle", "mono_pm_profile", "bits"} <= {attr for _, attr in imported}
+    assert "pm_ramsey.exact_pm_ramsey" in named and "pm_ramsey.verify_upper" in named
+    for module, attr in imported:
+        assert hasattr(importlib.import_module(module), attr), (module, attr)
+    for dotted in named:
+        module, attr = dotted.split(".")
+        assert hasattr(importlib.import_module(f"ramsey_pm.{module}"), attr), dotted
 
 
 def test_core_scan_past_bound_exits_3(monkeypatch, capsys):

@@ -3,8 +3,7 @@ import random
 import pytest
 
 from ramsey_pm.graphs import SimpleGraph, complete_graph
-from ramsey_pm.path_matching import (deficiency, has_perfect_pm, max_pm_order,
-                                     packing_oracle, pendant_gains)
+from ramsey_pm.path_matching import deficiency, max_pm_order, packing_oracle, pendant_gains
 
 from conftest import graph_from_mask, pendant_gains_by_matching, random_graph, subset_deficiency
 
@@ -26,10 +25,10 @@ def test_max_pm_order_examples():
 
 
 def test_has_perfect_pm_examples():
-    assert has_perfect_pm(complete_graph(3))
-    assert has_perfect_pm(complete_graph(2))
+    assert max_pm_order(complete_graph(3)) == 3
+    assert max_pm_order(complete_graph(2)) == 2
     with_isolated = SimpleGraph.from_edges(3, [(0, 1)])
-    assert not has_perfect_pm(with_isolated)
+    assert max_pm_order(with_isolated) != 3
 
 
 def test_packing_oracle_examples():
@@ -93,7 +92,7 @@ def test_deficiency_bounds_and_perfect_pm_relation():
         g = random_graph(n, rng, p=rng.random())
         pd, _ = deficiency(g)
         assert 0 <= pd <= n
-        assert (pd == 0) == has_perfect_pm(g)
+        assert (pd == 0) == (max_pm_order(g) == g.n)
 
 
 def test_monotone_under_edge_addition():

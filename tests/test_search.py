@@ -11,12 +11,12 @@ from ramsey_pm.graphs import SimpleGraph
 from ramsey_pm.path_matching import packing_oracle
 from ramsey_pm.pm_ramsey import closed_form_value
 from ramsey_pm.results import BudgetExceededError
-from ramsey_pm.search import canonical_extension_check, colex_edges, enumerate_colorings
+from ramsey_pm.search import colex_edges, enumerate_colorings
 
 from conftest import (SteppingClock, brute_force_canonical, check_node_budget_boundary,
                       check_non_positive_budgets_rejected,
                       check_time_budget_read_on_every_node, first_use_ok, least_image,
-                      oracle_leaves, plain_counterexample)
+                      oracle_leaves, plain_counterexample, search_extends)
 
 
 def naive_counterexamples(n, thresholds):
@@ -174,15 +174,16 @@ def test_budget_exhaustion_is_reported():
 
 def test_canonical_extension_check_first_edge():
     cfg = (4, (3, 3, 3))
-    assert canonical_extension_check([1], *cfg)
-    assert not canonical_extension_check([2], *cfg)  # equal thresholds freeze order
-    assert not canonical_extension_check([2], 4, (3, 3))
+    assert search_extends([1], *cfg)
+    assert not search_extends([2], *cfg)  # equal thresholds freeze order
+    assert not search_extends([2], 4, (3, 3))
+    assert search_extends([1] * 6, 4, (5, 5))  # all C(4,2) edges: a leaf
 
 
 def test_canonical_extension_check_unequal_thresholds():
     cfg = (4, (5, 3))
     # distinct thresholds: no color interchange, so color 2 may lead
-    assert canonical_extension_check([2], *cfg)
+    assert search_extends([2], *cfg)
 
 
 def test_canonical_extension_symmetry_pairs(rng):
@@ -192,7 +193,7 @@ def test_canonical_extension_symmetry_pairs(rng):
     for _ in range(40):
         k = 3  # complete K_3 prefix
         seq = [rng.randint(1, 2) for _ in range(k)]
-        if canonical_extension_check(seq, *cfg):
+        if search_extends(seq, *cfg):
             continue
         # some symmetry must produce a smaller canonical prefix
         smaller_exists = False
@@ -209,21 +210,13 @@ def test_canonical_extension_symmetry_pairs(rng):
         assert smaller_exists
 
 
-def test_canonical_extension_check_rejects_overlong_prefix():
-    cfg = (4, (5, 5))
-    assert canonical_extension_check([1] * 6, *cfg)  # all C(4,2) edges
-    for length in (7, 40):
-        with pytest.raises(ValueError):
-            canonical_extension_check([1] * length, *cfg)
-
-
 def test_canonical_extension_check_matches_brute_force(rng):
     # every complete K_3 and K_4 prefix
     for ts in ((3, 3, 3), (4, 4, 3), (5, 3)):
         cfg = (6, ts)
         for m in (3, 4):
             for combo in itertools.product(range(1, len(ts) + 1), repeat=m * (m - 1) // 2):
-                assert canonical_extension_check(combo, *cfg) == \
+                assert search_extends(combo, *cfg) == \
                     brute_force_canonical(combo, ts), (ts, combo)
     # seeded random K_5 and K_6 prefixes, and the least member of each class
     for m, count in ((5, 30), (6, 4)):
@@ -233,17 +226,17 @@ def test_canonical_extension_check_matches_brute_force(rng):
             combo = tuple(min(rng.randint(1, len(ts)), rng.randint(1, len(ts)))
                           for _ in range(m * (m - 1) // 2))
             least = least_image(combo, ts)
-            assert canonical_extension_check(combo, *cfg) == (least == combo), (ts, combo)
-            assert canonical_extension_check(least, *cfg), (ts, least)
+            assert search_extends(combo, *cfg) == (least == combo), (ts, combo)
+            assert search_extends(least, *cfg), (ts, least)
 
 
 def test_row_rule_rejects_only_rows_without_minimal_completion(rng):
-    # a prefix ending inside row v that the check rejects has no completion
-    # to a K_{v+1} that is the least member of its class; the row and twin
-    # rules must reject some prefixes that the first-use order lets
-    # through.  In the monochromatic K_4 every vertex is a twin of every
-    # other, and row 3 is all color 1, so the row rule never cuts there
-    # and every such cut is the twin rule's.
+    # a prefix ending inside row v that the search does not extend has no
+    # completion to a K_{v+1} that is the least member of its class; the
+    # row and twin rules must reject some prefixes that the first-use order
+    # lets through.  In the monochromatic K_4 every vertex is a twin of
+    # every other, and row 3 is all color 1, so the row rule never cuts
+    # there and every such cut is the twin rule's.
     mono = (1,) * 6
     for ts in ((3, 3, 3), (4, 4, 3), (5, 3)):
         r = len(ts)
@@ -262,7 +255,7 @@ def test_row_rule_rejects_only_rows_without_minimal_completion(rng):
                 for length in range(1, v):
                     for part in itertools.product(colors, repeat=length):
                         prefix = tuple(base) + part
-                        if canonical_extension_check(prefix, *cfg):
+                        if search_extends(prefix, *cfg):
                             continue
                         assert all(row[:length] != part for row in minimal_rows), (ts, prefix)
                         cut = first_use_ok(prefix, ts)
@@ -468,13 +461,14 @@ def test_canonical_extension_check_many_equal_colors():
     # boundary is tested; swapping the two colors and moving the triangle
     # first gives 1,1,1,... < 1,1,2,...
     prefix = [1, 1, 2, 1, 2, 2]
-    assert not canonical_extension_check(prefix, 5, (3, 3))
-    assert not canonical_extension_check(prefix, 5, (3,) * 9)
+    assert not search_extends(prefix, 5, (3, 3))
+    assert not search_extends(prefix, 5, (3,) * 9)
 
 
 def test_visited_leaves_pass_the_extension_check():
-    # the check tests the boundaries the search tests, so every leaf the
-    # search visits passes it, and so does every prefix of that leaf
+    # success pruning and the look-aheads cut no prefix of a leaf, so every
+    # leaf the search visits, and every prefix of one, is extended by the
+    # search that search_extends runs without them
     cases = [(4, (9, 9)), (4, (4, 4, 4)), (5, (6, 6)), (5, (5, 5, 5)),
              (6, (7, 4)), (6, (6, 5, 3))]
     for n, ts in cases:
@@ -486,12 +480,12 @@ def test_visited_leaves_pass_the_extension_check():
         for col in leaves:
             seq = [col.color_of(u, v) for u, v in pairs]
             for k in range(1, len(seq) + 1):
-                assert canonical_extension_check(seq[:k], *cfg), (n, ts, seq[:k])
+                assert search_extends(seq[:k], *cfg), (n, ts, seq[:k])
 
 
 def test_extension_check_accepts_only_canonical_parts():
-    # the check replays the prefix through every tested boundary, so each
-    # complete K_m part of an accepted prefix is the least of its class;
+    # the search tests every boundary it passes, so each complete K_m part
+    # of an extended prefix is the least of its class;
     # every prefix of up to 10 slots at n = 6 and of up to 8 slots at n = 5
     for n, ts, longest in ((6, (9, 9), 10), (6, (5, 3), 10), (5, (4, 4, 4), 8)):
         cfg = (n, ts)
@@ -499,7 +493,7 @@ def test_extension_check_accepts_only_canonical_parts():
         accepted = 0
         for length in range(1, longest + 1):
             for prefix in itertools.product(range(1, len(ts) + 1), repeat=length):
-                if canonical_extension_check(prefix, *cfg):
+                if search_extends(prefix, *cfg):
                     accepted += 1
                     for k in parts:
                         if k <= length:
@@ -507,16 +501,16 @@ def test_extension_check_accepts_only_canonical_parts():
         assert accepted, ts
     # its K_4 part fails the K_4 boundary, so the search never goes past it
     cfg = (6, (9, 9))
-    assert not canonical_extension_check([1, 2, 1, 1, 1, 1], *cfg)
-    assert not canonical_extension_check([1, 2, 1, 1, 1, 1, 1], *cfg)
+    assert not search_extends([1, 2, 1, 1, 1, 1], *cfg)
+    assert not search_extends([1, 2, 1, 1, 1, 1, 1], *cfg)
 
 
 def test_extension_check_applies_the_twin_rule():
     # in the monochromatic K_4 vertices 0 and 1 are twins, so in row 4 the
     # edge (2,4) may not take a color below that of (1,4)
     cfg = (6, (9, 9))
-    assert canonical_extension_check([1] * 7 + [2], *cfg)
-    assert not canonical_extension_check([1] * 7 + [2, 1], *cfg)
+    assert search_extends([1] * 7 + [2], *cfg)
+    assert not search_extends([1] * 7 + [2, 1], *cfg)
 
 
 def test_twins_match_their_definition(rng):
@@ -540,12 +534,13 @@ def test_twins_match_their_definition(rng):
 
 def test_extension_check_accepts_exactly_the_extended_prefixes(monkeypatch):
     # no color can reach these thresholds on K_n, so success pruning never
-    # cuts, and the tree of prefixes the check accepts is the set of
-    # prefixes the search extends (recurses past, or visits as a leaf): at
-    # each length the same prefixes in the same (lexicographic) order, the
-    # complete ones being the leaves.  The search also enters a complete
-    # K_m prefix before its boundary test, which runs at its first child;
-    # the check rejects each one the test rejects
+    # cuts, and the tree of prefixes that search_extends accepts, one at a
+    # time, is the set of prefixes the whole search extends (recurses past,
+    # or visits as a leaf): at each length the same prefixes in the same
+    # (lexicographic) order, the complete ones being the leaves.  The search
+    # also enters a complete K_m prefix before its boundary test, which runs
+    # at its first child; search_extends rejects each one the test rejects.
+    # Its own runs log their prefixes too, so the checks read a snapshot
     entered = []
     real_run = search._ColoringDFS.run
 
@@ -560,20 +555,21 @@ def test_extension_check_accepts_exactly_the_extended_prefixes(monkeypatch):
         entered.clear()
         leaves = []
         enumerate_colorings(*cfg, visitor=leaves.append)
+        walked = list(entered)
         size = len(colex_edges(n))
-        parents = {p[:-1] for p in entered if p}
-        extended = [p for p in entered if len(p) == size or p in parents]
+        parents = {p[:-1] for p in walked if p}
+        extended = [p for p in walked if len(p) == size or p in parents]
         accepted = [()]
         for k in range(1, size + 1):
             accepted = [p + (c,) for p in accepted for c in range(1, len(ts) + 1)
-                        if canonical_extension_check(p + (c,), *cfg)]
+                        if search_extends(p + (c,), *cfg)]
             assert [p for p in extended if len(p) == k] == accepted, (n, ts, k)
         assert [tuple(col.color_of(u, v) for u, v in colex_edges(n)) for col in leaves] == accepted
         tested = {m * (m - 1) // 2 for m in range(3, n)}
-        for p in entered:
+        for p in walked:
             if len(p) < size and p not in parents:
                 rejected += 1
-                assert len(p) in tested and not canonical_extension_check(p, *cfg), (n, ts, p)
+                assert len(p) in tested and not search_extends(p, *cfg), (n, ts, p)
     assert rejected
 
 
@@ -581,10 +577,10 @@ def test_vertex_check_beyond_eight_vertices():
     # no vertex cap: a K_9 prefix whose one color-2 edge leads is beaten by
     # the relabelling that moves that edge to the last slot
     cfg = (10, (11, 3))
-    assert not canonical_extension_check([2] + [1] * 35, *cfg)
-    assert canonical_extension_check([1] * 35 + [2], *cfg)
+    assert not search_extends([2] + [1] * 35, *cfg)
+    assert search_extends([1] * 35 + [2], *cfg)
     # twin vertices keep a monochromatic K_12 from costing 12! relabellings
-    assert canonical_extension_check([1] * 66, 12, (13, 3))
+    assert search_extends([1] * 66, 12, (13, 3))
     out = enumerate_colorings(13, (14, 3))
     assert out.counterexample is not None and out.nodes == 78
 
