@@ -16,7 +16,7 @@ from .bounds import core_bounds_report, pm_bounds_report, sorted_targets
 from .coloring import EdgeColoring, coloring_from_edge_colors, mono_pm_profile
 from .core_ramsey import BlockCover, exact_core_ramsey
 from .path_matching import deficiency
-from .pm_ramsey import _witness_valid, exact_pm_ramsey
+from .pm_ramsey import _witness_valid, closed_form_value, exact_pm_ramsey
 from .reproduce import render_report, run_report
 from .results import (DEFAULT_NODE_BUDGET, BudgetExceededError, RamseyResult,
                       RouteDisagreementError)
@@ -97,11 +97,17 @@ def _result_text(res: RamseyResult) -> str:
 
 
 def _cached_result(entry, kind: str, targets: tuple[int, ...]) -> Optional[RamseyResult]:
-    """The cache entry as a result, or None unless it parses and its witness
-    re-validates on value - 1 vertices: every color of the coloring below
-    its target for `pm`, a valid cover with capacities p - 1 for `core`."""
+    """The cache entry as a result, or None unless it parses, its value is
+    a proven closed form or else lies within the proven bounds, and its
+    witness re-validates on value - 1 vertices: every color of the coloring
+    below its target for `pm`, a valid cover with capacities p - 1 for `core`."""
     try:
         value, method = int(entry["value"]), str(entry["method"])
+        report = (pm_bounds_report if kind == "pm" else core_bounds_report)(targets)
+        proven = closed_form_value(targets) if kind == "pm" else None
+        low, high = (proven[0],) * 2 if proven else (report.best_lower(), report.best_upper())
+        if not (low or value) <= value <= (high or value):  # None: no such bound
+            return None
         witness = files.witness_from_json(entry["witness"])
         if kind == "pm":
             ok = isinstance(witness, EdgeColoring) and _witness_valid(witness, value - 1, targets)

@@ -10,10 +10,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .bounds import sorted_targets
-from .graphs import MAX_VERTICES, SimpleGraph
+from .graphs import SimpleGraph
 from .path_matching import pm_order_of_rows
-
-MAX_COLORS = 64
 
 
 def _tri(n: int) -> int:
@@ -33,10 +31,8 @@ class EdgeColoring:
     colors: tuple[int, ...]
 
     def __post_init__(self):
-        if not 1 <= self.n <= MAX_VERTICES:
-            raise ValueError(f"vertex count {self.n} outside 1..{MAX_VERTICES}")
-        if not 1 <= self.r <= MAX_COLORS:
-            raise ValueError(f"color count {self.r} outside 1..{MAX_COLORS}")
+        if self.n < 1 or self.r < 1:
+            raise ValueError(f"need n >= 1 and r >= 1, got n={self.n}, r={self.r}")
         if len(self.colors) != _tri(self.n):
             raise ValueError("color array length does not match n")
         if any(not 1 <= c <= self.r for c in self.colors):
@@ -134,8 +130,6 @@ def core_lift_coloring(core: EdgeColoring, x: Sequence[int]) -> EdgeColoring:
     if any(xi < 0 for xi in x):
         raise ValueError("block sizes must be nonnegative")
     n = core.n + sum(x)
-    if n > MAX_VERTICES:
-        raise ValueError(f"lifted coloring would have {n} > {MAX_VERTICES} vertices")
     block = [0] * core.n  # 0 = core vertex, else color index of its block
     for i, xi in enumerate(x):
         block.extend([i + 1] * xi)

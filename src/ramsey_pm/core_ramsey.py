@@ -16,9 +16,11 @@ from typing import Callable, Optional, Sequence
 
 from .bounds import core_upper, covering_lower_eh, covering_lower_schonheim, sorted_targets
 from .coloring import EdgeColoring, coloring_from_edge_colors
-from .graphs import MAX_VERTICES
 from .results import (DEFAULT_NODE_BUDGET, PROOF_SEARCH, PROOF_TABLE, RamseyResult,
                       RouteDisagreementError, SearchMeter, SearchStats, check_budgets)
+
+# the largest K_n the cover search takes on; counting answers at any n
+COVER_MAX_VERTICES = 64
 
 
 @dataclass(frozen=True)
@@ -224,8 +226,8 @@ def cover_feasible_with_stats(n: int, capacities: Sequence[int], *,
     depth is the number of vertices assigned, and leaves is always 0,
     since the search stops at its first leaf.
     """
-    if not 2 <= n <= MAX_VERTICES:
-        raise ValueError(f"need 2 <= n <= {MAX_VERTICES}")
+    if n < 2:
+        raise ValueError(f"need n >= 2, got {n}")
     check_budgets(node_budget, time_budget)
     caps_all = list(capacities)
     if not caps_all:
@@ -250,6 +252,8 @@ def cover_feasible_with_stats(n: int, capacities: Sequence[int], *,
         found[0] = (1 << n) - 1
         nodes = 0
     else:
+        if n > COVER_MAX_VERTICES:
+            raise ValueError(f"the cover search takes n <= {COVER_MAX_VERTICES}, got {n}")
         search = _CoverSearch(n, caps, min_sets, node_budget, time_budget, progress)
         found, nodes = search.run(0), search.nodes
     if found is None:

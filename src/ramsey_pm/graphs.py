@@ -1,16 +1,14 @@
 """Dense small-graph primitives backed by per-vertex bitmasks.
 
-Vertex sets are plain ints used as bitmasks (bit v = vertex v), so every
-set operation on graphs with at most 64 vertices is a handful of word ops.
-All search targets live well below that cap.
+Vertex sets are plain ints used as bitmasks (bit v = vertex v); ints have
+no width, so a graph may have any number of vertices.  Only the searches
+bound the sizes they accept.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Iterator
-
-MAX_VERTICES = 64
 
 # A vertex set is just a bitmask; kept as an alias for readability.
 VertexSet = int
@@ -44,8 +42,8 @@ class SimpleGraph:
     rows: tuple[int, ...]
 
     def __post_init__(self):
-        if not 1 <= self.n <= MAX_VERTICES:
-            raise ValueError(f"vertex count {self.n} outside 1..{MAX_VERTICES}")
+        if self.n < 1:
+            raise ValueError(f"need n >= 1, got {self.n}")
         if len(self.rows) != self.n:
             raise ValueError("adjacency row count does not match n")
         full = (1 << self.n) - 1
@@ -96,8 +94,5 @@ class SimpleGraph:
 
 
 def complete_graph(n: int) -> SimpleGraph:
-    """K_n."""
-    if not 1 <= n <= MAX_VERTICES:
-        raise ValueError(f"vertex count {n} outside 1..{MAX_VERTICES}")
-    full = (1 << n) - 1
-    return SimpleGraph(n, tuple(full ^ (1 << v) for v in range(n)))
+    """K_n; like SimpleGraph, it rejects n < 1."""
+    return SimpleGraph(n, tuple(((1 << n) - 1) ^ (1 << v) for v in range(n)))

@@ -31,7 +31,6 @@ from .bounds import (ceil_div, ceil_third, core_upper, nontrivial_targets, pm_al
 from .coloring import (EdgeColoring, coloring_from_edge_colors, core_lift_coloring,
                        mono_pm_profile, pm_extremal_coloring)
 from .core_ramsey import BlockCover, cover_to_coloring, exact_core_ramsey
-from .graphs import MAX_VERTICES
 from .results import (DEFAULT_NODE_BUDGET, PROOF_CLOSED, PROOF_F3, PROOF_SEARCH, PROOF_TABLE,
                       FormulaUnavailableError, RamseyResult, RouteDisagreementError, SearchStats)
 from .search import enumerate_colorings
@@ -219,8 +218,6 @@ def _witness(ts: tuple[int, ...], value: int, kw: dict) -> Optional[EdgeColoring
     1-core solves of grid points that the value's own route did not solve.
     """
     n = value - 1
-    if n > MAX_VERTICES:
-        raise ValueError(f"no witness for {ts}: K_{n} has more than {MAX_VERTICES} vertices")
     if n == 1:
         return EdgeColoring(1, len(ts), ())
     ext = pm_extremal_coloring(ts)
@@ -274,9 +271,10 @@ def exact_pm_ramsey(targets: Sequence[int], strategy: str = "auto", *,
     Disagreement between two completed routes raises
     RouteDisagreementError: by the reduction identity it can only mean a
     bug, and both values are attached for diagnosis.  Every result carries
-    _witness's bad coloring of K_{value-1}, whatever the route, with one
-    color per sorted target: a target 1 or 2 keeps a color it never uses.
-    None that re-validates raises RouteDisagreementError too.
+    _witness's bad coloring of K_{value-1}, whatever the route and the
+    value, so C(value-1, 2) colors, with one color per sorted target: a
+    target 1 or 2 keeps a color it never uses.  None that re-validates
+    raises RouteDisagreementError too.
     """
     if strategy not in ("auto", "formula", "reduction", "search"):
         raise ValueError(f"unknown strategy {strategy!r}")

@@ -168,15 +168,24 @@ def test_profile_equivariance_under_color_permutation(rng):
             assert mono_core_profile(permuted)[cmap[old] - 1] == base_core[old]
 
 
-def test_lift_size_overflow():
-    c = layered_coloring([30, 30])
-    with pytest.raises(ValueError):
-        core_lift_coloring(c, [3, 3])
+def test_lift_beyond_64_vertices():
+    # colorings take any n: a 66-vertex lift paints its blocks as usual
+    c = core_lift_coloring(layered_coloring([30, 30]), [3, 3])
+    assert c.n == 66
+    assert mono_core_profile(c) == (63, 66)
+    assert c.color_of(0, 1) == 1 and c.color_of(0, 60) == 1 and c.color_of(0, 63) == 2
 
 
-def test_vertex_cap_boundary():
-    c = layered_coloring([32, 32])
-    assert c.n == 64
-    assert mono_core_profile(c) == (32, 64)
-    with pytest.raises(ValueError):
-        layered_coloring([33, 32])
+def test_layered_coloring_beyond_64_vertices():
+    for sizes, profile in (([32, 32], (32, 64)), ([33, 32], (33, 65)), ([60, 60], (60, 120))):
+        c = layered_coloring(sizes)
+        assert c.n == sum(sizes) and mono_core_profile(c) == profile, sizes
+    # any number of colors: color i sees parts 1..i, and the last part,
+    # one vertex, centres one path on 3 vertices
+    c = layered_coloring([2] * 4 + [1] * 66)
+    assert (c.n, c.r) == (74, 70)
+    assert mono_core_profile(c) == (2, 4, 6, 8) + tuple(range(9, 75))
+    assert mono_pm_profile(c)[-1] == 3
+    for n, r in ((0, 1), (2, 0)):
+        with pytest.raises(ValueError):
+            EdgeColoring(n, r, ())

@@ -11,7 +11,9 @@ from ramsey_pm import core_ramsey, files, pm_ramsey, reproduce, results, search
 from ramsey_pm.cli import build_parser, main, parse_targets
 from ramsey_pm.coloring import EdgeColoring, layered_coloring, mono_pm_profile
 from ramsey_pm.core_ramsey import BlockCover, exact_core_ramsey
-from ramsey_pm.pm_ramsey import clear_core_cache, exact_pm_ramsey
+from ramsey_pm.graphs import mask_of
+from ramsey_pm.path_matching import DeficiencyCertificate
+from ramsey_pm.pm_ramsey import clear_core_cache, exact_pm_ramsey, find_lower_witness
 from ramsey_pm.results import BudgetExceededError, RouteDisagreementError
 
 from conftest import SteppingClock, random_graph
@@ -293,13 +295,55 @@ def test_rejected_witness_exits_3_without_a_coloring_search(monkeypatch, capsys)
     capsys.readouterr()
 
 
-def test_witness_above_the_vertex_limit_exits_1(capsys):
-    # the closed forms give 133 and 66 at once; no witness search starts
-    for targets, k in (("100,100", "K_132"), ("66,3", "K_65")):
-        assert main(["exact", "pm", "--targets", targets, "--cache", "none"]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == "", targets
-        assert k in captured.err and "64" in captured.err, (targets, captured.err)
+def test_exact_pm_witnesses_beyond_64_vertices(capsys):
+    # closed forms give 133, 66 and 13; each witness, on up to 132
+    # vertices or with 70 colors, is re-validated and printed
+    for targets, value, r in (("100,100", 133, 2), ("66,3", 66, 2), ("3*70", 13, 70)):
+        assert main(["exact", "pm", "--targets", targets, "--cache", "none", "--json"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        col = files.witness_from_json(out["witness"])
+        assert out["value"] == value and (col.n, col.r) == (value - 1, r), targets
+        assert all(q < p for q, p in zip(mono_pm_profile(col), out["targets"])), targets
+
+
+def test_cli_witness_pm_beyond_64_vertices(private_cache, capsys):
+    # (100,100) has the value 133: every N below it restricts the witness
+    # on K_132, and N = 133 names the value
+    for n in (5, 132):
+        assert main(["witness", "pm", "--targets", "100,100", "-n", str(n)]) == 0
+        col = files.coloring_from_text(capsys.readouterr().out)
+        assert col.n == n and all(q < 100 for q in mono_pm_profile(col)), n
+    assert main(["witness", "pm", "--targets", "100,100", "-n", "133"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "the value is 133" in captured.err
+
+
+def test_exact_core_beyond_64_vertices(capsys):
+    # one block of 99 swallows K_99 and the bounds give 100, so no cover
+    # search runs; (100,100,100) needs one at n = 124, above its limit
+    assert main(["exact", "core", "--targets", "100,100", "--cache", "none", "--json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    cover = files.witness_from_json(out["witness"])
+    cover.validate()
+    assert (out["value"], out["stats"]["nodes"], cover.n) == (100, 0, 99)
+    assert main(["exact", "core", "--targets", "100,100,100", "--cache", "none"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "cover search takes n <= 64, got 124" in captured.err
+
+
+def test_cli_deficiency_of_a_120_vertex_graph(tmp_path, capsys):
+    # 20 disjoint K_{1,5}: a path-matching covers at most 3 vertices of a
+    # star, so pd = 20 * 3; the centres are the LV set
+    path = tmp_path / "stars.graph"
+    path.write_text("120\n" + "".join(f"{6 * k + 1} {6 * k + 1 + j}\n"
+                                      for k in range(20) for j in range(1, 6)))
+    assert main(["deficiency", str(path), "--json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["n"], out["deficiency"], out["max_path_matching_order"]) == (120, 60, 60)
+    assert out["lv_set"] == [6 * k + 1 for k in range(20)]
+    cert = DeficiencyCertificate(mask_of(v - 1 for v in out["lv_set"]), out["deficiency"],
+                                 mask_of(v - 1 for v in out["isolated_witness"]))
+    cert.check(files.graph_from_text(path.read_text()))
 
 
 def test_cli_witness_at_the_value_names_it(capsys):
@@ -507,6 +551,22 @@ def test_cache_entry_without_a_valid_witness_is_recomputed(tmp_path, capsys):
         assert out["value"] == want and "cached" not in out, entry
         stored = json.loads(path.read_text())[key]
         assert stored["value"] == want and stored["witness"] == out["witness"], entry
+
+
+def test_cache_value_against_its_proof_is_recomputed(tmp_path, capsys):
+    # each witness below is valid, but a proven closed form (pm, 6) or the
+    # largest-target lower bound (core, 4) rules its value out
+    k4 = files.witness_to_json(find_lower_witness(4, (4, 4, 4)))
+    k2 = files.witness_to_json(BlockCover(2, (3, 3, 3), (0b11, 0, 0)))
+    path = tmp_path / "cache.json"
+    for kind, key, entry, want in (
+            ("pm", "PM:4,4,4", {"value": 5, "method": "closed-form", "witness": k4}, 6),
+            ("core", "1C:4,4,4", {"value": 3, "method": "exhaustive-search", "witness": k2}, 5)):
+        path.write_text(json.dumps({key: entry}))
+        assert main(["exact", kind, "--targets", "4,4,4", "--cache", str(path), "--json"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["value"] == want and "cached" not in out, kind
+        assert json.loads(path.read_text())[key]["value"] == want, kind
 
 
 def test_cache_hit_carries_its_witness(tmp_path, capsys):

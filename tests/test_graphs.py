@@ -10,10 +10,13 @@ def test_complete_graph_edge_counts():
 
 
 def test_complete_graph_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        complete_graph(0)
-    with pytest.raises(ValueError):
-        complete_graph(65)
+    for n in (0, -1):
+        with pytest.raises(ValueError):
+            complete_graph(n)
+    # vertex sets are ints of any width: no cap at 64
+    for n in (65, 130):
+        g = complete_graph(n)
+        assert g.edge_count() == n * (n - 1) // 2 and g.has_edge(0, n - 1)
 
 
 def test_validation_rejects_asymmetry_and_loops():

@@ -217,8 +217,11 @@ def test_targets_of_one_keep_an_unused_color():
 
 
 def test_witness_attached_and_valid():
-    for tv in [(3, 3, 3), (4, 4, 4), (5, 5), (6, 4), (4, 3, 3, 3)]:
+    # no vertex or color cap: closed forms give 66 and 117, the f^3 lift 83
+    big = {(40, 40, 40): 66, (60,) * 4: 117, (6,) * 70: 83}
+    for tv in [(3, 3, 3), (4, 4, 4), (5, 5), (6, 4), (4, 3, 3, 3), *big]:
         res = exact_pm_ramsey(tv)
+        assert res.value == big.get(tv, res.value), tv
         col = res.lower_witness
         assert col is not None and col.n == res.value - 1
         prof = mono_pm_profile(col)
