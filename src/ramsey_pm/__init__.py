@@ -21,7 +21,7 @@ from .core_ramsey import (BlockCover, cover_feasible, cover_to_coloring,
 from .graphs import SimpleGraph, complete_graph
 from .path_matching import (DeficiencyCertificate, deficiency, max_pm_order,
                             packing_oracle)
-from .pm_ramsey import (clear_core_cache, exact_pm_ramsey, f_d,
+from .pm_ramsey import (clear_core_cache, exact_pm_ramsey,
                         find_lower_witness, verify_upper)
 from .results import (BudgetExceededError, FormulaUnavailableError,
                       RamseyResult, RouteDisagreementError, SearchStats)
@@ -40,7 +40,7 @@ __all__ = [
     "core_upper_main", "cover_feasible", "cover_to_coloring", "covering_lower_eh",
     "covering_lower_schonheim", "covering_number", "deficiency",
     "diagonal_guarantee", "enumerate_colorings", "exact_core_ramsey",
-    "exact_pm_ramsey", "f_d", "find_lower_witness",
+    "exact_pm_ramsey", "find_lower_witness",
     "layered_coloring", "max_pm_order", "mono_core_profile",
     "mono_pm_profile", "packing_oracle", "pm_all3",
     "pm_bounds_report", "pm_extremal_coloring", "pm_lowers", "pm_standard_value",

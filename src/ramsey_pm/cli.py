@@ -1,7 +1,9 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 usage error, 2 budget exhaustion, 3 internal
-inconsistency (two routes disagreeing).
+Exit codes: 0 success (also after --help, and when the reader of the
+output closes it early, as `| head` does), 1 usage error, 2 budget
+exhaustion, 3 internal inconsistency (two routes disagreeing, or a witness
+that does not re-validate).
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from typing import Optional, Sequence
 
 from . import files
 from .bounds import core_bounds_report, pm_bounds_report, sorted_targets
-from .coloring import EdgeColoring, coloring_from_edge_colors, mono_pm_profile
+from .coloring import EdgeColoring, mono_pm_profile
 from .core_ramsey import BlockCover, exact_core_ramsey
 from .path_matching import deficiency
 from .pm_ramsey import _witness_valid, closed_form_value, exact_pm_ramsey
@@ -26,16 +28,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_BUDGET = 2
 EXIT_INCONSISTENT = 3
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # argparse defaults to exit code 2
-        self.print_usage(sys.stderr)
-        raise SystemExit_(message)
-
-
-class SystemExit_(Exception):
-    pass
 
 
 def parse_targets(text: str) -> list[int]:
@@ -82,25 +74,25 @@ def _print_progress(snapshot: dict) -> None:
           file=sys.stderr)
 
 
+def _describe(witness) -> str:
+    if isinstance(witness, EdgeColoring):
+        return f"coloring of K_{witness.n} with profile {mono_pm_profile(witness)}"
+    return f"cover of K_{witness.n} with block sizes {witness.block_sizes()}"
+
+
 def _result_text(res: RamseyResult) -> str:
-    lines = [f"targets: {','.join(str(t) for t in res.targets)}",
-             f"value: {res.value}",
-             f"method: {res.method}"]
-    if isinstance(res.lower_witness, EdgeColoring):
-        lines.append(f"witness: coloring of K_{res.lower_witness.n} "
-                     f"with profile {mono_pm_profile(res.lower_witness)}")
-    elif isinstance(res.lower_witness, BlockCover):
-        lines.append(f"witness: cover of K_{res.lower_witness.n} "
-                     f"with block sizes {res.lower_witness.block_sizes()}")
-    lines.append(f"stats: {res.stats.nodes} nodes, {res.stats.millis} ms")
-    return "\n".join(lines)
+    return "\n".join([f"targets: {','.join(str(t) for t in res.targets)}",
+                      f"value: {res.value}",
+                      f"method: {res.method}",
+                      f"witness: {_describe(res.lower_witness)}",
+                      f"stats: {res.stats.nodes} nodes, {res.stats.millis} ms"])
 
 
 def _cached_result(entry, kind: str, targets: tuple[int, ...]) -> Optional[RamseyResult]:
     """The cache entry as a result, or None unless it parses, its value is
     a proven closed form or else lies within the proven bounds, and its
-    witness re-validates on value - 1 vertices: every color of the coloring
-    below its target for `pm`, a valid cover with capacities p - 1 for `core`."""
+    witness, a coloring for `pm` and a cover for `core`, passes
+    _witness_valid on value - 1 vertices."""
     try:
         value, method = int(entry["value"]), str(entry["method"])
         report = (pm_bounds_report if kind == "pm" else core_bounds_report)(targets)
@@ -109,13 +101,8 @@ def _cached_result(entry, kind: str, targets: tuple[int, ...]) -> Optional[Ramse
         if not (low or value) <= value <= (high or value):  # None: no such bound
             return None
         witness = files.witness_from_json(entry["witness"])
-        if kind == "pm":
-            ok = isinstance(witness, EdgeColoring) and _witness_valid(witness, value - 1, targets)
-        else:
-            ok = (isinstance(witness, BlockCover) and witness.n == value - 1
-                  and witness.capacities == tuple(p - 1 for p in targets))
-            if ok:
-                witness.validate()
+        ok = (isinstance(witness, EdgeColoring if kind == "pm" else BlockCover)
+              and _witness_valid(witness, value - 1, targets))
     except (AttributeError, KeyError, TypeError, ValueError):
         return None
     return RamseyResult(targets, value, method, witness) if ok else None
@@ -180,22 +167,18 @@ def cmd_witness(args) -> int:
         print(f"no {'bad coloring' if pm else 'cover'} of K_{args.n} exists: "
               f"the value is {res.value}", file=sys.stderr)
         return EXIT_USAGE
-    # the value's witness on K_{value-1}, restricted to its first n vertices
-    full = res.lower_witness
-    if pm:
-        col = coloring_from_edge_colors(args.n, full.r, full.color_of)
-        payload = files.coloring_to_text(col)
-        summary = f"coloring of K_{col.n}, pm profile {mono_pm_profile(col)}"
-    else:
-        keep = (1 << args.n) - 1
-        cover = BlockCover(args.n, full.capacities, tuple(b & keep for b in full.blocks))
-        cover.validate()
-        payload = json.dumps(files.cover_to_json(cover), indent=1) + "\n"
-        summary = f"cover of K_{cover.n}, block sizes {cover.block_sizes()}"
+    # the value's witness on K_{value-1}, cut to its first n vertices
+    cut = res.lower_witness.restrict(args.n)
+    if not _witness_valid(cut, args.n, res.targets):
+        raise RouteDisagreementError(
+            f"the witness of value {res.value} does not re-validate on its first {args.n} vertices",
+            {"targets": res.targets, "value": res.value, "n": args.n})
+    payload = (files.coloring_to_text(cut) if pm
+               else json.dumps(files.cover_to_json(cut), indent=1) + "\n")
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(payload)
-        print(f"{summary} -> {args.output}")
+        print(f"{_describe(cut)} -> {args.output}")
     else:
         sys.stdout.write(payload)
     return EXIT_OK
@@ -234,8 +217,8 @@ def cmd_reproduce(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    p = _Parser(prog="ramsey-pm",
-                description="Exact Ramsey numbers of path-matchings and 1-cores")
+    p = argparse.ArgumentParser(prog="ramsey-pm",
+                                description="Exact Ramsey numbers of path-matchings and 1-cores")
     sub = p.add_subparsers(dest="command", required=True)
 
     px = sub.add_parser("exact", help="compute an exact Ramsey value")
@@ -283,14 +266,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit_ as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        return args.fn(args)
+        args = build_parser().parse_args(argv)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed output pipe shows here, not at exit
+        return code
+    except SystemExit as done:  # argparse: 0 after --help, 2 after a usage error
+        return EXIT_OK if done.code == 0 else EXIT_USAGE
+    except BrokenPipeError:  # the reader stopped early, as `| head` does
+        return EXIT_OK
     except BudgetExceededError as err:
         print(f"budget exhausted: {err}", file=sys.stderr)
         return EXIT_BUDGET

@@ -48,22 +48,27 @@ class EdgeColoring:
     def color_of(self, u: int, v: int) -> int:
         return self.colors[self._index(u, v)]
 
-    def color_rows(self, color: int) -> tuple[int, ...]:
-        """Adjacency rows of one color class."""
-        rows = [0] * self.n
-        k = 0
-        for u in range(self.n):
-            for v in range(u + 1, self.n):
-                if self.colors[k] == color:
-                    rows[u] |= 1 << v
-                    rows[v] |= 1 << u
-                k += 1
-        return tuple(rows)
+    def class_rows(self) -> list[list[int]]:
+        """Adjacency rows of every color class, filled in one pass over the
+        edges: class_rows()[c - 1][v] is the color-c neighbour mask of v."""
+        n, rows, k = self.n, [[0] * self.n for _ in range(self.r)], 0
+        for u in range(n - 1):
+            for v, c in enumerate(self.colors[k:k + n - u - 1], u + 1):
+                rows[c - 1][u] |= 1 << v
+                rows[c - 1][v] |= 1 << u
+            k += n - u - 1
+        return rows
 
     def color_class(self, color: int) -> SimpleGraph:
         if not 1 <= color <= self.r:
             raise ValueError(f"color {color} outside 1..{self.r}")
-        return SimpleGraph(self.n, self.color_rows(color))
+        return SimpleGraph(self.n, tuple(self.class_rows()[color - 1]))
+
+    def restrict(self, n: int) -> "EdgeColoring":
+        """The coloring of K_n on the first n vertices."""
+        if not 1 <= n <= self.n:
+            raise ValueError(f"need 1 <= n <= {self.n}, got {n}")
+        return coloring_from_edge_colors(n, self.r, self.color_of)
 
     def relabel(self, perm: Sequence[int]) -> "EdgeColoring":
         """Coloring with vertex u renamed perm[u]."""
@@ -145,13 +150,9 @@ def core_lift_coloring(core: EdgeColoring, x: Sequence[int]) -> EdgeColoring:
 
 def mono_pm_profile(c: EdgeColoring) -> tuple[int, ...]:
     """Per-color maximum path-matching orders."""
-    return tuple(pm_order_of_rows(c.color_rows(color), c.n) for color in range(1, c.r + 1))
+    return tuple(pm_order_of_rows(rows, c.n) for rows in c.class_rows())
 
 
 def mono_core_profile(c: EdgeColoring) -> tuple[int, ...]:
     """Per-color 1-core orders, i.e. how many vertices see each color."""
-    out = []
-    for color in range(1, c.r + 1):
-        rows = c.color_rows(color)
-        out.append(sum(1 for row in rows if row))
-    return tuple(out)
+    return tuple(sum(1 for row in rows if row) for rows in c.class_rows())

@@ -52,6 +52,12 @@ class BlockCover:
     def block_sizes(self) -> tuple[int, ...]:
         return tuple(b.bit_count() for b in self.blocks)
 
+    def restrict(self, n: int) -> "BlockCover":
+        """The blocks cut to the first n vertices: a cover of K_n."""
+        if not 1 <= n <= self.n:
+            raise ValueError(f"need 1 <= n <= {self.n}, got {n}")
+        return BlockCover(n, self.capacities, tuple(b & ((1 << n) - 1) for b in self.blocks))
+
 
 class _CoverSearch(SearchMeter):
     """Backtracking over vertex-to-blocks assignments.

@@ -22,6 +22,7 @@ import os
 import sys
 import tempfile
 import time
+from itertools import islice
 from typing import Optional
 
 from .bounds import sorted_targets
@@ -31,29 +32,34 @@ from .graphs import SimpleGraph, bits, mask_of
 from .results import RamseyResult
 
 
+def _coloring_rows(c: EdgeColoring) -> list[list[int]]:
+    """Row u lists the colors of the edges (u, u+1), ..., (u, n-1)."""
+    colors = iter(c.colors)
+    return [list(islice(colors, c.n - u - 1)) for u in range(c.n - 1)]
+
+
+def _coloring_from_rows(n: int, r: int, rows) -> EdgeColoring:
+    """The coloring of K_n from n - 1 rows laid out as by _coloring_rows."""
+    if len(rows) != max(n - 1, 0):
+        raise ValueError(f"expected {n - 1} rows of edge colors, got {len(rows)}")
+    for u, row in enumerate(rows):
+        if len(row) != n - u - 1:
+            raise ValueError(f"row of vertex {u + 1}: expected {n - u - 1} colors")
+    return EdgeColoring(n, r, tuple(int(x) for row in rows for x in row))
+
+
 def coloring_to_text(c: EdgeColoring) -> str:
-    lines = [f"{c.n} {c.r}"]
-    for u in range(c.n - 1):
-        lines.append(" ".join(str(c.color_of(u, v)) for v in range(u + 1, c.n)))
+    lines = [f"{c.n} {c.r}"] + [" ".join(map(str, row)) for row in _coloring_rows(c)]
     return "\n".join(lines) + "\n"
 
 
 def coloring_from_text(text: str) -> EdgeColoring:
-    rows = [line.split() for line in text.strip().splitlines() if line.strip()]
-    if not rows:
+    lines = [line.split() for line in text.strip().splitlines() if line.strip()]
+    if not lines:
         raise ValueError("empty coloring file")
-    if len(rows[0]) != 2:
+    if len(lines[0]) != 2:
         raise ValueError("line 1: expected the header 'n r'")
-    n, r = int(rows[0][0]), int(rows[0][1])
-    if len(rows) != max(1, n):
-        raise ValueError(f"expected {n - 1} edge lines, got {len(rows) - 1}")
-    colors = []
-    for u in range(n - 1):
-        vals = [int(x) for x in rows[u + 1]]
-        if len(vals) != n - u - 1:
-            raise ValueError(f"line {u + 2}: expected {n - u - 1} colors")
-        colors.extend(vals)
-    return EdgeColoring(n, r, tuple(colors))
+    return _coloring_from_rows(int(lines[0][0]), int(lines[0][1]), lines[1:])
 
 
 def graph_to_text(g: SimpleGraph) -> str:
@@ -90,20 +96,11 @@ def cover_from_json(obj: dict) -> BlockCover:
 
 
 def coloring_to_json(c: EdgeColoring) -> dict:
-    return {
-        "type": "coloring",
-        "n": c.n,
-        "r": c.r,
-        "rows": [[c.color_of(u, v) for v in range(u + 1, c.n)] for u in range(c.n - 1)],
-    }
+    return {"type": "coloring", "n": c.n, "r": c.r, "rows": _coloring_rows(c)}
 
 
 def coloring_from_json(obj: dict) -> EdgeColoring:
-    n, r = int(obj["n"]), int(obj["r"])
-    colors = []
-    for row in obj["rows"]:
-        colors.extend(int(x) for x in row)
-    return EdgeColoring(n, r, tuple(colors))
+    return _coloring_from_rows(int(obj["n"]), int(obj["r"]), obj["rows"])
 
 
 def witness_to_json(witness) -> Optional[dict]:

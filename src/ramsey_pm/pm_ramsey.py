@@ -7,8 +7,8 @@ Two independent routes compute the same number:
   with the 1-core values obtained exactly from the covering search.  The
   grid is walked once per distinct shifted multiset, in descending order
   of the proven 1-core upper bound plus shift, and a point is solved only
-  while that bound can still beat the best value so far (f_d keeps the
-  full scan as the reference);
+  while that bound can still beat the best value so far (the tests keep
+  the full scan, f_d, as its reference);
 * search: direct exhaustive enumeration of colorings, scanning n upward
   until no counterexample coloring survives.
 
@@ -26,10 +26,9 @@ import time
 from itertools import chain, combinations_with_replacement, groupby, product
 from typing import Optional, Sequence
 
-from .bounds import (ceil_div, ceil_third, core_upper, nontrivial_targets, pm_all3, pm_lowers,
+from .bounds import (ceil_third, core_upper, nontrivial_targets, pm_all3, pm_lowers,
                      pm_standard_value, sorted_targets, standard_formula)
-from .coloring import (EdgeColoring, coloring_from_edge_colors, core_lift_coloring,
-                       mono_pm_profile, pm_extremal_coloring)
+from .coloring import EdgeColoring, core_lift_coloring, mono_pm_profile, pm_extremal_coloring
 from .core_ramsey import BlockCover, cover_to_coloring, exact_core_ramsey
 from .results import (DEFAULT_NODE_BUDGET, PROOF_CLOSED, PROOF_F3, PROOF_SEARCH, PROOF_TABLE,
                       FormulaUnavailableError, RamseyResult, RouteDisagreementError, SearchStats)
@@ -74,23 +73,6 @@ def _core_result(targets: Sequence[int], **kw) -> RamseyResult:
     return _CORE_MEMO[key]
 
 
-def f_d(p: Sequence[int], d: int, core_oracle) -> int:
-    """max over the integer grid 0 <= x_i < p_i/d of
-    core_oracle(p - d*x, re-sorted) + sum(x).
-
-    Evaluates every grid point; the product route uses the bound-pruned
-    _f3_maximise, and this full scan is its reference.
-    """
-    if d < 1:
-        raise ValueError("positive shift required")
-    targets = tuple(p)
-    # x_i < p_i / d for integers means x_i <= ceil(p_i/d) - 1
-    grid = product(*(range(ceil_div(pi, d)) for pi in targets))
-    return max(core_oracle(tuple(sorted((pi - d * xi for pi, xi in zip(targets, xs)),
-                                        reverse=True))) + sum(xs)
-               for xs in grid)
-
-
 def _f3_points(ts: tuple[int, ...]) -> dict[tuple[int, ...], tuple[int, ...]]:
     """Each distinct sorted shifted multiset of the f^3 grid, mapped to the
     first shift vector xs (aligned with ts) that produces it.
@@ -112,7 +94,8 @@ def _f3_points(ts: tuple[int, ...]) -> dict[tuple[int, ...], tuple[int, ...]]:
 
 
 def _f3_maximise(ts: tuple[int, ...], core_oracle) -> tuple[int, list[tuple[int, ...]]]:
-    """f_d(ts, 3, core_oracle) and the shift vectors found to attain it.
+    """The f^3 maximum, max over 0 <= x_i < p_i/3 of core_oracle(ts - 3x,
+    re-sorted) + sum(x), and the shift vectors found to attain it.
 
     Grid points are solved exactly in descending order of their upper
     bound (1-core bound + sum x); once a bound cannot beat the incumbent
@@ -180,11 +163,19 @@ def verify_upper(n: int, targets: Sequence[int], *,
                                progress=progress).counterexample
 
 
-def _witness_valid(col: EdgeColoring, n: int, ts: tuple[int, ...]) -> bool:
-    if col.n != n or col.r != len(ts):
+def _witness_valid(witness, n: int, ts: tuple[int, ...]) -> bool:
+    """Whether the witness, an EdgeColoring or a BlockCover, shows that K_n
+    does not force the targets ts: a coloring of K_n in len(ts) colors with
+    every color-i path-matching below p_i, or a valid cover of K_n by
+    blocks of capacities p_i - 1."""
+    if isinstance(witness, EdgeColoring):
+        return (witness.n == n and witness.r == len(ts)
+                and all(q < p for q, p in zip(mono_pm_profile(witness), ts)))
+    try:
+        witness.validate()
+    except ValueError:
         return False
-    profile = mono_pm_profile(col)
-    return all(q <= p - 1 for q, p in zip(profile, ts))
+    return witness.n == n and witness.capacities == tuple(p - 1 for p in ts)
 
 
 def _cover_as_coloring_for(ts_shifted: Sequence[int], cover: BlockCover) -> EdgeColoring:
@@ -251,7 +242,7 @@ def find_lower_witness(n: int, targets: Sequence[int], *,
                           progress=progress)
     if n >= res.value:
         return None
-    return coloring_from_edge_colors(n, len(res.targets), res.lower_witness.color_of)
+    return res.lower_witness.restrict(n)
 
 
 def exact_pm_ramsey(targets: Sequence[int], strategy: str = "auto", *,

@@ -1,5 +1,5 @@
 import random
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -82,6 +82,24 @@ def scan_core_value(targets) -> int:
     while cover_feasible(n, caps) is not None:
         n += 1
     return n
+
+
+def f_d(p, d: int, core_oracle) -> int:
+    """max over the integer grid 0 <= x_i < p_i/d of
+    core_oracle(p - d*x, re-sorted) + sum(x).
+
+    Evaluates every grid point; the product route uses the bound-pruned
+    pm_ramsey._f3_maximise, and this full scan is its reference.  For
+    testing only.
+    """
+    if d < 1:
+        raise ValueError("positive shift required")
+    targets = tuple(p)
+    # x_i < p_i / d for integers means x_i <= ceil(p_i/d) - 1
+    grid = product(*(range(ceil_div(pi, d)) for pi in targets))
+    return max(core_oracle(tuple(sorted((pi - d * xi for pi, xi in zip(targets, xs)),
+                                        reverse=True))) + sum(xs)
+               for xs in grid)
 
 
 class _SubsetCoverSearch:

@@ -18,10 +18,10 @@ from ramsey_pm.core_ramsey import (BlockCover, cover_feasible, covering_number,
                                    exact_core_ramsey)
 from ramsey_pm.graphs import SimpleGraph, mask_of
 from ramsey_pm.path_matching import max_pm_order, packing_oracle
-from ramsey_pm.pm_ramsey import core_value, exact_pm_ramsey, f_d, verify_upper
+from ramsey_pm.pm_ramsey import core_value, exact_pm_ramsey, verify_upper
 from ramsey_pm.search import colex_edges, enumerate_colorings
 
-from conftest import graph_from_mask, plain_counterexample, random_graph
+from conftest import f_d, graph_from_mask, plain_counterexample, random_graph
 
 
 def _report(criterion: str, detail: str):

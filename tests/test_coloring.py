@@ -189,3 +189,37 @@ def test_layered_coloring_beyond_64_vertices():
     for n, r in ((0, 1), (2, 0)):
         with pytest.raises(ValueError):
             EdgeColoring(n, r, ())
+
+
+def test_class_rows_partition_the_edges(rng):
+    # one pass fills every color's rows: each edge sits in exactly the
+    # class of its color, in both of its endpoints' rows
+    for _ in range(40):
+        n, r = rng.randint(1, 12), rng.randint(1, 6)
+        c = EdgeColoring(n, r, tuple(rng.randint(1, r) for _ in range(n * (n - 1) // 2)))
+        rows = c.class_rows()
+        assert len(rows) == r and all(len(cls) == n for cls in rows)
+        for u in range(n):
+            assert all(not cls[u] >> u & 1 for cls in rows)
+            for v in range(u + 1, n):
+                owners = [col for col in range(1, r + 1)
+                          if rows[col - 1][u] >> v & 1 and rows[col - 1][v] >> u & 1]
+                assert owners == [c.color_of(u, v)], (n, r, u, v)
+        assert sum(row.bit_count() for cls in rows for row in cls) == n * (n - 1)
+        for color in range(1, r + 1):
+            assert c.color_class(color).rows == tuple(rows[color - 1])
+
+
+def test_restrict_keeps_the_first_vertices(rng):
+    for _ in range(30):
+        n, r = rng.randint(1, 10), rng.randint(1, 4)
+        c = EdgeColoring(n, r, tuple(rng.randint(1, r) for _ in range(n * (n - 1) // 2)))
+        for m in range(1, n + 1):
+            cut = c.restrict(m)
+            assert (cut.n, cut.r) == (m, r)
+            assert all(cut.color_of(u, v) == c.color_of(u, v)
+                       for u in range(m) for v in range(u + 1, m))
+        assert c.restrict(n) == c
+        for bad in (0, n + 1):
+            with pytest.raises(ValueError, match=f"need 1 <= n <= {n}, got {bad}"):
+                c.restrict(bad)

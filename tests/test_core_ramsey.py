@@ -253,3 +253,18 @@ def test_exact_core_matches_subset_oracle(monkeypatch):
         want = exact_core_ramsey(tv)
         assert (res.value, res.lower_witness) == (want.value, want.lower_witness), tv
         assert res.stats.nodes <= want.stats.nodes, tv
+
+
+def test_block_cover_restrict():
+    # the cover of K_6 for (5,5,5), cut to each prefix, still covers it
+    cover = exact_core_ramsey((5, 5, 5)).lower_witness
+    assert cover.n == 6
+    for m in range(1, 7):
+        cut = cover.restrict(m)
+        cut.validate()
+        assert (cut.n, cut.capacities) == (m, cover.capacities)
+        assert cut.blocks == tuple(b & ((1 << m) - 1) for b in cover.blocks)
+    assert cover.restrict(6) == cover
+    for bad in (0, 7):
+        with pytest.raises(ValueError, match=f"need 1 <= n <= 6, got {bad}"):
+            cover.restrict(bad)

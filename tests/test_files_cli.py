@@ -253,6 +253,14 @@ def test_cli_deficiency(tmp_path, capsys):
 def test_cli_exit_codes(tmp_path, capsys):
     assert main(["exact", "pm", "--targets", "bogus", "--cache", "none"]) == 1
     capsys.readouterr()
+    # argparse's own exits: 0 after --help, 1 (not its 2) after a usage error
+    for argv in (["--help"], ["exact", "--help"]):
+        assert main(argv) == 0, argv
+        assert "usage:" in capsys.readouterr().out, argv
+    assert main(["exact", "pm"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage:" in captured.err and "error:" in captured.err and "--targets" in captured.err
     # a repeat count below 1 is an error, not a dropped chunk
     assert main(["exact", "pm", "--targets", "5,5*-1", "--cache", "none"]) == 1
     captured = capsys.readouterr()
@@ -536,14 +544,20 @@ def test_short_line_in_a_text_file_is_a_usage_error(tmp_path, capsys):
 
 
 def test_cache_entry_without_a_valid_witness_is_recomputed(tmp_path, capsys):
-    # (4,4,4) has the values 6 (pm) and 5 (core); no entry below may answer
+    # (4,4,4) has the values 6 (pm) and 5 (core); no entry below may answer,
+    # not even the right value with a valid witness of the other kind
     mono_k8 = {"type": "coloring", "n": 8, "r": 3, "rows": [[1] * (7 - u) for u in range(7)]}
     bare_k8 = {"type": "cover", "n": 8, "capacities": [3, 3, 3], "blocks": [[], [], []]}
+    bad_k4 = files.witness_to_json(find_lower_witness(4, (4, 4, 4)))
+    cover_k5 = files.witness_to_json(exact_core_ramsey((4, 4, 4)).lower_witness)
     path = tmp_path / "cache.json"
     for kind, entry in (("pm", 5), ("pm", {"value": 9, "method": "closed-form"}),
                         ("pm", {"value": 9, "method": "closed-form", "witness": mono_k8}),
                         ("core", {"value": 9, "method": "exhaustive-search",
-                                  "witness": bare_k8})):
+                                  "witness": bare_k8}),
+                        ("pm", {"value": 6, "method": "closed-form", "witness": cover_k5}),
+                        ("core", {"value": 5, "method": "exhaustive-search",
+                                  "witness": bad_k4})):
         key, want = ("PM:4,4,4", 6) if kind == "pm" else ("1C:4,4,4", 5)
         path.write_text(json.dumps({key: entry}))
         assert main(["exact", kind, "--targets", "4,4,4", "--cache", str(path), "--json"]) == 0
@@ -612,3 +626,106 @@ def test_all_ones_targets_under_auto(capsys):
         out = json.loads(capsys.readouterr().out)
         assert (out["value"], out["method"]) == (2, "table"), targets
         assert (out["witness"]["n"], out["witness"]["r"]) == (1, r), targets
+
+
+def test_coloring_rows_read_alike_from_text_and_json(rng):
+    # both readers take the same rows: n - 1 of them, row u holding n - u - 1
+    # colors; misaligned rows with the right total are rejected by both
+    for _ in range(20):
+        n, r = rng.randint(1, 9), rng.randint(1, 4)
+        col = EdgeColoring(n, r, tuple(rng.randint(1, r) for _ in range(n * (n - 1) // 2)))
+        rows = [line.split() for line in files.coloring_to_text(col).splitlines()[1:]]
+        assert files.coloring_to_json(col)["rows"] == [[int(x) for x in row] for row in rows]
+        assert files.coloring_from_json(files.coloring_to_json(col)) == col
+    for rows in ([[1], [2, 1]], [[1, 2]], [[1, 2], [1, 1]], [[1, 2], [1], [1]]):
+        text = "3 2\n" + "".join(" ".join(map(str, row)) + "\n" for row in rows)
+        with pytest.raises(ValueError):
+            files.coloring_from_text(text)
+        with pytest.raises(ValueError):
+            files.coloring_from_json({"type": "coloring", "n": 3, "r": 2, "rows": rows})
+    # a cache entry is read through the JSON reader, so its rows must align
+    # too: the rainbow K_3 certifies R_PM(3,3,3) = 4, its rows laid out
+    # wrong do not
+    from ramsey_pm.cli import _cached_result
+    rainbow = {"type": "coloring", "n": 3, "r": 3, "rows": [[1, 2], [3]]}
+    for rows, answers in (([[1, 2], [3]], True), ([[1], [2, 3]], False)):
+        entry = {"value": 4, "method": "closed-form", "witness": dict(rainbow, rows=rows)}
+        assert (_cached_result(entry, "pm", (3, 3, 3)) is not None) == answers, rows
+
+
+def test_cli_witness_cut_is_revalidated_for_both_kinds(monkeypatch, capsys):
+    # the cut goes through _witness_valid for both kinds; a cut that fails
+    # it is an internal inconsistency, exit 3, and nothing is written
+    from ramsey_pm import cli
+    checked = []
+
+    def spy(witness, n, ts):
+        checked.append((type(witness).__name__, witness.n, n, ts))
+        return pm_ramsey._witness_valid(witness, n, ts)
+
+    monkeypatch.setattr(cli, "_witness_valid", spy)
+    for kind in ("pm", "core"):
+        assert main(["witness", kind, "--targets", "5,5,5", "-n", "4"]) == 0
+        capsys.readouterr()
+    assert checked == [("EdgeColoring", 4, 4, (5, 5, 5)), ("BlockCover", 4, 4, (5, 5, 5))]
+    monkeypatch.setattr(cli, "_witness_valid", lambda witness, n, ts: False)
+    for kind in ("pm", "core"):
+        assert main(["witness", kind, "--targets", "5,5,5", "-n", "4"]) == 3, kind
+        captured = capsys.readouterr()
+        assert captured.out == "" and "internal inconsistency" in captured.err, kind
+
+
+def test_cli_default_text_outputs(tmp_path, capsys):
+    assert main(["bounds", "--targets", "6*10"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert any(line.split()[:1] == ["standard-value"] and line.endswith("15  (condition fails)")
+               for line in lines)
+    assert any(line.split() == ["edgecount-upper", "upper", "15"] for line in lines)
+    star = tmp_path / "star.graph"
+    star.write_text("4\n1 2\n1 3\n1 4\n")
+    assert main(["deficiency", str(star)]) == 0
+    out = capsys.readouterr().out
+    assert "deficiency: 1\n" in out and "max path-matching order: 3\n" in out
+    assert "LV set (1-indexed): [1]\n" in out and "isolated after removal: [2, 3, 4]\n" in out
+    assert main(["reproduce", "--only", r"R_PM\(3,3,3\)$"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("PASS") and "R_PM(3,3,3)" in lines[0]
+    assert lines[-1] == "1/1 checks passed"
+    # `exact` and `witness -o` describe a witness alike
+    assert main(["exact", "pm", "--targets", "5,5,5", "--cache", "none"]) == 0
+    assert "witness: coloring of K_6 with profile (4, 3, 3)\n" in capsys.readouterr().out
+    out = tmp_path / "w.cover"
+    assert main(["witness", "core", "--targets", "5,5,5", "-n", "4", "-o", str(out)]) == 0
+    assert capsys.readouterr().out.startswith("cover of K_4 with block sizes (")
+
+
+class _ClosedPipe:
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+
+def test_closed_output_pipe_is_not_an_error(monkeypatch, capsys):
+    # the reader of the output went away (`| head`): exit 0, say nothing
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    assert main(["exact", "pm", "--targets", "3,3,3,3", "--cache", "none"]) == 0
+    assert main(["witness", "pm", "--targets", "5,5,5", "-n", "3"]) == 0
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_closed_output_pipe_in_a_process_exits_0():
+    # a pipe whose read end is closed before the process starts, so every
+    # write to it fails; nothing reaches stderr, not even at shutdown
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(files.__file__)))
+    try:
+        proc = subprocess.run([sys.executable, "-m", "ramsey_pm.cli", "exact", "pm",
+                               "--targets", "3,3,3,3", "--cache", "none"],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, b"")

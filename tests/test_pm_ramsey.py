@@ -6,11 +6,14 @@ from ramsey_pm import core_ramsey
 from ramsey_pm.bounds import (ceil_third, core_upper_edgecount, core_upper_main,
                               pm_lowers, pm_standard_value, pm_upper, sorted_targets)
 from ramsey_pm.coloring import core_lift_coloring, mono_pm_profile
+from ramsey_pm.core_ramsey import BlockCover, exact_core_ramsey
 from ramsey_pm.pm_ramsey import (_core_result, _cover_as_coloring_for,
-                                 _f3_maximise, clear_core_cache, core_value,
-                                 exact_pm_ramsey, f_d, find_lower_witness,
+                                 _f3_maximise, _witness_valid, clear_core_cache,
+                                 core_value, exact_pm_ramsey, find_lower_witness,
                                  verify_upper)
 from ramsey_pm.results import FormulaUnavailableError, RouteDisagreementError, SearchStats
+
+from conftest import f_d
 
 
 def _shifted(tv, xs):
@@ -376,3 +379,30 @@ def test_every_witness_valid_on_the_small_box():
         col = res.lower_witness
         assert (col.n, col.r) == (res.value - 1, len(res.targets)), tv
         assert all(q < p for q, p in zip(mono_pm_profile(col), res.targets)), tv
+
+
+def test_search_route_scans_past_the_paper_lower_bounds():
+    # both values exceed max(pm_lowers), so the first search of the scan
+    # finds a counterexample and the scan steps on to the next n
+    for tv, lowers, value in (((5, 3, 3, 3, 3), (5, 5), 6),
+                              ((5, 5, 3, 3, 3, 3), (6, 6), 7)):
+        assert pm_lowers(tv) == lowers
+        assert verify_upper(max(lowers), tv) is not None
+        res = exact_pm_ramsey(tv, strategy="search")
+        assert (res.value, res.method) == (value, "exhaustive-search"), tv
+        assert exact_pm_ramsey(tv, strategy="reduction").value == value, tv
+
+
+def test_witness_valid_decides_both_kinds():
+    ts = (5, 5, 5)
+    col = exact_pm_ramsey(ts).lower_witness
+    cover = exact_core_ramsey(ts).lower_witness
+    assert _witness_valid(col, 6, ts) and _witness_valid(cover, 6, ts)
+    # a coloring: on K_n, with len(ts) colors, every color below its target
+    assert not _witness_valid(col, 5, ts)
+    assert not _witness_valid(col, 6, (5, 5, 5, 5))
+    assert not _witness_valid(col, 6, (5, 5, 3))
+    # a cover: on K_n, with capacities p - 1, covering every pair
+    assert not _witness_valid(cover, 5, ts)
+    assert not _witness_valid(cover, 6, (6, 5, 5))
+    assert not _witness_valid(BlockCover(6, (4, 4, 4), (0b1111, 0b110011, 0)), 6, ts)
