@@ -16,7 +16,7 @@ from .bounds import (BoundsReport, ceil_div, cockayne_lorimer, core_bounds_repor
 from .coloring import (EdgeColoring, core_lift_coloring,
                        layered_coloring, mono_core_profile, mono_pm_profile,
                        pm_extremal_coloring)
-from .core_ramsey import (BlockCover, cover_feasible, cover_to_coloring,
+from .core_ramsey import (BlockCover, cover_feasible_with_stats, cover_to_coloring,
                           covering_number, exact_core_ramsey)
 from .graphs import SimpleGraph, complete_graph
 from .path_matching import (DeficiencyCertificate, deficiency, max_pm_order,
@@ -37,7 +37,7 @@ __all__ = [
     "ceil_div", "clear_core_cache",
     "cockayne_lorimer", "complete_graph", "core_bounds_report",
     "core_lift_coloring", "core_upper_degree", "core_upper_edgecount",
-    "core_upper_main", "cover_feasible", "cover_to_coloring", "covering_lower_eh",
+    "core_upper_main", "cover_feasible_with_stats", "cover_to_coloring", "covering_lower_eh",
     "covering_lower_schonheim", "covering_number", "deficiency",
     "diagonal_guarantee", "enumerate_colorings", "exact_core_ramsey",
     "exact_pm_ramsey", "find_lower_witness",

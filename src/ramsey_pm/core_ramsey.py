@@ -4,8 +4,9 @@ An r-coloring of K_n in which the color-i 1-core has at most p_i - 1
 vertices is the same thing as a cover of the pairs of K_n by r blocks of
 sizes at most p_i - 1 (replace each 1-core by a clique on its vertex set).
 So the exact value is the smallest n whose K_n admits no such block cover,
-and cover_feasible is the workhorse: a complete backtracking search over
-vertex-to-block assignments with heavy symmetry breaking.
+and cover_feasible_with_stats is the workhorse: a complete backtracking
+search over vertex-to-block assignments with heavy symmetry breaking.  Its
+budgets are its only limit; vertex sets are Python ints of any width.
 """
 
 from __future__ import annotations
@@ -18,9 +19,6 @@ from .bounds import core_upper, covering_lower_eh, covering_lower_schonheim, sor
 from .coloring import EdgeColoring, coloring_from_edge_colors
 from .results import (DEFAULT_NODE_BUDGET, PROOF_SEARCH, PROOF_TABLE, RamseyResult,
                       RouteDisagreementError, SearchMeter, SearchStats, check_budgets)
-
-# the largest K_n the cover search takes on; counting answers at any n
-COVER_MAX_VERTICES = 64
 
 
 @dataclass(frozen=True)
@@ -211,14 +209,6 @@ def _min_sets(n: int, caps: Sequence[int]) -> int:
     return len(caps) if need <= 0 else len(caps) + 1
 
 
-def cover_feasible(n: int, capacities: Sequence[int], *,
-                   node_budget: int = DEFAULT_NODE_BUDGET,
-                   time_budget: Optional[float] = None) -> Optional[BlockCover]:
-    cover, _ = cover_feasible_with_stats(
-        n, capacities, node_budget=node_budget, time_budget=time_budget)
-    return cover
-
-
 def cover_feasible_with_stats(n: int, capacities: Sequence[int], *,
                               node_budget: int = DEFAULT_NODE_BUDGET,
                               time_budget: Optional[float] = None,
@@ -226,11 +216,12 @@ def cover_feasible_with_stats(n: int, capacities: Sequence[int], *,
                               ) -> tuple[Optional[BlockCover], int]:
     """A block cover of K_n within the capacities, or None; plus node count.
 
-    The search is complete: a None verdict means no cover exists, and any
-    returned cover is a valid witness.  Exceeding either budget raises
-    BudgetExceededError.  Budgets and progress work as SearchMeter says;
-    depth is the number of vertices assigned, and leaves is always 0,
-    since the search stops at its first leaf.
+    The one entry point of the cover search, at any n.  The search is
+    complete: a None verdict means no cover exists, and any returned cover
+    is a valid witness.  Its budgets are its only limit: exceeding either
+    raises BudgetExceededError.  Budgets and progress work as SearchMeter
+    says; depth is the number of vertices assigned, and leaves is always
+    0, since the search stops at its first leaf.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
@@ -258,8 +249,6 @@ def cover_feasible_with_stats(n: int, capacities: Sequence[int], *,
         found[0] = (1 << n) - 1
         nodes = 0
     else:
-        if n > COVER_MAX_VERTICES:
-            raise ValueError(f"the cover search takes n <= {COVER_MAX_VERTICES}, got {n}")
         search = _CoverSearch(n, caps, min_sets, node_budget, time_budget, progress)
         found, nodes = search.run(0), search.nodes
     if found is None:
@@ -322,25 +311,24 @@ def exact_core_ramsey(targets: Sequence[int], *,
     return RamseyResult(ts, hi, PROOF_SEARCH, witness, stats)
 
 
-def covering_number(v: int, k: int, max_blocks: int = 64, *,
+def covering_number(v: int, k: int, *,
                     node_budget: int = DEFAULT_NODE_BUDGET,
-                    time_budget: Optional[float] = None) -> Optional[int]:
+                    time_budget: Optional[float] = None) -> int:
     """Exact C(v, k): minimum number of size-<=k blocks covering K_v.
 
-    Scans upward from the iterated-ceiling lower bound; None if the answer
-    exceeds max_blocks.
+    Scans upward from the iterated-ceiling lower bound.  The scan ends,
+    since C(v, 2) one-pair blocks cover K_v; the budgets apply to each
+    cover search.
     """
     if not (v >= k >= 2):
         raise ValueError("need v >= k >= 2")
     if v == k:
         return 1
     b = covering_lower_schonheim(v, k) if k >= 3 else covering_lower_eh(v, k)
-    while b <= max_blocks:
-        if cover_feasible(v, (k,) * b, node_budget=node_budget,
-                          time_budget=time_budget) is not None:
-            return b
+    while cover_feasible_with_stats(v, (k,) * b, node_budget=node_budget,
+                                    time_budget=time_budget)[0] is None:
         b += 1
-    return None
+    return b
 
 
 def cover_to_coloring(cover: BlockCover) -> EdgeColoring:

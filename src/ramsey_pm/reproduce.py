@@ -14,7 +14,7 @@ from typing import Callable, Optional
 from .bounds import pm_all3, pm_lowers, pm_upper
 from .coloring import layered_coloring, mono_pm_profile
 from .core_ramsey import covering_number, exact_core_ramsey
-from .pm_ramsey import exact_pm_ramsey, find_lower_witness, verify_upper
+from .pm_ramsey import _witness_valid, exact_pm_ramsey, find_lower_witness, verify_upper
 from .results import BudgetExceededError
 
 
@@ -85,27 +85,25 @@ def _check_rows() -> list[tuple[str, str, Callable[[], tuple[str, bool]]]]:
         return f"{lo[0]}/{lo[1]}/{hi}", lo == (15, 16) and hi == 21
     rows.append(("bounds (6x10) standard/design/upper", "15/16/21", ten_six))
 
-    # witness validations
-    def witness_555():
-        col = find_lower_witness(6, (5, 5, 5))
-        prof = mono_pm_profile(col)
-        return f"profile {prof}", col is not None and all(q <= 4 for q in prof)
-    rows.append(("witness for R_PM(5,5,5) on K_6", "profile <= (4,4,4)", witness_555))
+    # witness validations: each witness must pass the check every returned
+    # witness passes, on the named K_n for the named targets
+    def witness_row(name, expect, n, ts, find, describe):
+        def run():
+            witness = find()
+            if witness is None:
+                return "missing", False
+            return describe(witness), _witness_valid(witness, n, ts)
+        return name, expect, run
 
-    def witness_ten_six():
-        col = find_lower_witness(15, (6,) * 10)
-        if col is None:
-            return "missing", False
-        prof = mono_pm_profile(col)
-        return f"max profile {max(prof)}", all(q <= 5 for q in prof)
-    rows.append(("witness for R_PM(6x10) > 15 on K_15", "profile <= 5", witness_ten_six))
-
-    def core_witness_555():
-        res = exact_core_ramsey((5, 5, 5))
-        cover = res.lower_witness
-        cover.validate()
-        return f"block sizes {sorted(cover.block_sizes())}", cover.n == 6
-    rows.append(("cover witness for R_1C(5,5,5) on K_6", "valid cover", core_witness_555))
+    rows.append(witness_row("witness for R_PM(5,5,5) on K_6", "profile <= (4,4,4)",
+                            6, (5, 5, 5), lambda: find_lower_witness(6, (5, 5, 5)),
+                            lambda col: f"profile {mono_pm_profile(col)}"))
+    rows.append(witness_row("witness for R_PM(6x10) > 15 on K_15", "profile <= 5",
+                            15, (6,) * 10, lambda: find_lower_witness(15, (6,) * 10),
+                            lambda col: f"max profile {max(mono_pm_profile(col))}"))
+    rows.append(witness_row("cover witness for R_1C(5,5,5) on K_6", "valid cover",
+                            6, (5, 5, 5), lambda: exact_core_ramsey((5, 5, 5)).lower_witness,
+                            lambda cover: f"block sizes {sorted(cover.block_sizes())}"))
 
     def diagonal_rows():
         ok = True

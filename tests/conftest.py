@@ -5,7 +5,7 @@ import pytest
 
 from ramsey_pm import results
 from ramsey_pm.bounds import ceil_div
-from ramsey_pm.core_ramsey import BlockCover, cover_feasible
+from ramsey_pm.core_ramsey import BlockCover, cover_feasible_with_stats
 from ramsey_pm.graphs import SimpleGraph, mask_of
 from ramsey_pm.path_matching import packing_oracle, pm_order_of_rows
 from ramsey_pm.results import BudgetExceededError
@@ -79,7 +79,7 @@ def scan_core_value(targets) -> int:
         return 2
     caps = tuple(p - 1 for p in ts)
     n = ts[0]
-    while cover_feasible(n, caps) is not None:
+    while cover_feasible_with_stats(n, caps)[0] is not None:
         n += 1
     return n
 

@@ -14,7 +14,7 @@ from ramsey_pm.bounds import (ceil_third, pm_all3, pm_lowers,
                               pm_standard_value, pm_upper, techfact_holds)
 from ramsey_pm.coloring import (layered_coloring, mono_pm_profile,
                                 pm_extremal_coloring)
-from ramsey_pm.core_ramsey import (BlockCover, cover_feasible, covering_number,
+from ramsey_pm.core_ramsey import (BlockCover, cover_feasible_with_stats, covering_number,
                                    exact_core_ramsey)
 from ramsey_pm.graphs import SimpleGraph, mask_of
 from ramsey_pm.path_matching import max_pm_order, packing_oracle
@@ -235,6 +235,6 @@ def test_criterion_10_pruned_verdicts_match_plain_dfs_and_pins():
                    (5, (2,) * 10, True), (6, (2,) * 12, False),
                    (9, (5, 5, 5, 5), False), (7, (4, 4, 3, 2), False)]
     for n, caps, feasible in cover_cases:
-        assert (cover_feasible(n, caps) is not None) == feasible, (n, caps)
+        assert (cover_feasible_with_stats(n, caps)[0] is not None) == feasible, (n, caps)
     _report("10", "pruned coloring verdicts equal a plain DFS's; "
                   "cover verdicts as pinned")

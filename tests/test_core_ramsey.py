@@ -7,8 +7,7 @@ from ramsey_pm.bounds import (core_upper_degree, core_upper_edgecount,
                               core_upper_main, covering_lower_eh,
                               covering_lower_schonheim, pm_all3)
 from ramsey_pm import core_ramsey
-from ramsey_pm.core_ramsey import (BlockCover, cover_feasible,
-                                   cover_feasible_with_stats, cover_to_coloring,
+from ramsey_pm.core_ramsey import (BlockCover, cover_feasible_with_stats, cover_to_coloring,
                                    covering_number, exact_core_ramsey)
 from ramsey_pm.coloring import mono_core_profile
 from ramsey_pm.results import BudgetExceededError
@@ -44,18 +43,18 @@ def core_search_brute(n: int, targets) -> bool:
 
 
 def test_cover_feasible_examples():
-    cover = cover_feasible(4, (3, 3, 3))
+    cover = cover_feasible_with_stats(4, (3, 3, 3))[0]
     assert cover is not None
     cover.validate()
-    assert cover_feasible(5, (3, 3, 3)) is None
-    cover = cover_feasible(6, (4, 4, 4))
+    assert cover_feasible_with_stats(5, (3, 3, 3))[0] is None
+    cover = cover_feasible_with_stats(6, (4, 4, 4))[0]
     assert cover is not None and cover.block_sizes() == (4, 4, 4)
 
 
 def test_cover_feasible_drops_tiny_blocks():
     # capacity <= 1 blocks cover nothing
-    assert cover_feasible(3, (1, 1, 2)) is None
-    cover = cover_feasible(2, (1, 2))
+    assert cover_feasible_with_stats(3, (1, 1, 2))[0] is None
+    cover = cover_feasible_with_stats(2, (1, 2))[0]
     assert cover is not None and cover.blocks[0] == 0
 
 
@@ -82,7 +81,10 @@ def test_covering_numbers():
     assert covering_number(5, 5) == 1
     assert covering_number(5, 3) == 4
     assert covering_number(7, 3) == 7
-    assert covering_number(4, 3, max_blocks=2) is None
+    # no cap on blocks or vertices: 66 and 78 one-pair blocks, and K_100
+    assert covering_number(12, 2) == 66
+    assert covering_number(13, 2) == 78
+    assert covering_number(100, 50) == 6
 
 
 def test_covering_c13_5():
@@ -99,9 +101,9 @@ def test_monotone_feasibility(rng):
         n = res.value - 1
         if n < 3:
             continue
-        assert cover_feasible(n, caps) is not None
-        assert cover_feasible(n - 1, caps) is not None
-        assert cover_feasible(res.value, caps) is None
+        assert cover_feasible_with_stats(n, caps)[0] is not None
+        assert cover_feasible_with_stats(n - 1, caps)[0] is not None
+        assert cover_feasible_with_stats(res.value, caps)[0] is None
 
 
 def test_bound_sandwich(rng):
@@ -151,7 +153,7 @@ def test_cross_oracle_vs_coloring_enumeration():
         caps = tuple(p - 1 for p in tv)
         for n in range(2, 7):
             enum = core_search_brute(n, tv)
-            search = cover_feasible(n, caps) is not None
+            search = cover_feasible_with_stats(n, caps)[0] is not None
             assert enum == search, (n, tv)
 
 
@@ -167,7 +169,7 @@ def test_witness_cover_converts_to_coloring():
 def test_budget_is_an_error_not_an_answer():
     # this feasible instance needs 4,849 nodes
     with pytest.raises(BudgetExceededError):
-        cover_feasible(12, (5,) * 10, node_budget=50)
+        cover_feasible_with_stats(12, (5,) * 10, node_budget=50)
 
 
 def _cover_search(**budgets):
@@ -221,7 +223,7 @@ def test_cover_feasible_fuzz_against_brute_force(rng):
         brute = brute_cover_exists(n, [c for c in caps if c >= 2])
         if not any(c >= 2 for c in caps):
             brute = False
-        search = cover_feasible(n, caps) is not None
+        search = cover_feasible_with_stats(n, caps)[0] is not None
         assert brute == search, (n, caps)
 
 

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
@@ -328,15 +329,22 @@ def test_cli_witness_pm_beyond_64_vertices(private_cache, capsys):
 
 def test_exact_core_beyond_64_vertices(capsys):
     # one block of 99 swallows K_99 and the bounds give 100, so no cover
-    # search runs; (100,100,100) needs one at n = 124, above its limit
-    assert main(["exact", "core", "--targets", "100,100", "--cache", "none", "--json"]) == 0
-    out = json.loads(capsys.readouterr().out)
-    cover = files.witness_from_json(out["witness"])
+    # search runs; (100,100,100) bisects with cover searches up to K_149
+    for targets, value, nodes in (("100,100", 100, 0), ("100,100,100", 149, 848)):
+        assert main(["exact", "core", "--targets", targets, "--cache", "none", "--json"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        cover = files.witness_from_json(out["witness"])
+        cover.validate()
+        assert (out["value"], out["stats"]["nodes"], cover.n) == (value, nodes, value - 1)
+        assert cover.capacities == tuple(p - 1 for p in out["targets"]), targets
+
+
+def test_cli_witness_core_beyond_64_vertices(private_cache, capsys):
+    # the value 149 of (100,100,100) comes with a cover of K_148
+    assert main(["witness", "core", "--targets", "100,100,100", "-n", "148"]) == 0
+    cover = files.cover_from_json(json.loads(capsys.readouterr().out))
     cover.validate()
-    assert (out["value"], out["stats"]["nodes"], cover.n) == (100, 0, 99)
-    assert main(["exact", "core", "--targets", "100,100,100", "--cache", "none"]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == "" and "cover search takes n <= 64, got 124" in captured.err
+    assert (cover.n, cover.capacities) == (148, (99, 99, 99))
 
 
 def test_cli_deficiency_of_a_120_vertex_graph(tmp_path, capsys):
@@ -512,15 +520,42 @@ def test_reproduce_budget_exhaustion_exits_2(monkeypatch, capsys):
     assert "budget exhausted" in capsys.readouterr().err
 
 
+def test_reproduce_pm_witness_row_checks_n(monkeypatch):
+    # the K_5 cut of a valid K_6 witness keeps every profile below 5, but
+    # the row names K_6; a missing witness fails too
+    k5 = find_lower_witness(6, (5, 5, 5)).restrict(5)
+    for witness, computed in ((k5, "profile "), (None, "missing")):
+        monkeypatch.setattr(reproduce, "find_lower_witness", lambda n, ts, w=witness: w)
+        (row,) = reproduce.run_report(r"witness for R_PM\(5,5,5\)")
+        assert row.computed.startswith(computed) and not row.passed, row
+
+
+def test_reproduce_cover_witness_row_checks_capacities(monkeypatch):
+    # a valid cover of K_6 by blocks {0..4}, {1..5}, {0,5} within
+    # capacities (5,5,5), where R_1C(5,5,5) asks for (4,4,4)
+    wide = BlockCover(6, (5, 5, 5), (0b011111, 0b111110, 0b100001))
+    wide.validate()
+    for witness, computed in ((wide, "block sizes [2, 5, 5]"), (None, "missing")):
+        monkeypatch.setattr(reproduce, "exact_core_ramsey",
+                            lambda ts, w=witness: SimpleNamespace(lower_witness=w))
+        (row,) = reproduce.run_report(r"cover witness for R_1C\(5,5,5\)")
+        assert (row.computed, row.passed) == (computed, False), row
+
+
 def test_every_search_entry_point_has_one_default_budget():
     # the same search gets the same node budget whichever way it is started
-    entry_points = (core_ramsey.cover_feasible, core_ramsey.cover_feasible_with_stats,
-                    core_ramsey.exact_core_ramsey, core_ramsey.covering_number,
-                    pm_ramsey.core_value, pm_ramsey.verify_upper,
-                    pm_ramsey.find_lower_witness, pm_ramsey.exact_pm_ramsey,
-                    search.enumerate_colorings)
+    cover_entry_points = (core_ramsey.cover_feasible_with_stats,
+                          core_ramsey.exact_core_ramsey, core_ramsey.covering_number)
+    entry_points = cover_entry_points + (pm_ramsey.core_value, pm_ramsey.verify_upper,
+                                         pm_ramsey.find_lower_witness,
+                                         pm_ramsey.exact_pm_ramsey, search.enumerate_colorings)
     for fn in entry_points:
         assert inspect.signature(fn).parameters["node_budget"].default == 50_000_000, fn
+    # budgets are the only limit of the cover search: no size cap knob
+    for fn in cover_entry_points:
+        knobs = {name for name, param in inspect.signature(fn).parameters.items()
+                 if param.default is not inspect.Parameter.empty}
+        assert knobs <= {"node_budget", "time_budget", "progress"}, (fn, knobs)
     parser = build_parser()
     for argv in (["exact", "core", "--targets", "4,4,4"],
                  ["witness", "pm", "--targets", "5,5,5", "-n", "6"]):
