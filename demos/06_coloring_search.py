@@ -16,10 +16,14 @@ keep the tree tiny:
   every coloring of K_f finishes some color (a smaller instance of the
   same question, settled by a sub-search), the subtree is cut like a
   success;
-* dead-vertex look-ahead: in the last row but one, vertex v+1 is the one
-  bare vertex, so every completion colors each edge (x,v+1); when for
-  some x that edge would lift every color to its threshold, whichever
-  color it takes succeeds, and the subtree is cut like a success;
+* bare-edge look-ahead: call a color near when it is at most 2 below its
+  threshold and far otherwise, and an earlier vertex open when no far
+  color touches it and an edge from it to a bare vertex would finish
+  every near color.  Each edge among the bare vertices or between them
+  and an open vertex would finish any near color, so it must take a far
+  one, where the orders add up.  A far color 3 below its threshold holds
+  one such edge, one 4 below only a star or a triangle; when the edges
+  outnumber that room, the subtree is cut like a success;
 * color order: among colors with equal thresholds, a new color may only
   appear after all smaller ones (first-use rule);
 * vertex canonicity: at each complete-K_m boundary, a prefix beaten by

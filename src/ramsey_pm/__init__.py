@@ -12,7 +12,7 @@ from .bounds import (BoundsReport, ceil_div, cockayne_lorimer, core_bounds_repor
                      covering_lower_eh, covering_lower_schonheim,
                      diagonal_guarantee, pm_all3,
                      pm_bounds_report, pm_lowers, pm_standard_value, pm_upper,
-                     sorted_targets, techfact_holds)
+                     sorted_targets)
 from .coloring import (EdgeColoring, core_lift_coloring,
                        layered_coloring, mono_core_profile, mono_pm_profile,
                        pm_extremal_coloring)
@@ -44,5 +44,5 @@ __all__ = [
     "layered_coloring", "max_pm_order", "mono_core_profile",
     "mono_pm_profile", "packing_oracle", "pm_all3",
     "pm_bounds_report", "pm_extremal_coloring", "pm_lowers", "pm_standard_value",
-    "pm_upper", "sorted_targets", "techfact_holds", "verify_upper",
+    "pm_upper", "sorted_targets", "verify_upper",
 ]

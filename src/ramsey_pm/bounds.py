@@ -250,40 +250,6 @@ def covering_lower_schonheim(v: int, k: int) -> int:
     return ceil_div(v * inner, k)
 
 
-def techfact_holds(a: Sequence[int]) -> tuple[bool, bool, bool]:
-    """Truth of the three arithmetic facts behind the main upper bounds,
-    for a1 >= ... >= ar >= 2 with r >= 3 and a1 >= 3.
-
-    (i)   ceil(2a1/3 - r/3 + sum ai/3) >= ceil((a1+a2+a3)/2) - 1
-    (ii)  standard >= ceil(a1/3 - r/3 + sum ai/3)
-              iff  a1 >= 2r - 3 - sum_{i>=2} 3(ceil(ai/3) - ai/3)
-    (iii) standard >= ceil((a1+a2+a3)/2) - 1 + sum_{i>=4}(ceil(ai/3) - 1)
-              iff  a1 >= 2 + (a2 - 2 ceil(a2/3)) + (a3 - 2 ceil(a3/3))
-
-    For (ii) and (iii) the returned booleans state whether the claimed
-    equivalence holds (both directions), each side evaluated exactly.
-    """
-    t = sorted_targets(a)
-    r = len(t)
-    if r < 3 or t[0] < 3 or t[-1] < 2:
-        raise ValueError("need r >= 3, a1 >= 3 and entries >= 2")
-    standard = standard_formula(t)
-    half_term = ceil_div(t[0] + t[1] + t[2], 2) - 1
-    third_term = ceil_div(t[0] - r + sum(t), 3)
-
-    item_i = ceil_div(2 * t[0] - r + sum(t), 3) >= half_term
-
-    left_ii = standard >= third_term
-    right_ii = 3 * t[0] >= 3 * (2 * r - 3) - sum(9 * ceil_third(ai) - 3 * ai for ai in t[1:])
-    item_ii = left_ii == right_ii
-
-    left_iii = standard >= half_term + sum(ceil_third(ai) - 1 for ai in t[3:])
-    right_iii = t[0] >= 2 + (t[1] - 2 * ceil_third(t[1])) + (t[2] - 2 * ceil_third(t[2]))
-    item_iii = left_iii == right_iii
-
-    return item_i, item_ii, item_iii
-
-
 def pm_bounds_report(p: Sequence[int]) -> BoundsReport:
     """All path-matching bounds for one target vector.  The bounds assume
     entries of at least 2, so each 1, which forbids every edge of its color

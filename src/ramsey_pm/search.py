@@ -23,14 +23,20 @@ edge, keeps them in an n x n color matrix, and prunes seven ways:
   sub-search of this engine on K_f with thresholds q decides, its nodes
   charged to this search's meter and its verdicts kept per search.  The
   cut is justified by the sub-search's own proof tree on K_f;
-* dead-vertex look-ahead (forward checking, Haralick and Elliott 1980):
-  in the last row but one, v+1 = n-1 is the one bare vertex, and every
-  completion colors (x,v+1) for each x <= v.  If for some x an edge from x
-  to a new vertex would lift every color c to p_c (pendant_gains), that
-  edge succeeds in whatever color it takes, so the child is cut as a
-  success.  One edge raises an order by at most 2 (a max path-matching of
-  G + e, minus e, loses at most the two ends of e), so it runs only while
-  each color is within 2 of its threshold;
+* bare-edge look-ahead (forward checking, Haralick and Elliott 1980,
+  taken from one edge to all edges that must take a far color): a color
+  c is near when q_c <= 2 and far otherwise.  Let Z be the x <= v that
+  every far color leaves isolated and from which a pendant edge lifts
+  every near color c by q_c (pendant_gains; one edge adds at most 2).
+  Every completion colors the K_f on the bare vertices and every edge
+  between Z and them, C(f,2) + f|Z| edges, and each finishes a near
+  color, so each must take a far one.  There they touch only vertices
+  that the color leaves isolated, so their order adds to order_c, as
+  above: a color with q_c = 3 holds one of them, one with q_c = 4 only
+  pairwise-intersecting ones, a star or a triangle.  The child is cut as
+  a success when the edges outnumber those capacities; a far q_c >= 5
+  stops the rule.  With no far color and f = 1 it cuts when some x <= v
+  reaches every threshold through its edge to the last vertex;
 * color canonicity: among colors with equal thresholds, a new color may
   only enter in index order (first-use rule), valid at every prefix;
 * vertex canonicity: edges are ordered colex, (0,1), (0,2), (1,2),
@@ -255,16 +261,43 @@ class _ColoringDFS(SearchMeter):
             lo = col[a][v]
         return lo
 
-    def _dead_vertex(self, v: int) -> bool:
-        """In the last row but one, some x <= v reaches every threshold
-        through the edge (x, v+1), so whatever color that edge takes
-        succeeds.  One edge raises an order by at most 2, so the caller
-        asks only when each color is within 2 of its threshold."""
-        ts, order = self.ts, self.order
-        mask = (1 << v + 1) - 1
+    def _bare_edges_forced(self, v: int) -> bool:
+        """The bare-edge look-ahead (see the module docstring) at a child in
+        row v: the C(f,2) + f|Z| edges at the f = n-1-v bare vertices that
+        must take a far color outnumber what the far colors can hold.  A
+        color with q_c = 3 holds one; one with q_c = 4 a star of at most
+        max(|Z|+f-1, f) edges or a triangle, which needs f >= 3, or f = 2
+        and Z non-empty; one with q_c >= 5 is not bounded.  With f or more
+        colors at q_c = 4 the capacities always suffice; otherwise the
+        excess does not shrink as |Z| grows, so Z is narrowed one near
+        color at a time while it can still exceed them."""
+        f = self.n - 1 - v
+        threes = fours = touched = 0  # touched: the vertices of far colors' edges
+        near = []
         for c, rows in enumerate(self.rows):
-            mask &= pendant_gains(tuple(rows))[ts[c] - order[c] - 1]
-        return mask != 0
+            q = self.ts[c] - self.order[c]
+            if q > 4:
+                return False
+            if q > 2:
+                threes += q == 3
+                fours += q == 4
+                for row in rows:
+                    touched |= row
+            else:
+                near.append((rows, q))
+
+        def exceeds(z: int) -> bool:
+            triangle = 3 if f >= 3 or f == 2 and z else 0
+            return f * (f - 1) // 2 + f * z > threes + fours * max(z + f - 1, f, triangle)
+
+        zs = ((1 << v + 1) - 1) & ~touched
+        if not exceeds(zs.bit_count()):
+            return False
+        for rows, q in near:
+            zs &= pendant_gains(tuple(rows))[q - 1]
+            if not exceeds(zs.bit_count()):
+                return False
+        return True
 
     def _future_forced(self, f: int, k: int) -> bool:
         """Every coloring of the K_f on the bare vertices lifts some color
@@ -315,14 +348,13 @@ class _ColoringDFS(SearchMeter):
         prefix none of whose children survives is never tested.
         A saturated color is skipped without a node.  A color survives
         success pruning while its order, kept in order[c], stays below its
-        threshold.  While v+2 < n the future-clique look-ahead
-        (_future_forced) runs on each child whose edge changed order[c]: an
-        unchanged order was asked about at the parent, on the same K_f or
-        on K_{f+1}, and the parent survived; a coloring of K_{f+1} that
-        finishes no color restricts to one of K_f.  In the last row but
-        one, while far, the number of colors more than 2 below their
-        thresholds, is 0, the dead-vertex look-ahead (_dead_vertex) runs
-        instead."""
+        threshold.  While a bare vertex is left (v+1 < n) the bare-edge
+        look-ahead (_bare_edges_forced) runs on each surviving child.  Then,
+        while v+2 < n, the future-clique look-ahead (_future_forced) runs on
+        each child whose edge changed order[c]: an unchanged order was
+        asked about at the parent, on the same K_f or on K_{f+1}, and the
+        parent survived; a coloring of K_{f+1} that finishes no color
+        restricts to one of K_f."""
         if k == self.E:
             return self._leaf()
         n, ts = self.n, self.ts
@@ -351,10 +383,9 @@ class _ColoringDFS(SearchMeter):
             self.far -= near
             ok = order[c] < p
             if ok and ahead:
-                if v + 2 < n:  # an unchanged order was asked about at the parent
+                ok = not self._bare_edges_forced(v)
+                if ok and v + 2 < n:  # an unchanged order was asked about at the parent
                     ok = order[c] == was or not self._future_forced(n - 1 - v, k)
-                elif not self.far:
-                    ok = not self._dead_vertex(v)
             if ok and pending:
                 if not self._canonical(pending):
                     rows_c[u] &= ~vb

@@ -1,13 +1,15 @@
 import random
 from itertools import combinations, permutations, product
+from typing import Sequence
 
 import pytest
 
 from ramsey_pm import results
-from ramsey_pm.bounds import ceil_div
+from ramsey_pm.bounds import ceil_div, ceil_third, sorted_targets, standard_formula
+from ramsey_pm.coloring import EdgeColoring, mono_pm_profile
 from ramsey_pm.core_ramsey import BlockCover, cover_feasible_with_stats
 from ramsey_pm.graphs import SimpleGraph, mask_of
-from ramsey_pm.path_matching import packing_oracle, pm_order_of_rows
+from ramsey_pm.path_matching import packing_oracle, pendant_gains, pm_order_of_rows
 from ramsey_pm.results import BudgetExceededError
 from ramsey_pm.search import _ColoringDFS
 
@@ -100,6 +102,41 @@ def f_d(p, d: int, core_oracle) -> int:
     return max(core_oracle(tuple(sorted((pi - d * xi for pi, xi in zip(targets, xs)),
                                         reverse=True))) + sum(xs)
                for xs in grid)
+
+
+def techfact_holds(a: Sequence[int]) -> tuple[bool, bool, bool]:
+    """Truth of the three arithmetic facts behind the main upper bounds,
+    for a1 >= ... >= ar >= 2 with r >= 3 and a1 >= 3.
+
+    (i)   ceil(2a1/3 - r/3 + sum ai/3) >= ceil((a1+a2+a3)/2) - 1
+    (ii)  standard >= ceil(a1/3 - r/3 + sum ai/3)
+              iff  a1 >= 2r - 3 - sum_{i>=2} 3(ceil(ai/3) - ai/3)
+    (iii) standard >= ceil((a1+a2+a3)/2) - 1 + sum_{i>=4}(ceil(ai/3) - 1)
+              iff  a1 >= 2 + (a2 - 2 ceil(a2/3)) + (a3 - 2 ceil(a3/3))
+
+    For (ii) and (iii) the returned booleans state whether the claimed
+    equivalence holds (both directions), each side evaluated exactly.  The
+    paper's lemma; no product route needs it.  For testing only.
+    """
+    t = sorted_targets(a)
+    r = len(t)
+    if r < 3 or t[0] < 3 or t[-1] < 2:
+        raise ValueError("need r >= 3, a1 >= 3 and entries >= 2")
+    standard = standard_formula(t)
+    half_term = ceil_div(t[0] + t[1] + t[2], 2) - 1
+    third_term = ceil_div(t[0] - r + sum(t), 3)
+
+    item_i = ceil_div(2 * t[0] - r + sum(t), 3) >= half_term
+
+    left_ii = standard >= third_term
+    right_ii = 3 * t[0] >= 3 * (2 * r - 3) - sum(9 * ceil_third(ai) - 3 * ai for ai in t[1:])
+    item_ii = left_ii == right_ii
+
+    left_iii = standard >= half_term + sum(ceil_third(ai) - 1 for ai in t[3:])
+    right_iii = t[0] >= 2 + (t[1] - 2 * ceil_third(t[1])) + (t[2] - 2 * ceil_third(t[2]))
+    item_iii = left_iii == right_iii
+
+    return item_i, item_ii, item_iii
 
 
 class _SubsetCoverSearch:
@@ -283,6 +320,45 @@ def search_extends(prefix, n, thresholds) -> bool:
             return super().run(k, tie, pending)
 
     return Following(n, [2 * n + ranks.index(p) for p in thresholds], None).run()
+
+
+def colored_edges(dfs: _ColoringDFS) -> tuple[tuple[tuple[int, int], int], ...]:
+    """The edges that the search's prefix has colored, as ((u, v), color)
+    with u < v and 1-indexed colors, read from its color rows."""
+    n = dfs.n
+    return tuple(((u, v), c + 1) for c, rows in enumerate(dfs.rows)
+                 for u in range(n) for v in range(u + 1, n) if rows[u] >> v & 1)
+
+
+def every_completion_succeeds(n, thresholds, colored) -> bool:
+    """True iff every coloring of K_n that gives the edges of colored
+    (((u, v), color) pairs) their colors has a color class whose order,
+    by mono_pm_profile, reaches its threshold.  Brute force over all
+    r^(uncolored edges) completions; for testing only."""
+    r = len(thresholds)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    given = dict(colored)
+    free = [e for e in pairs if e not in given]
+    for combo in product(range(1, r + 1), repeat=len(free)):
+        given.update(zip(free, combo))
+        profile = mono_pm_profile(EdgeColoring(n, r, tuple(given[e] for e in pairs)))
+        if all(o < p for o, p in zip(profile, thresholds)):
+            return False
+    return True
+
+
+def dead_vertex(dfs: _ColoringDFS, v: int) -> bool:
+    """The dead-vertex look-ahead that the bare-edge one replaced, asked
+    where the search asked it: in the last row but one, with every color
+    within 2 of its threshold, some x <= v reaches every threshold through
+    its edge to the one bare vertex v+1 (pendant_gains), so that edge
+    succeeds in whatever color it takes.  For testing only."""
+    if v + 2 != dfs.n or dfs.far:
+        return False
+    mask = (1 << v + 1) - 1
+    for c, rows in enumerate(dfs.rows):
+        mask &= pendant_gains(tuple(rows))[dfs.ts[c] - dfs.order[c] - 1]
+    return mask != 0
 
 
 def first_use_ok(seq, thresholds) -> bool:

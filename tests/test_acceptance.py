@@ -11,7 +11,7 @@ from itertools import combinations_with_replacement
 from math import ceil
 
 from ramsey_pm.bounds import (ceil_third, pm_all3, pm_lowers,
-                              pm_standard_value, pm_upper, techfact_holds)
+                              pm_standard_value, pm_upper)
 from ramsey_pm.coloring import (layered_coloring, mono_pm_profile,
                                 pm_extremal_coloring)
 from ramsey_pm.core_ramsey import (BlockCover, cover_feasible_with_stats, covering_number,
@@ -21,7 +21,8 @@ from ramsey_pm.path_matching import max_pm_order, packing_oracle
 from ramsey_pm.pm_ramsey import core_value, exact_pm_ramsey, verify_upper
 from ramsey_pm.search import colex_edges, enumerate_colorings
 
-from conftest import f_d, graph_from_mask, plain_counterexample, random_graph
+from conftest import (f_d, graph_from_mask, plain_counterexample, random_graph,
+                      techfact_holds)
 
 
 def _report(criterion: str, detail: str):

@@ -11,10 +11,12 @@ from ramsey_pm.bounds import (EXACT_IF, ceil_div, cockayne_lorimer, core_bounds_
                               covering_lower_eh, covering_lower_schonheim,
                               diagonal_guarantee, nontrivial_targets, pm_all3,
                               pm_bounds_report, pm_lowers, pm_standard_value,
-                              pm_upper, techfact_holds)
+                              pm_upper)
 from ramsey_pm.core_ramsey import exact_core_ramsey
 from ramsey_pm.graphs import SimpleGraph
 from ramsey_pm.pm_ramsey import exact_pm_ramsey
+
+from conftest import techfact_holds
 
 
 def max_matching_order(g: SimpleGraph) -> int:

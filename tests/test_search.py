@@ -15,8 +15,9 @@ from ramsey_pm.search import colex_edges, enumerate_colorings
 
 from conftest import (SteppingClock, brute_force_canonical, check_node_budget_boundary,
                       check_non_positive_budgets_rejected,
-                      check_time_budget_read_on_every_node, first_use_ok, least_image,
-                      oracle_leaves, plain_counterexample, search_extends)
+                      check_time_budget_read_on_every_node, colored_edges, dead_vertex,
+                      every_completion_succeeds, first_use_ok, least_image, oracle_leaves,
+                      plain_counterexample, search_extends)
 
 
 def naive_counterexamples(n, thresholds):
@@ -308,6 +309,8 @@ def test_leaves_pinned_at_six_and_seven_vertices():
 def test_node_counts_at_eight_vertices(monkeypatch):
     # deterministic regression values for nodes and minimality tests
     # (_canonical calls), those of the future-clique sub-searches included.
+    # Before the bare-edge look-ahead replaced the dead-vertex one, 1,645,
+    # 849, 2,931, 1,981 and 1,060 nodes and 148, 92, 198, 158 and 98 tests.
     # Before the future-clique look-ahead and the saturated-color skip,
     # 2,480, 2,389, 7,330, 6,467 and 4,271 nodes and 254, 195, 404, 289
     # and 234 tests.  Before the dead-vertex look-ahead, 6,895, 5,334,
@@ -326,21 +329,25 @@ def test_node_counts_at_eight_vertices(monkeypatch):
         return real(dfs, m)
 
     monkeypatch.setattr(search._ColoringDFS, "_canonical", counting)
-    for ts, nodes, tested in (((6, 6, 6), 1645, 148), ((5, 5, 5, 5), 849, 92),
-                              ((6, 6, 4, 3), 2931, 198), ((7, 6, 3, 3), 1981, 158),
-                              ((6, 5, 4, 3), 1060, 98)):
+    for ts, nodes, tested in (((6, 6, 6), 833, 68), ((5, 5, 5, 5), 600, 53),
+                              ((6, 6, 4, 3), 736, 60), ((7, 6, 3, 3), 580, 54),
+                              ((6, 5, 4, 3), 565, 61)):
         tests.clear()
         out = enumerate_colorings(8, ts)
         assert (out.counterexample, out.nodes, len(tests)) == (None, nodes, tested), ts
 
 
 def test_node_counts_at_nine_vertices():
-    # the search at the closed-form value 9 of both vectors: every
-    # coloring of K_9 succeeds.  Before the future-clique look-ahead and the
-    # saturated-color skip, 41,667 and 73,310 nodes; before the dead-vertex
-    # look-ahead, 109,355 and 244,342
-    for ts, nodes in (((5, 5, 5, 5, 5), 7641), ((6, 6, 6, 4), 25278)):
-        assert closed_form_value(ts)[0] == 9
+    # the search at the value 9 of each vector, the closed form of the
+    # first two: some coloring of K_8 finishes no color, and every coloring
+    # of K_9 succeeds.  Before the bare-edge look-ahead replaced the
+    # dead-vertex one, 7,641, 25,278 and 515,612 nodes.  Before the
+    # future-clique look-ahead and the saturated-color skip, 41,667 and
+    # 73,310 nodes for the first two; before the dead-vertex look-ahead,
+    # 109,355 and 244,342
+    for ts, nodes in (((5, 5, 5, 5, 5), 5986), ((6, 6, 6, 4), 8416),
+                      ((6, 6, 6, 3, 3, 3, 3), 36819)):
+        assert enumerate_colorings(8, ts).counterexample is not None, ts
         out = enumerate_colorings(9, ts)
         assert (out.counterexample, out.nodes) == (None, nodes), ts
 
@@ -393,6 +400,70 @@ def test_future_clique_verdicts_match_closed_forms():
             for f in range(2, 8):
                 dfs = search._ColoringDFS(f + 2, q, None)
                 assert dfs._future_forced(f, 0) == (f >= value), (f, q)
+
+
+def seeded_vectors(rng, count, n_max):
+    """count (n, thresholds) pairs with 4 <= n <= n_max, 2 to 4 colors and
+    entries 3..6."""
+    return [(rng.randint(4, n_max),
+             tuple(sorted((rng.randint(3, 6) for _ in range(rng.randint(2, 4))), reverse=True)))
+            for _ in range(count)]
+
+
+def test_bare_edge_cuts_hold_for_every_completion(monkeypatch, rng):
+    # every cut of the bare-edge look-ahead in whole seeded search trees at
+    # n <= 6 is checked by coloring all completions of the cut prefix.  Cuts
+    # with more than 60,000 completions are skipped, and a shuffled sample
+    # of the rest is checked until 150,000 completions are colored.  A rule
+    # whose q = 4 capacity left out the star at a bare vertex (|Z| + f - 1
+    # edges) cuts prefixes with a completion that finishes no color
+    cuts = {}
+    real = search._ColoringDFS._bare_edges_forced
+
+    def recording(dfs, v):
+        hit = real(dfs, v)
+        if hit:
+            cuts.setdefault((dfs.n, dfs.ts, colored_edges(dfs)))
+        return hit
+
+    monkeypatch.setattr(search._ColoringDFS, "_bare_edges_forced", recording)
+    for n, ts in seeded_vectors(rng, 15, 6):
+        enumerate_colorings(n, ts, visitor=lambda col: None)
+    keys = list(cuts)
+    rng.shuffle(keys)
+    checked = work = 0
+    for n, ts, colored in keys:
+        completions = len(ts) ** (n * (n - 1) // 2 - len(colored))
+        if completions > 60_000:
+            continue
+        assert every_completion_succeeds(n, ts, colored), (n, ts, colored)
+        checked += 1
+        work += completions
+        if work > 150_000:
+            break
+    assert checked >= 20, (checked, len(keys))
+
+
+def test_bare_edge_rule_cuts_where_the_dead_vertex_rule_did(monkeypatch, rng):
+    # the dead-vertex look-ahead is the bare-edge one with no far color and
+    # one bare vertex: wherever it would have cut, the bare-edge rule cuts.
+    # Whole trees of the five searches at n = 8 and of seeded ones at n <= 7
+    old_cuts = []
+    real = search._ColoringDFS._bare_edges_forced
+
+    def checking(dfs, v):
+        hit = real(dfs, v)
+        if dead_vertex(dfs, v):
+            assert hit, (dfs.ts, colored_edges(dfs))
+            old_cuts.append(v)
+        return hit
+
+    monkeypatch.setattr(search._ColoringDFS, "_bare_edges_forced", checking)
+    cases = [(8, ts) for ts in ((6, 6, 6), (5, 5, 5, 5), (6, 6, 4, 3), (7, 6, 3, 3),
+                                (6, 5, 4, 3))]
+    for n, ts in cases + seeded_vectors(rng, 20, 7):
+        enumerate_colorings(n, ts, visitor=lambda col: None)
+    assert len(old_cuts) >= 100, len(old_cuts)
 
 
 def test_verdicts_match_plain_dfs_up_to_six_vertices(rng):
