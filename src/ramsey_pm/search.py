@@ -204,14 +204,12 @@ class _ColoringDFS(SearchMeter):
         # which is always -1
         self.twin = [[], [-1], [-1, 0]] + [[-1] * m for m in range(3, n + 1)]
         self.rows = [[0] * n for _ in range(r)]
-        # order[c]: max path-matching order of color c; far: the colors
-        # more than 2 below their thresholds
+        # order[c]: max path-matching order of color c
         self.order = [0] * r
         # saturated[c]: the order from which any further edge of color c
         # reaches p_c (a threshold of at most 2, or 3 once c has an edge);
         # p_c itself for the other colors, which never get there
         self.saturated = [0 if p <= 2 else 2 if p == 3 else p for p in self.ts]
-        self.far = sum(p > 2 for p in self.ts)
         self.used_in_group = [0] * len(self.groups)
         self.counterexample: Optional[EdgeColoring] = None
         # forced[(f, q)]: every coloring of K_f lifts some color i to q_i;
@@ -309,10 +307,10 @@ class _ColoringDFS(SearchMeter):
         otherwise.  With two or more, a sub-search on K_f with thresholds
         q decides, charging its nodes to this search's meter at slot k;
         its verdicts are kept in forced."""
-        if not self.far:
-            return True
         q = sorted((p - o for p, o in zip(self.ts, self.order) if p - o > 2),
                    reverse=True)
+        if not q:
+            return True
         if f < q[0]:
             return False
         if len(q) == 1:
@@ -379,8 +377,6 @@ class _ColoringDFS(SearchMeter):
             row_u[v] = row_v[u] = c
             p, was = ts[c], order[c]
             order[c] = pm_order_of_rows(rows_c, n)
-            near = order[c] >= p - 2 > was  # color c comes within 2 of p here
-            self.far -= near
             ok = order[c] < p
             if ok and ahead:
                 ok = not self._bare_edges_forced(v)
@@ -391,7 +387,6 @@ class _ColoringDFS(SearchMeter):
                     rows_c[u] &= ~vb
                     rows_c[v] &= ~ub
                     order[c] = was
-                    self.far += near
                     return False
                 pending = 0
             if ok:
@@ -405,7 +400,6 @@ class _ColoringDFS(SearchMeter):
             rows_c[u] &= ~vb
             rows_c[v] &= ~ub
             order[c] = was
-            self.far += near
         return False
 
 

@@ -353,7 +353,7 @@ def dead_vertex(dfs: _ColoringDFS, v: int) -> bool:
     within 2 of its threshold, some x <= v reaches every threshold through
     its edge to the one bare vertex v+1 (pendant_gains), so that edge
     succeeds in whatever color it takes.  For testing only."""
-    if v + 2 != dfs.n or dfs.far:
+    if v + 2 != dfs.n or any(p - o > 2 for p, o in zip(dfs.ts, dfs.order)):
         return False
     mask = (1 << v + 1) - 1
     for c, rows in enumerate(dfs.rows):

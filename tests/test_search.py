@@ -345,17 +345,18 @@ def test_node_counts_at_nine_vertices():
     # future-clique look-ahead and the saturated-color skip, 41,667 and
     # 73,310 nodes for the first two; before the dead-vertex look-ahead,
     # 109,355 and 244,342
-    for ts, nodes in (((5, 5, 5, 5, 5), 5986), ((6, 6, 6, 4), 8416),
-                      ((6, 6, 6, 3, 3, 3, 3), 36819)):
+    for ts, nodes, closed in (((5, 5, 5, 5, 5), 5986, 9), ((6, 6, 6, 4), 8416, 9),
+                              ((6, 6, 6, 3, 3, 3, 3), 36819, None)):
+        cf = closed_form_value(ts)
+        assert (cf and cf[0]) == closed, ts
         assert enumerate_colorings(8, ts).counterexample is not None, ts
         out = enumerate_colorings(9, ts)
         assert (out.counterexample, out.nodes) == (None, nodes), ts
 
 
 def test_orders_follow_the_rows():
-    # at every leaf order[c] is the order of color c's rows and far counts
-    # the colors more than 2 below their thresholds; a finished search has
-    # restored both to their start
+    # at every leaf order[c] is the order of color c's rows; a finished
+    # search has restored it to its start
     for n, ts in ((6, (5, 5, 5)), (6, (6, 4, 3)), (7, (5, 5, 5, 5))):
         dfs = search._ColoringDFS(n, ts, None)
         seen = []
@@ -363,13 +364,11 @@ def test_orders_follow_the_rows():
         def visit(col):
             order = [search.pm_order_of_rows(rows, n) for rows in dfs.rows]
             assert dfs.order == order, (ts, col.colors)
-            assert dfs.far == sum(p - o > 2 for p, o in zip(ts, order)), (ts, col.colors)
             seen.append(col)
 
         dfs.visitor = visit
         dfs.run()
         assert seen and dfs.order == [0] * len(ts), ts
-        assert dfs.far == sum(p > 2 for p in ts), ts
 
 
 def test_one_pm_order_call_per_node(monkeypatch):
