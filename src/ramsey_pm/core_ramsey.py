@@ -227,8 +227,8 @@ def cover_feasible_with_stats(n: int, capacities: Sequence[int], *,
         raise ValueError(f"need n >= 2, got {n}")
     check_budgets(node_budget, time_budget)
     caps_all = list(capacities)
-    if not caps_all:
-        raise ValueError("at least one block required")
+    if not caps_all or min(caps_all) < 0:
+        raise ValueError(f"need one or more nonnegative capacities, got {tuple(caps_all)}")
     # capacity <= 1 blocks cover no pair; drop them from the search
     order = sorted((i for i, c in enumerate(caps_all) if c >= 2),
                    key=lambda i: (-caps_all[i], i))

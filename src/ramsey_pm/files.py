@@ -73,6 +73,8 @@ def graph_from_text(text: str) -> SimpleGraph:
     rows = [line.split() for line in text.strip().splitlines() if line.strip()]
     if not rows:
         raise ValueError("empty graph file")
+    if len(rows[0]) != 1:
+        raise ValueError("line 1: expected the header 'n'")
     n = int(rows[0][0])
     edges = []
     for i, line in enumerate(rows[1:], 2):

@@ -5,19 +5,19 @@ Two independent routes compute the same number:
 * reduction: the value equals the maximum over integer shifts
   0 <= x_i < p_i/3 of (1-core value of the shifted targets) + sum x_i,
   with the 1-core values obtained exactly from the covering search.  The
-  grid is walked once per distinct shifted multiset, in descending order
-  of the proven 1-core upper bound plus shift, and a point is solved only
-  while that bound can still beat the best value so far (the tests keep
-  the full scan, f_d, as its reference);
+  grid is walked once per value, one point per distinct shifted multiset,
+  in descending order of the proven 1-core upper bound plus shift, and a
+  point is solved only while that bound can still beat the best value so
+  far (the tests keep the full scan, f_d, as its reference);
 * search: direct exhaustive enumeration of colorings, scanning n upward
   until no counterexample coloring survives.
 
-Closed forms are trusted only where proven: two colors, three or four
-colors (with their small exceptional cases), uniform targets 3, 4 and 5,
-and the standard formula above its threshold.  Anything else goes through
-the reduction.  Disagreement between completed routes is a fatal error.
-The lower witness of every value is built, never searched for (_witness):
-the layered extremal coloring or a lift at a maximiser of the f^3 grid.
+Closed forms are trusted only where proven (closed_form_value).  Anything
+else goes through the reduction.  Disagreement between completed routes is
+a fatal error.  The lower witness of every value is built, never searched
+for (_witness): the layered extremal coloring, or else the lift at the
+walk's first maximiser, which the reduction route hands over from its own
+walk.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from itertools import chain, combinations_with_replacement, groupby, product
 from typing import Optional, Sequence
 
 from .bounds import (ceil_third, core_upper, nontrivial_targets, pm_all3, pm_lowers,
-                     pm_standard_value, sorted_targets, standard_formula)
+                     pm_standard_value, sorted_targets)
 from .coloring import EdgeColoring, core_lift_coloring, mono_pm_profile, pm_extremal_coloring
 from .core_ramsey import BlockCover, cover_to_coloring, exact_core_ramsey
 from .results import (DEFAULT_NODE_BUDGET, PROOF_CLOSED, PROOF_F3, PROOF_SEARCH, PROOF_TABLE,
@@ -48,29 +48,21 @@ def clear_core_cache() -> None:
 
 def core_value(targets: Sequence[int], *, node_budget: int = DEFAULT_NODE_BUDGET,
                time_budget: Optional[float] = None,
-               stats: Optional[SearchStats] = None, progress=None) -> int:
-    """Memoized exact 1-core value of the nontrivial_targets; an all-small
-    vector is 2.  The progress hook reaches the cover searches of a fresh
-    solve."""
+               stats: Optional[SearchStats] = None, progress=None) -> RamseyResult:
+    """Memoized exact 1-core result of the nontrivial_targets, its cover of
+    K_{value-1} included; an all-small vector is 2, covered on K_1 by no
+    block, with no search.  The progress hook reaches the cover searches of
+    a fresh solve, whose nodes are added to stats."""
     key = nontrivial_targets(targets)
     if not key:
-        return 2
+        return RamseyResult(key, 2, PROOF_TABLE, BlockCover(1, (), ()))
     hit = _CORE_MEMO.get(key)
-    if hit is not None:
-        return hit.value
-    hit = _CORE_MEMO[key] = exact_core_ramsey(key, node_budget=node_budget,
-                                              time_budget=time_budget, progress=progress)
-    if stats is not None:
-        stats.nodes += hit.stats.nodes
-    return hit.value
-
-
-def _core_result(targets: Sequence[int], **kw) -> RamseyResult:
-    key = nontrivial_targets(targets)
-    if not key:
-        return exact_core_ramsey(targets)
-    core_value(targets, **kw)  # fill the memo
-    return _CORE_MEMO[key]
+    if hit is None:
+        hit = _CORE_MEMO[key] = exact_core_ramsey(key, node_budget=node_budget,
+                                                  time_budget=time_budget, progress=progress)
+        if stats is not None:
+            stats.nodes += hit.stats.nodes
+    return hit
 
 
 def _f3_points(ts: tuple[int, ...]) -> dict[tuple[int, ...], tuple[int, ...]]:
@@ -93,63 +85,52 @@ def _f3_points(ts: tuple[int, ...]) -> dict[tuple[int, ...], tuple[int, ...]]:
     return points
 
 
-def _f3_maximise(ts: tuple[int, ...], core_oracle) -> tuple[int, list[tuple[int, ...]]]:
+def _f3_maximise(ts: tuple[int, ...], core_oracle) -> tuple[int, tuple[int, ...], RamseyResult]:
     """The f^3 maximum, max over 0 <= x_i < p_i/3 of core_oracle(ts - 3x,
-    re-sorted) + sum(x), and the shift vectors found to attain it.
+    re-sorted).value + sum(x), with the first shift vector xs (aligned
+    with ts) that attains it and the oracle's 1-core result there.  The
+    lift of that result's cover by xs is a bad coloring of K_{max-1}.
 
     Grid points are solved exactly in descending order of their upper
     bound (1-core bound + sum x); once a bound cannot beat the incumbent
     no later point can either, so the rest are never solved.  Among equal
     bounds the larger shift goes first: its 1-core is smaller, so cheaper
-    to solve.  Maximisers among the pruned points are not reported.
+    to solve.
     """
     ranked = sorted(((core_upper(shifted) + sum(xs), sum(xs), shifted, xs)
                      for shifted, xs in _f3_points(ts).items()),
                     key=lambda point: (-point[0], -point[1]))
-    best = None
-    argmax: list[tuple[int, ...]] = []
+    best = (0, (), None)  # below every value; xs = 0 is always on the grid
     for bound, shift, shifted, xs in ranked:
-        if best is not None and bound <= best:
+        if bound <= best[0]:
             break
-        value = core_oracle(shifted) + shift
-        if best is None or value > best:
-            best, argmax = value, [xs]
-        elif value == best:
-            argmax.append(xs)
-    assert best is not None
-    return best, argmax
+        core = core_oracle(shifted)
+        if core.value + shift > best[0]:
+            best = core.value + shift, xs, core
+    return best
 
 
 def closed_form_value(ts: tuple[int, ...]) -> Optional[tuple[int, str]]:
     """(value, provenance) where a proven closed form exists, else None.
 
-    ts must be sorted nonincreasing; entries at most 2 are ignored for the
-    value (they never change it).
+    The standard formula where pm_standard_value proves it exact: every
+    vector with r <= 2, every triple and quadruple but (3,3,3), (3,3,3,3)
+    and (4,3,3,3), and all uniform 4s.  Else uniform 3s and 5s, and the
+    table value (4,3,3,3) = 5.  Entries at most 2 never change the value.
     """
     t = nontrivial_targets(ts)
     r = len(t)
     if r == 0:
         return 2, PROOF_TABLE  # K_2 already contains an order-2 path
-    if r == 1:
-        return t[0], PROOF_CLOSED  # one color: K_n has a spanning path-matching
-    standard = standard_formula(t)
-    if r == 2:
-        return standard, PROOF_CLOSED
-    if all(p == 3 for p in t):
-        return pm_all3(r), PROOF_CLOSED
-    if all(p == 4 for p in t):
-        return r + 3, PROOF_CLOSED
-    if all(p == 5 for p in t):
-        return r + 4, PROOF_CLOSED
-    if r == 3:
-        return standard, PROOF_CLOSED  # exact for all triples except (3,3,3)
-    if r == 4:
-        if t == (4, 3, 3, 3):
-            return 5, PROOF_TABLE
-        return standard, PROOF_CLOSED  # exact for all quadruples except the two tables
-    _, exact = pm_standard_value(t)
+    standard, exact = pm_standard_value(t)
     if exact:
         return standard, PROOF_CLOSED
+    if t == (3,) * r:
+        return pm_all3(r), PROOF_CLOSED
+    if t == (5,) * r:
+        return r + 4, PROOF_CLOSED
+    if t == (4, 3, 3, 3):
+        return 5, PROOF_TABLE
     return None
 
 
@@ -197,16 +178,18 @@ def _cover_as_coloring_for(ts_shifted: Sequence[int], cover: BlockCover) -> Edge
                                         tuple(blocks)))
 
 
-def _witness(ts: tuple[int, ...], value: int, kw: dict) -> Optional[EdgeColoring]:
+def _witness(ts: tuple[int, ...], value: int, kw: dict,
+             point: Optional[tuple[tuple[int, ...], RamseyResult]]) -> Optional[EdgeColoring]:
     """A bad coloring of K_{value-1} from the value's own construction, or
-    None when no candidate re-validates.
+    None when it does not re-validate.
 
     Value 2 is K_1.  Otherwise the layered extremal coloring, else the lift
-    (core_lift_coloring) of the 1-core witness at each maximising point of
-    the f^3 grid, blocks X_i of size x_i; the first candidate whose
-    per-color profile stays below the targets is returned.  There is no
-    search of colorings: kw (budgets, stats, progress) reaches only the
-    1-core solves of grid points that the value's own route did not solve.
+    (core_lift_coloring) of the 1-core cover at the point (xs, 1-core
+    result) where the f^3 walk first attains the value, blocks X_i of size
+    x_i.  The reduction route hands over its own point; for a value from a
+    closed form or the search (point None) the grid is walked here, once,
+    and kw (budgets, stats, progress) reaches its 1-core solves.  There is
+    no search of colorings.
     """
     n = value - 1
     if n == 1:
@@ -214,13 +197,12 @@ def _witness(ts: tuple[int, ...], value: int, kw: dict) -> Optional[EdgeColoring
     ext = pm_extremal_coloring(ts)
     if _witness_valid(ext, n, ts):
         return ext
-    for xs in _f3_maximise(ts, lambda shifted: core_value(shifted, **kw))[1]:
-        shifted = tuple(p - 3 * x for p, x in zip(ts, xs))
-        cover = _core_result(shifted, **kw).lower_witness
-        lifted = core_lift_coloring(_cover_as_coloring_for(shifted, cover), xs)
-        if _witness_valid(lifted, n, ts):
-            return lifted
-    return None
+    if point is None:
+        point = _f3_maximise(ts, lambda shifted: core_value(shifted, **kw))[1:]
+    xs, core = point
+    shifted = tuple(p - 3 * x for p, x in zip(ts, xs))
+    lifted = core_lift_coloring(_cover_as_coloring_for(shifted, core.lower_witness), xs)
+    return lifted if _witness_valid(lifted, n, ts) else None
 
 
 def find_lower_witness(n: int, targets: Sequence[int], *,
@@ -275,23 +257,23 @@ def exact_pm_ramsey(targets: Sequence[int], strategy: str = "auto", *,
     stats = SearchStats()
     kw = dict(node_budget=node_budget, time_budget=time_budget, progress=progress)
 
-    def formula() -> tuple[int, str]:
+    def formula() -> tuple[int, str, None]:
         cf = closed_form_value(ts)
         if cf is None:
             raise FormulaUnavailableError(f"no proven closed form for targets {ts}")
-        return cf
+        return *cf, None
 
-    def reduction() -> tuple[int, str]:
-        value, _ = _f3_maximise(ts, lambda shifted: core_value(shifted, stats=stats, **kw))
-        return value, PROOF_F3
+    def reduction() -> tuple[int, str, tuple]:  # with its lift point
+        value, xs, core = _f3_maximise(ts, lambda shifted: core_value(shifted, stats=stats, **kw))
+        return value, PROOF_F3, (xs, core)
 
-    def search() -> tuple[int, str]:
-        return _search_scan(ts, stats, kw)
+    def search() -> tuple[int, str, None]:
+        return *_search_scan(ts, stats, kw), None
 
     routes = {"formula": formula, "reduction": reduction, "search": search}
     if strategy == "auto":
         own = "formula" if closed_form_value(ts) is not None else "reduction"
-        value, method = routes[own]()
+        value, method, point = routes[own]()
         if value <= _CROSS_CHECK_CAP:
             for name in ("reduction", "search"):
                 if name != own and (other := routes[name]()[0]) != value:
@@ -299,31 +281,28 @@ def exact_pm_ramsey(targets: Sequence[int], strategy: str = "auto", *,
                         f"{name} {other} disagrees with {method} {value} on {ts}",
                         {"targets": ts, method: value, name: other})
     else:
-        value, method = routes[strategy]()
+        value, method, point = routes[strategy]()
 
-    result = RamseyResult(ts, value, method, _witness(ts, value, dict(kw, stats=stats)), stats)
-    if result.lower_witness is None:
+    witness = _witness(ts, value, dict(kw, stats=stats), point)
+    if witness is None:
         raise RouteDisagreementError(
             f"no witness coloring found on {value - 1} vertices for {ts}; "
             "the lower bound certificate is missing",
             {"targets": ts, "value": value})
-    result.stats.millis = int((time.monotonic() - started) * 1000)
-    return result
+    stats.millis = int((time.monotonic() - started) * 1000)
+    return RamseyResult(ts, value, method, witness, stats)
 
 
 def _search_scan(ts: tuple[int, ...], stats: SearchStats, kw: dict) -> tuple[int, str]:
     """(value, provenance) by exhaustive coloring searches alone.
 
-    One color is its closed form.  Otherwise n runs up from max(2,
-    pm_lowers) while the coloring search finds a counterexample on K_n,
-    and the nodes of each search are added to stats.  There is no size
-    cap: a search that runs out of its budgets in kw raises
-    BudgetExceededError, and for vectors too big to search the reduction
-    is the route.
+    n runs up from max(2, p1) for one color and from max(2, pm_lowers)
+    otherwise while the coloring search finds a counterexample on K_n, and
+    the nodes of each search are added to stats.  There is no size cap: a
+    search that runs out of its budgets in kw raises BudgetExceededError,
+    and for vectors too big to search the reduction is the route.
     """
-    if len(ts) < 2:
-        return closed_form_value(ts)
-    n = max(2, *pm_lowers(ts))
+    n = max(2, *pm_lowers(ts)) if len(ts) > 1 else max(2, ts[0])
     while True:
         outcome = enumerate_colorings(n, ts, **kw)
         stats.nodes += outcome.nodes

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
@@ -44,6 +45,13 @@ class SearchMeter:
     read on every node, and the hook gets {nodes, leaves, elapsed,
     depth_histogram} at most once a second.  Running out of either budget
     raises BudgetExceededError; time runs from the meter's creation.
+
+    Both searches recurse once per level, so the meter raises the
+    interpreter's recursion limit, never lowering it, to fit its depths
+    levels above the caller's frames plus 1000 frames for the calls a
+    level makes (the minimality test and the augmenting paths, at most n
+    deep; the cover search's candidate builder, one frame per class of
+    blocks).  A sub-search's meter makes its own room above its parent's.
     """
 
     def __init__(self, what: str, depths: int, node_budget: int,
@@ -59,6 +67,11 @@ class SearchMeter:
         self.started = time.monotonic()
         self.deadline = self.started + time_budget if time_budget is not None else None
         self.next_report = self.started + 1.0
+        frame, below = sys._getframe(), 0
+        while frame is not None:
+            frame, below = frame.f_back, below + 1
+        if sys.getrecursionlimit() < below + depths + 1000:
+            sys.setrecursionlimit(below + depths + 1000)
 
     def _tick(self, depth: int) -> None:
         self.nodes += 1

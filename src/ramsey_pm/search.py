@@ -421,8 +421,8 @@ def enumerate_colorings(n: int, thresholds: Sequence[int],
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    if any(p < 1 for p in thresholds):
-        raise ValueError("thresholds must be positive")
+    if not thresholds or min(thresholds) < 1:
+        raise ValueError(f"need one or more positive thresholds, got {tuple(thresholds)}")
     check_budgets(node_budget, time_budget)
     dfs = _ColoringDFS(n, thresholds, visitor, node_budget=node_budget,
                        time_budget=time_budget, progress=progress)

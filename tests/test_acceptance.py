@@ -87,12 +87,11 @@ def test_criterion_04_reduction_identity_at_desk_scale():
             vectors.add(tuple(sorted(tv, reverse=True)))
     for tv in sorted(vectors):
         search = exact_pm_ramsey(tv, strategy="search")
-        red = f_d(tv, 3, core_value)
+        red = f_d(tv, 3, lambda shifted: core_value(shifted).value)
         assert search.value == red, (tv, search.value, red)
-        # with two or more colors the route decides every size by search
-        assert (search.method == "exhaustive-search") == (len(tv) > 1), tv
-        if len(tv) > 1:
-            assert verify_upper(red - 1, tv) is not None and verify_upper(red, tv) is None, tv
+        # the route decides every size by search, one color included
+        assert search.method == "exhaustive-search", tv
+        assert verify_upper(red - 1, tv) is not None and verify_upper(red, tv) is None, tv
     _report("4", f"search == f3 over exact 1-core on {len(vectors)} vectors")
 
 

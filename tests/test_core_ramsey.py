@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import combinations_with_replacement
 
 import pytest
@@ -255,6 +256,22 @@ def test_exact_core_matches_subset_oracle(monkeypatch):
         want = exact_core_ramsey(tv)
         assert (res.value, res.lower_witness) == (want.value, want.lower_witness), tv
         assert res.stats.nodes <= want.stats.nodes, tv
+
+
+def test_bad_capacities_rejected():
+    # rejected by name before any search; a negative capacity used to run
+    # and then fail the cover's own validation
+    for caps in ((-5, 3), (), (4, -1, 4)):
+        with pytest.raises(ValueError, match=re.escape(f"capacities, got {caps}")):
+            cover_feasible_with_stats(3, caps)
+
+
+def test_cover_search_deeper_than_the_default_recursion_limit():
+    # the bisection's searches assign up to 1,048 vertices, one recursion
+    # level each
+    res = exact_core_ramsey((700, 700, 700), node_budget=20_000)
+    assert (res.value, res.stats.nodes) == (1049, 9098)
+    assert res.lower_witness.n == 1048
 
 
 def test_block_cover_restrict():

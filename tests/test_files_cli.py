@@ -568,6 +568,25 @@ def test_env_var_cache_path(monkeypatch, tmp_path):
     assert files.default_cache_path() == target
 
 
+def test_deep_coloring_search_exits_on_its_budget(capsys):
+    # the scan's first search, at n = 53, is deeper than the interpreter's
+    # default recursion limit before it runs out of nodes
+    assert main(["exact", "pm", "--targets", "40,40", "--strategy", "search",
+                 "--node-budget", "30000", "--cache", "none"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "budget exhausted" in captured.err
+
+
+def test_graph_header_takes_one_integer(tmp_path, capsys):
+    # coloring files, whose header is 'n r', are not graphs
+    for text in ("1 9\n", "3 9\n1 2\n2 3\n"):
+        path = tmp_path / "c.graph"
+        path.write_text(text)
+        assert main(["deficiency", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error: line 1" in captured.err, text
+
+
 def test_short_line_in_a_text_file_is_a_usage_error(tmp_path, capsys):
     path = tmp_path / "g.graph"
     path.write_text("3\n1 2\n3\n")

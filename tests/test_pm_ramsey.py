@@ -7,11 +7,11 @@ from ramsey_pm.bounds import (ceil_third, core_upper_edgecount, core_upper_main,
                               pm_lowers, pm_standard_value, pm_upper, sorted_targets)
 from ramsey_pm.coloring import core_lift_coloring, mono_pm_profile
 from ramsey_pm.core_ramsey import BlockCover, exact_core_ramsey
-from ramsey_pm.pm_ramsey import (_core_result, _cover_as_coloring_for,
-                                 _f3_maximise, _witness_valid, clear_core_cache,
-                                 core_value, exact_pm_ramsey, find_lower_witness,
-                                 verify_upper)
-from ramsey_pm.results import FormulaUnavailableError, RouteDisagreementError, SearchStats
+from ramsey_pm.pm_ramsey import (_cover_as_coloring_for, _f3_maximise, _witness_valid,
+                                 clear_core_cache, closed_form_value, core_value,
+                                 exact_pm_ramsey, find_lower_witness, verify_upper)
+from ramsey_pm.results import (FormulaUnavailableError, RamseyResult, RouteDisagreementError,
+                               SearchStats)
 
 from conftest import f_d
 
@@ -20,19 +20,23 @@ def _shifted(tv, xs):
     return tuple(p - 3 * x for p, x in zip(tv, xs))
 
 
+def _core(targets):
+    return core_value(targets).value
+
+
 def test_f3_examples():
-    assert f_d((3, 3, 3), 3, core_value) == 4
-    assert f_d((5, 5), 3, core_value) == 6
+    assert f_d((3, 3, 3), 3, _core) == 4
+    assert f_d((5, 5), 3, _core) == 6
     # the six-term grid over five equal targets, spelled out
-    six_terms = [core_value(tuple(sorted((6,) * (5 - k) + (3,) * k, reverse=True))) + k
+    six_terms = [_core(tuple(sorted((6,) * (5 - k) + (3,) * k, reverse=True))) + k
                  for k in range(6)]
-    assert f_d((6,) * 5, 3, core_value) == max(six_terms)
+    assert f_d((6,) * 5, 3, _core) == max(six_terms)
 
 
 def test_f3_dominates_unshifted_core_and_standard_lower():
     for tv in [(5, 5, 5), (6, 6, 4), (7, 5, 3), (4, 4, 4, 4), (6, 6, 6, 6)]:
-        value = f_d(tv, 3, core_value)
-        assert value >= core_value(tv)
+        value = f_d(tv, 3, _core)
+        assert value >= _core(tv)
         assert value >= tv[0] + sum(ceil_third(p) - 1 for p in tv[1:])
 
 
@@ -44,12 +48,11 @@ def test_pruned_maximiser_matches_full_scan(rng):
     # the three-term bound is the smaller one here, so the min matters
     assert core_upper_main((6, 6, 6)) < core_upper_edgecount((6, 6, 6))
     for tv in vectors:
-        value, argmax = _f3_maximise(tv, core_value)
-        assert value == f_d(tv, 3, core_value), tv
-        assert argmax
-        for xs in argmax:
-            assert all(0 <= x < ceil_third(p) for p, x in zip(tv, xs))
-            assert core_value(_shifted(tv, xs)) + sum(xs) == value, (tv, xs)
+        value, xs, core = _f3_maximise(tv, core_value)
+        assert value == f_d(tv, 3, _core), tv
+        assert all(0 <= x < ceil_third(p) for p, x in zip(tv, xs))
+        assert core == core_value(_shifted(tv, xs)), (tv, xs)
+        assert core.value + sum(xs) == value, (tv, xs)
 
 
 def test_every_maximising_grid_point_lifts_to_a_witness(rng):
@@ -59,12 +62,12 @@ def test_every_maximising_grid_point_lifts_to_a_witness(rng):
         r = rng.randint(1, 4)
         vectors.append(tuple(sorted((rng.randint(2, 8) for _ in range(r)), reverse=True)))
     for tv in vectors:
-        value = f_d(tv, 3, core_value)
+        value = f_d(tv, 3, _core)
         for xs in product(*(range(ceil_third(p)) for p in tv)):
             shifted = _shifted(tv, xs)
-            if core_value(shifted) + sum(xs) != value:
+            core = core_value(shifted)
+            if core.value + sum(xs) != value:
                 continue
-            core = _core_result(shifted)
             col = core_lift_coloring(_cover_as_coloring_for(shifted, core.lower_witness), xs)
             assert col.n == value - 1, (tv, xs)
             assert all(q < p for q, p in zip(mono_pm_profile(col), tv)), (tv, xs)
@@ -320,6 +323,66 @@ def test_search_route_runs_alone(monkeypatch):
         res = exact_pm_ramsey(tv, "search")
         assert (res.value, res.method) == (want, "exhaustive-search"), tv
         assert res.stats.nodes > 0, tv
+
+
+def test_one_target_search_searches():
+    # one color is scanned up from max(2, p1) like any other vector: K_p1
+    # is one node of success, and below p1 the search finds K_{p1-1}
+    for tv, nodes in (((3,), 1), ((100,), 1), ((2,), 0), ((1,), 0)):
+        res = exact_pm_ramsey(tv, "search")
+        assert (res.value, res.method, res.stats.nodes) == (max(2, tv[0]), "exhaustive-search",
+                                                           nodes), tv
+
+
+def test_search_route_deeper_than_the_default_recursion_limit():
+    # K_53 has 1,378 edge slots, one recursion level each
+    res = exact_pm_ramsey((50, 10), "search", node_budget=100_000)
+    assert (res.value, res.stats.nodes) == (53, 44979)
+
+
+def test_auto_cross_check_by_search_on_one_target(monkeypatch):
+    # a wrong closed form for (3,), with the reduction made to agree with
+    # it: only the search route, which no longer asks the closed form, can
+    # refute it
+    from ramsey_pm import pm_ramsey
+    real_form, real_core = pm_ramsey.closed_form_value, pm_ramsey.core_value
+    monkeypatch.setattr(pm_ramsey, "closed_form_value",
+                        lambda ts: (4, "closed-form") if ts == (3,) else real_form(ts))
+    monkeypatch.setattr(pm_ramsey, "core_value",
+                        lambda ts, **kw: (RamseyResult((3,), 4, "table") if ts == (3,)
+                                          else real_core(ts, **kw)))
+    with pytest.raises(RouteDisagreementError) as err:
+        exact_pm_ramsey((3,))
+    assert err.value.details == {"targets": (3,), "closed-form": 4, "search": 3}
+
+
+def test_closed_form_matches_the_reduction():
+    # 541 vectors: r <= 2 with entries 1..12, triples with entries 3..12,
+    # quadruples with entries 3..9, and uniform 3s, 4s and 5s for r = 2..8
+    vectors = [tv for r in (1, 2) for tv in combinations_with_replacement(range(12, 0, -1), r)]
+    vectors += combinations_with_replacement(range(12, 2, -1), 3)
+    vectors += combinations_with_replacement(range(9, 2, -1), 4)
+    vectors += [(p,) * r for p in (3, 4, 5) for r in range(2, 9)]
+    assert len(vectors) == 541
+    for tv in vectors:
+        cf = closed_form_value(tv)
+        assert cf is not None and cf[0] == exact_pm_ramsey(tv, "reduction").value, tv
+
+
+def test_reduction_walks_its_grid_once(monkeypatch):
+    # the witness lifts the reduction's own maximiser, so the grid is not
+    # walked a second time
+    from ramsey_pm import pm_ramsey
+    walks = []
+    real = pm_ramsey._f3_points
+
+    def counting(ts):
+        walks.append(ts)
+        return real(ts)
+
+    monkeypatch.setattr(pm_ramsey, "_f3_points", counting)
+    res = exact_pm_ramsey((6,) * 10, "reduction")
+    assert (res.value, walks) == (16, [(6,) * 10])
 
 
 def test_find_lower_witness_agrees_with_the_coloring_search(rng):

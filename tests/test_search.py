@@ -147,6 +147,21 @@ def test_non_positive_thresholds_rejected():
             enumerate_colorings(4, ts)
 
 
+def test_empty_thresholds_rejected():
+    # no color: rejected by name before any search, on K_1 as on larger n
+    for n in (1, 2, 5):
+        with pytest.raises(ValueError, match=r"positive thresholds, got \(\)"):
+            enumerate_colorings(n, ())
+
+
+def test_search_deeper_than_the_default_recursion_limit():
+    # one color below its threshold on K_99: the only coloring is a leaf
+    # 4,851 slots deep, one recursion level per slot
+    out = enumerate_colorings(99, (100,), node_budget=10_000)
+    assert out.counterexample is not None and out.nodes == 4851
+    assert out.counterexample.n == 99
+
+
 def test_k1_is_a_leaf_and_k0_is_rejected():
     # K_1 has no edge, so the root is a leaf: the empty coloring is bad
     out = enumerate_colorings(1, (3, 3))
