@@ -149,11 +149,12 @@ class ResultCache:
 
     Entries map the canonical key to {"value", "method", "witness",
     "created"}, the witness in the form of witness_to_json.
-    A file that is not a JSON object is never overwritten: the cache warns
-    on stderr, then neither answers nor records anything.  Each `put`
-    holds an exclusive lock on the sidecar file `<path>.lock` while it
-    re-reads the file, adds its entry and replaces the file, so entries
-    that another process recorded since `load` are kept.
+    A file that is not a JSON object is never overwritten, nor is one that
+    cannot be read or written (an OSError): the cache warns on stderr, then
+    neither answers nor records anything.  Each `put` holds an exclusive
+    lock on the sidecar file `<path>.lock` while it re-reads the file, adds
+    its entry and replaces the file, so entries that another process
+    recorded since `load` are kept.
     """
 
     def __init__(self, path: str):
@@ -165,17 +166,22 @@ class ResultCache:
         self.entries, self.writable = {}, True
         if not os.path.exists(self.path):
             return
-        with open(self.path, "r", encoding="utf-8") as fh:
-            try:
+        try:
+            with open(self.path, "r", encoding="utf-8") as fh:
                 entries = json.load(fh)
-            except ValueError:  # malformed JSON or undecodable bytes
-                entries = None
+        except ValueError:  # malformed JSON or undecodable bytes
+            entries = None
+        except OSError as err:
+            return self._give_up(f"cannot be read ({err})")
         if isinstance(entries, dict):
             self.entries = entries
         else:
-            self.writable = False
-            print(f"warning: cache file {self.path} is not a JSON object; "
-                  "running uncached and leaving it untouched", file=sys.stderr)
+            self._give_up("is not a JSON object")
+
+    def _give_up(self, why: str) -> None:
+        self.entries, self.writable = {}, False
+        print(f"warning: cache file {self.path} {why}; "
+              "running uncached and leaving it untouched", file=sys.stderr)
 
     def get(self, key: str) -> Optional[dict]:
         return self.entries.get(key)
@@ -184,27 +190,30 @@ class ResultCache:
         if not self.writable:
             return
         directory = os.path.dirname(os.path.abspath(self.path))
-        os.makedirs(directory, exist_ok=True)
-        with open(self.path + ".lock", "a") as lock:
-            fcntl.flock(lock, fcntl.LOCK_EX)  # released when the file closes
-            self.load()
-            if not self.writable:
-                return
-            self.entries[key] = {
-                "value": value,
-                "method": method,
-                "witness": witness_to_json(witness),
-                "created": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-            }
-            fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ramsey-cache-")
-            try:
-                with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                    json.dump(self.entries, fh, separators=(",", ":"), sort_keys=True)
-                os.replace(tmp, self.path)
-            except BaseException:
-                if os.path.exists(tmp):
-                    os.unlink(tmp)
-                raise
+        try:
+            os.makedirs(directory, exist_ok=True)
+            with open(self.path + ".lock", "a") as lock:
+                fcntl.flock(lock, fcntl.LOCK_EX)  # released when the file closes
+                self.load()
+                if not self.writable:
+                    return
+                self.entries[key] = {
+                    "value": value,
+                    "method": method,
+                    "witness": witness_to_json(witness),
+                    "created": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+                }
+                fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ramsey-cache-")
+                try:
+                    with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                        json.dump(self.entries, fh, separators=(",", ":"), sort_keys=True)
+                    os.replace(tmp, self.path)
+                except BaseException:
+                    if os.path.exists(tmp):
+                        os.unlink(tmp)
+                    raise
+        except OSError as err:
+            self._give_up(f"cannot be written ({err})")
 
 
 def default_cache_path() -> str:

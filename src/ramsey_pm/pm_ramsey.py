@@ -13,11 +13,10 @@ Two independent routes compute the same number:
   until no counterexample coloring survives.
 
 Closed forms are trusted only where proven (closed_form_value).  Anything
-else goes through the reduction.  Disagreement between completed routes is
-a fatal error.  The lower witness of every value is built, never searched
-for (_witness): the layered extremal coloring, or else the lift at the
-walk's first maximiser, which the reduction route hands over from its own
-walk.
+else goes through the reduction.  Each route runs at most once per value,
+and one that disagrees with the first is a fatal error.  The lower witness
+of every value is built, never searched for (_witness): the layered
+extremal coloring, or else the lift at the reduction's first maximiser.
 """
 
 from __future__ import annotations
@@ -34,8 +33,8 @@ from .results import (DEFAULT_NODE_BUDGET, PROOF_CLOSED, PROOF_F3, PROOF_SEARCH,
                       FormulaUnavailableError, RamseyResult, RouteDisagreementError, SearchStats)
 from .search import enumerate_colorings
 
-# memoized 1-core results keyed by nontrivial_targets; the reduction,
-# its cross-checks and the witness lifts ask for the same keys again
+# memoized 1-core results keyed by nontrivial_targets; the grid walks of
+# later values, and of other vectors, ask for the same keys again
 _CORE_MEMO: dict[tuple[int, ...], RamseyResult] = {}
 
 # `auto` cross-checks a value by the other routes when it is at most this
@@ -85,11 +84,11 @@ def _f3_points(ts: tuple[int, ...]) -> dict[tuple[int, ...], tuple[int, ...]]:
     return points
 
 
-def _f3_maximise(ts: tuple[int, ...], core_oracle) -> tuple[int, tuple[int, ...], RamseyResult]:
-    """The f^3 maximum, max over 0 <= x_i < p_i/3 of core_oracle(ts - 3x,
-    re-sorted).value + sum(x), with the first shift vector xs (aligned
-    with ts) that attains it and the oracle's 1-core result there.  The
-    lift of that result's cover by xs is a bad coloring of K_{max-1}.
+def _f3_maximise(ts: tuple[int, ...], **kw) -> tuple[int, tuple[int, ...], RamseyResult]:
+    """The f^3 maximum, max over 0 <= x_i < p_i/3 of core_value(ts - 3x,
+    re-sorted, **kw).value + sum(x), with the first shift vector xs (aligned
+    with ts) that attains it and the 1-core result there.  The lift of
+    that result's cover by xs is a bad coloring of K_{max-1}.
 
     Grid points are solved exactly in descending order of their upper
     bound (1-core bound + sum x); once a bound cannot beat the incumbent
@@ -104,7 +103,7 @@ def _f3_maximise(ts: tuple[int, ...], core_oracle) -> tuple[int, tuple[int, ...]
     for bound, shift, shifted, xs in ranked:
         if bound <= best[0]:
             break
-        core = core_oracle(shifted)
+        core = core_value(shifted, **kw)
         if core.value + shift > best[0]:
             best = core.value + shift, xs, core
     return best
@@ -178,18 +177,15 @@ def _cover_as_coloring_for(ts_shifted: Sequence[int], cover: BlockCover) -> Edge
                                         tuple(blocks)))
 
 
-def _witness(ts: tuple[int, ...], value: int, kw: dict,
-             point: Optional[tuple[tuple[int, ...], RamseyResult]]) -> Optional[EdgeColoring]:
+def _witness(ts: tuple[int, ...], value: int, lift_point) -> Optional[EdgeColoring]:
     """A bad coloring of K_{value-1} from the value's own construction, or
     None when it does not re-validate.
 
     Value 2 is K_1.  Otherwise the layered extremal coloring, else the lift
     (core_lift_coloring) of the 1-core cover at the point (xs, 1-core
     result) where the f^3 walk first attains the value, blocks X_i of size
-    x_i.  The reduction route hands over its own point; for a value from a
-    closed form or the search (point None) the grid is walked here, once,
-    and kw (budgets, stats, progress) reaches its 1-core solves.  There is
-    no search of colorings.
+    x_i.  lift_point() gives that point; it is asked only when the
+    extremal coloring fails.  There is no search of colorings.
     """
     n = value - 1
     if n == 1:
@@ -197,9 +193,7 @@ def _witness(ts: tuple[int, ...], value: int, kw: dict,
     ext = pm_extremal_coloring(ts)
     if _witness_valid(ext, n, ts):
         return ext
-    if point is None:
-        point = _f3_maximise(ts, lambda shifted: core_value(shifted, **kw))[1:]
-    xs, core = point
+    xs, core = lift_point()
     shifted = tuple(p - 3 * x for p, x in zip(ts, xs))
     lifted = core_lift_coloring(_cover_as_coloring_for(shifted, core.lower_witness), xs)
     return lifted if _witness_valid(lifted, n, ts) else None
@@ -241,12 +235,13 @@ def exact_pm_ramsey(targets: Sequence[int], strategy: str = "auto", *,
                 value of at most _CROSS_CHECK_CAP (4) is recomputed by
                 every other route.
 
-    Disagreement between two completed routes raises
-    RouteDisagreementError: by the reduction identity it can only mean a
-    bug, and both values are attached for diagnosis.  Every result carries
-    _witness's bad coloring of K_{value-1}, whatever the route and the
-    value, so C(value-1, 2) colors, with one color per sorted target: a
-    target 1 or 2 keeps a color it never uses.  None that re-validates
+    Each route runs at most once, and one that disagrees with the first
+    raises RouteDisagreementError with both values: by the reduction
+    identity that can only mean a bug.  Every result carries _witness's bad
+    coloring of K_{value-1}, so C(value-1, 2) colors, one per sorted target
+    (a target 1 or 2 keeps a color it never uses).  Where the extremal
+    coloring fails it lifts the reduction's maximiser, so the reduction
+    runs, and is checked, beside any route.  No witness that re-validates
     raises RouteDisagreementError too.
     """
     if strategy not in ("auto", "formula", "reduction", "search"):
@@ -256,34 +251,38 @@ def exact_pm_ramsey(targets: Sequence[int], strategy: str = "auto", *,
     ts = sorted_targets(targets)
     stats = SearchStats()
     kw = dict(node_budget=node_budget, time_budget=time_budget, progress=progress)
+    cf = closed_form_value(ts) if strategy in ("auto", "formula") else None
 
     def formula() -> tuple[int, str, None]:
-        cf = closed_form_value(ts)
         if cf is None:
             raise FormulaUnavailableError(f"no proven closed form for targets {ts}")
         return *cf, None
 
     def reduction() -> tuple[int, str, tuple]:  # with its lift point
-        value, xs, core = _f3_maximise(ts, lambda shifted: core_value(shifted, stats=stats, **kw))
+        value, xs, core = _f3_maximise(ts, stats=stats, **kw)
         return value, PROOF_F3, (xs, core)
 
-    def search() -> tuple[int, str, None]:
-        return *_search_scan(ts, stats, kw), None
+    routes = {"formula": formula, "reduction": reduction,
+              "search": lambda: (*_search_scan(ts, stats, kw), None)}
+    ran: dict[str, tuple] = {}  # route -> (value, method, lift point), in run order
 
-    routes = {"formula": formula, "reduction": reduction, "search": search}
-    if strategy == "auto":
-        own = "formula" if closed_form_value(ts) is not None else "reduction"
-        value, method, point = routes[own]()
-        if value <= _CROSS_CHECK_CAP:
-            for name in ("reduction", "search"):
-                if name != own and (other := routes[name]()[0]) != value:
-                    raise RouteDisagreementError(
-                        f"{name} {other} disagrees with {method} {value} on {ts}",
-                        {"targets": ts, method: value, name: other})
-    else:
-        value, method, point = routes[strategy]()
+    def run(name: str) -> tuple:  # each route at most once, checked against the first
+        if name not in ran:
+            ran[name] = routes[name]()
+            value, method, _ = next(iter(ran.values()))  # the first route's
+            if (other := ran[name][0]) != value:
+                raise RouteDisagreementError(
+                    f"{name} {other} disagrees with {method} {value} on {ts}",
+                    {"targets": ts, method: value, name: other})
+        return ran[name]
 
-    witness = _witness(ts, value, dict(kw, stats=stats), point)
+    own = strategy if strategy != "auto" else "reduction" if cf is None else "formula"
+    value, method, _ = run(own)
+    if strategy == "auto" and value <= _CROSS_CHECK_CAP:
+        for name in ("reduction", "search"):
+            run(name)
+
+    witness = _witness(ts, value, lambda: run("reduction")[2])
     if witness is None:
         raise RouteDisagreementError(
             f"no witness coloring found on {value - 1} vertices for {ts}; "

@@ -130,6 +130,17 @@ def test_bisection_matches_upward_scan(rng):
         res.lower_witness.validate()
 
 
+def test_covering_numbers_match_the_literature():
+    # Fort and Hedlund (Pacific J. Math. 8, 1958): C(v, 3) is the
+    # Schonheim bound for every v.  C(14, 3) is left out for its time.
+    for v in list(range(4, 14)) + [15, 16]:
+        assert covering_number(v, 3) == covering_lower_schonheim(v, 3), v
+    # Mills (J. Combin. Theory Ser. A, 1972 and 1973): C(v, 4) is the
+    # Schonheim bound, plus 1 at v = 7, 9 and 10
+    for v in range(5, 14):
+        assert covering_number(v, 4) == covering_lower_schonheim(v, 4) + (v in (7, 9, 10)), v
+
+
 def test_covering_bounds_sandwich():
     for v, k in [(9, 5), (5, 3), (7, 3), (8, 4), (10, 4)]:
         exact = covering_number(v, k)

@@ -179,6 +179,28 @@ def test_corrupt_cache_runs_uncached(tmp_path, capsys):
         assert path.read_text() == text
 
 
+def test_cache_that_cannot_be_written_runs_uncached(tmp_path, capsys):
+    # the cache's directory is a file: the value is computed and printed,
+    # and the failed write is one warning, not an error
+    (tmp_path / "afile").write_text("")
+    path = tmp_path / "afile" / "cache.json"
+    assert main(["exact", "pm", "--targets", "5,5,5", "--cache", str(path)]) == 0
+    out, err = capsys.readouterr()
+    assert "value: 7" in out and "cached" not in out
+    assert err.count("warning") == 1 and "cannot be written" in err
+    assert (tmp_path / "afile").read_text() == ""
+
+
+def test_cache_that_cannot_be_read_runs_uncached(tmp_path, capsys):
+    # the cache path is a directory: neither answered from nor written to
+    for _ in range(2):
+        assert main(["exact", "pm", "--targets", "5,5,5", "--cache", str(tmp_path)]) == 0
+        out, err = capsys.readouterr()
+        assert "value: 7" in out and "cached" not in out
+        assert err.count("warning") == 1 and "cannot be read" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_exact_core_json(tmp_path, capsys):
     code = main(["exact", "core", "--targets", "4,4,4", "--cache", "none", "--json"])
     assert code == 0

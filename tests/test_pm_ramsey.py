@@ -48,7 +48,7 @@ def test_pruned_maximiser_matches_full_scan(rng):
     # the three-term bound is the smaller one here, so the min matters
     assert core_upper_main((6, 6, 6)) < core_upper_edgecount((6, 6, 6))
     for tv in vectors:
-        value, xs, core = _f3_maximise(tv, core_value)
+        value, xs, core = _f3_maximise(tv)
         assert value == f_d(tv, 3, _core), tv
         assert all(0 <= x < ceil_third(p) for p, x in zip(tv, xs))
         assert core == core_value(_shifted(tv, xs)), (tv, xs)
@@ -369,9 +369,8 @@ def test_closed_form_matches_the_reduction():
         assert cf is not None and cf[0] == exact_pm_ramsey(tv, "reduction").value, tv
 
 
-def test_reduction_walks_its_grid_once(monkeypatch):
-    # the witness lifts the reduction's own maximiser, so the grid is not
-    # walked a second time
+def _count_walks(monkeypatch) -> list:
+    # the targets of every f^3 grid walk, in order
     from ramsey_pm import pm_ramsey
     walks = []
     real = pm_ramsey._f3_points
@@ -381,8 +380,58 @@ def test_reduction_walks_its_grid_once(monkeypatch):
         return real(ts)
 
     monkeypatch.setattr(pm_ramsey, "_f3_points", counting)
+    return walks
+
+
+def test_reduction_walks_its_grid_once(monkeypatch):
+    # the witness lifts the reduction's own maximiser, so the grid is not
+    # walked a second time
+    walks = _count_walks(monkeypatch)
     res = exact_pm_ramsey((6,) * 10, "reduction")
     assert (res.value, walks) == (16, [(6,) * 10])
+
+
+def test_every_strategy_walks_the_grid_once(monkeypatch):
+    # the witness asks the one runner for the reduction's lift point, so a
+    # value whose extremal coloring fails walks the grid once, and never
+    # again beside a cross-check that already walked it
+    walks = _count_walks(monkeypatch)
+    for tv, value in {(3, 3, 3): 4, (3, 3, 3, 3): 4, (4, 3, 3, 3): 5, (3,) * 6: 5}.items():
+        for strategy in ("auto", "formula", "reduction", "search"):
+            walks.clear()
+            assert exact_pm_ramsey(tv, strategy).value == value, (tv, strategy)
+            assert walks == [tv], (tv, strategy)
+
+
+@pytest.mark.parametrize("strategy", ["auto", "formula"])
+def test_witness_reduction_refutes_a_wrong_closed_form(monkeypatch, strategy):
+    # (4,3,3,3), whose extremal coloring fails, with its table value 5 made
+    # 6: above the cross-check cap, so only the reduction that the witness
+    # asks for runs beside the closed form, and it disagrees
+    from ramsey_pm import pm_ramsey
+    real = pm_ramsey.closed_form_value
+    monkeypatch.setattr(pm_ramsey, "closed_form_value",
+                        lambda ts: (6, "table") if ts == (4, 3, 3, 3) else real(ts))
+    with pytest.raises(RouteDisagreementError) as err:
+        exact_pm_ramsey((4, 3, 3, 3), strategy)
+    assert err.value.details == {"targets": (4, 3, 3, 3), "table": 6, "reduction": 5}
+
+
+def test_witness_reduction_refutes_a_search_that_stops_late(monkeypatch):
+    # a search value one too high has no extremal coloring on its K_5, so
+    # the witness asks for the reduction, which disagrees
+    from ramsey_pm import pm_ramsey
+    real = pm_ramsey._search_scan
+
+    def late(ts, stats, kw):
+        value, method = real(ts, stats, kw)
+        return value + 1, method
+
+    monkeypatch.setattr(pm_ramsey, "_search_scan", late)
+    with pytest.raises(RouteDisagreementError) as err:
+        exact_pm_ramsey((4, 3, 3, 3), "search")
+    assert err.value.details == {"targets": (4, 3, 3, 3), "exhaustive-search": 6,
+                                 "reduction": 5}
 
 
 def test_find_lower_witness_agrees_with_the_coloring_search(rng):
@@ -425,7 +474,7 @@ def test_witness_adds_no_nodes():
     for tv in [(6,) * 10, (6,) * 7 + (3, 3), (6,) * 8, (6,) * 6 + (4, 4)]:
         clear_core_cache()
         bare = SearchStats()
-        _f3_maximise(tv, lambda shifted: core_value(shifted, stats=bare))
+        _f3_maximise(tv, stats=bare)
         clear_core_cache()
         res = exact_pm_ramsey(tv)
         assert res.stats.nodes == bare.nodes > 0, tv
