@@ -179,10 +179,7 @@ def core_upper_edgecount(p: Sequence[int]) -> int:
     """
     t = sorted_targets(p)
     budget = sum((pi - 1) * (pi - 2) // 2 for pi in t)
-    n = 2
-    while n * (n - 1) // 2 <= budget:
-        n += 1
-    return n
+    return (isqrt(8 * budget + 1) + 3) // 2
 
 
 def core_upper_degree(p: Sequence[int]) -> int:

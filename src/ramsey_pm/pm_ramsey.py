@@ -5,10 +5,10 @@ Two independent routes compute the same number:
 * reduction: the value equals the maximum over integer shifts
   0 <= x_i < p_i/3 of (1-core value of the shifted targets) + sum x_i,
   with the 1-core values obtained exactly from the covering search.  The
-  grid is walked once per value, one point per distinct shifted multiset,
-  in descending order of the proven 1-core upper bound plus shift, and a
-  point is solved only while that bound can still beat the best value so
-  far (the tests keep the full scan, f_d, as its reference);
+  grid is walked once per value, under the search budgets, keeping the
+  points whose proven 1-core upper bound plus shift reaches the proven
+  lower bound; they are solved in descending order of that bound while it
+  can still beat the best value so far (the tests keep the full scan, f_d);
 * search: direct exhaustive enumeration of colorings, scanning n upward
   until no counterexample coloring survives.
 
@@ -22,7 +22,6 @@ extremal coloring, or else the lift at the reduction's first maximiser.
 from __future__ import annotations
 
 import time
-from itertools import chain, combinations_with_replacement, groupby, product
 from typing import Optional, Sequence
 
 from .bounds import (ceil_third, core_upper, nontrivial_targets, pm_all3, pm_lowers,
@@ -30,7 +29,8 @@ from .bounds import (ceil_third, core_upper, nontrivial_targets, pm_all3, pm_low
 from .coloring import EdgeColoring, core_lift_coloring, mono_pm_profile, pm_extremal_coloring
 from .core_ramsey import BlockCover, cover_to_coloring, exact_core_ramsey
 from .results import (DEFAULT_NODE_BUDGET, PROOF_CLOSED, PROOF_F3, PROOF_SEARCH, PROOF_TABLE,
-                      FormulaUnavailableError, RamseyResult, RouteDisagreementError, SearchStats)
+                      FormulaUnavailableError, RamseyResult, RouteDisagreementError, SearchMeter,
+                      SearchStats)
 from .search import enumerate_colorings
 
 # memoized 1-core results keyed by nontrivial_targets; the grid walks of
@@ -64,48 +64,51 @@ def core_value(targets: Sequence[int], *, node_budget: int = DEFAULT_NODE_BUDGET
     return hit
 
 
-def _f3_points(ts: tuple[int, ...]) -> dict[tuple[int, ...], tuple[int, ...]]:
-    """Each distinct sorted shifted multiset of the f^3 grid, mapped to the
-    first shift vector xs (aligned with ts) that produces it.
-
-    ts must be sorted, so equal targets form runs; within a run only the
-    multiset of shifts matters.  Sum(xs) = (sum(ts) - sum(shifted)) / 3 is
-    fixed by the multiset, so one representative per multiset suffices.
-    """
-    per_run = []
-    for p, run in groupby(ts):
-        k = len(list(run))
-        per_run.append([(tuple(p - 3 * x for x in xs), xs)
-                        for xs in combinations_with_replacement(range(ceil_third(p)), k)])
-    points: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for choice in product(*per_run):
-        shifted = tuple(sorted(chain.from_iterable(s for s, _ in choice), reverse=True))
-        points.setdefault(shifted, tuple(chain.from_iterable(xs for _, xs in choice)))
-    return points
-
-
 def _f3_maximise(ts: tuple[int, ...], **kw) -> tuple[int, tuple[int, ...], RamseyResult]:
-    """The f^3 maximum, max over 0 <= x_i < p_i/3 of core_value(ts - 3x,
-    re-sorted, **kw).value + sum(x), with the first shift vector xs (aligned
-    with ts) that attains it and the 1-core result there.  The lift of
-    that result's cover by xs is a bad coloring of K_{max-1}.
+    """max over 0 <= x_i < p_i/3 of core_value(ts - 3x, re-sorted, **kw).value
+    + sum(x), the first xs (aligned with ts) that attains it, and the 1-core
+    result there, whose cover lifts by xs to a bad coloring of K_{max-1}.
 
-    Grid points are solved exactly in descending order of their upper
-    bound (1-core bound + sum x); once a bound cannot beat the incumbent
-    no later point can either, so the rest are never solved.  Among equal
-    bounds the larger shift goes first: its 1-core is smaller, so cheaper
-    to solve.
-    """
-    ranked = sorted(((core_upper(shifted) + sum(xs), sum(xs), shifted, xs)
-                     for shifted, xs in _f3_points(ts).items()),
-                    key=lambda point: (-point[0], -point[1]))
-    best = (0, (), None)  # below every value; xs = 0 is always on the grid
-    for bound, shift, shifted, xs in ranked:
+    A depth-first walk, metered as a search, fixes the shifts of ts one
+    entry at a time, nondecreasing within a run of equal targets, keeping
+    each shifted multiset's first xs.  core_upper never falls as an entry
+    grows, so a subtree is skipped when core_upper with the run's open
+    entries at the last shift and later ones unshifted, plus each open
+    shift at its largest, is below the proven lower bound low.  Kept points
+    are solved by bound (1-core bound + sum x) descending, larger shift
+    first, until no bound can beat the best; a maximum below low raises."""
+    low = max(2, *pm_lowers(ts)) if len(ts) > 1 else max(2, ts[0])
+    meter = SearchMeter("f3 walk", len(ts) + 1, kw.get("node_budget", DEFAULT_NODE_BUDGET),
+                        kw.get("time_budget"), kw.get("progress"))
+    tops = [ceil_third(p) - 1 for p in ts]
+    points = {}  # shifted multiset -> (bound, its first xs)
+
+    def walk(xs: tuple[int, ...]) -> None:  # at the root last = 0, so ts[-1] does no harm
+        i, last = len(xs), xs[-1] if xs else 0
+        meter._tick(i)
+        shifted = [p - 3 * x for p, x in zip(ts, xs)]
+        shifted += [p - 3 * last if p == ts[i - 1] else p for p in ts[i:]]
+        bound = core_upper(shifted) + sum(xs) + sum(tops[i:])
+        if bound < low:
+            return
+        if i == len(ts):
+            meter.leaves += 1
+            points.setdefault(tuple(sorted(shifted, reverse=True)), (bound, xs))
+            return
+        for x in range(last if ts[i] == ts[i - 1] else 0, tops[i] + 1):
+            walk(xs + (x,))
+
+    walk(())
+    best = (0, (), None)  # below every value
+    for shifted, (bound, xs) in sorted(points.items(), key=lambda kv: (-kv[1][0], -sum(kv[1][1]))):
         if bound <= best[0]:
             break
         core = core_value(shifted, **kw)
-        if core.value + shift > best[0]:
-            best = core.value + shift, xs, core
+        if core.value + sum(xs) > best[0]:
+            best = core.value + sum(xs), xs, core
+    if best[0] < low:
+        raise RouteDisagreementError(f"reduction {best[0]} is below the lower bound {low} on {ts}",
+                                     {"targets": ts, "lower bound": low, "reduction": best[0]})
     return best
 
 

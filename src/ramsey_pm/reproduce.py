@@ -11,7 +11,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .bounds import pm_all3, pm_lowers, pm_upper
+from .bounds import diagonal_guarantee, pm_all3, pm_lowers, pm_upper
 from .coloring import layered_coloring, mono_pm_profile
 from .core_ramsey import covering_number, exact_core_ramsey
 from .pm_ramsey import _witness_valid, exact_pm_ramsey, find_lower_witness, verify_upper
@@ -110,8 +110,8 @@ def _check_rows() -> list[tuple[str, str, Callable[[], tuple[str, bool]]]]:
         detail = []
         for r in (2, 3, 4):
             n = (8 // (r + 2)) * (r + 2)  # largest multiple of r+2 up to 8
-            target = 3 * n // (r + 2)
-            col = layered_coloring([3 * n // (r + 2)] + [n // (r + 2)] * (r - 1))
+            target = diagonal_guarantee(n, r)
+            col = layered_coloring([target] + [n // (r + 2)] * (r - 1))
             prof = mono_pm_profile(col)
             ok = ok and max(prof) == target
             detail.append(f"r={r},n={n}:{max(prof)}")

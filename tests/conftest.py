@@ -1,11 +1,12 @@
 import random
-from itertools import combinations, permutations, product
+from itertools import (chain, combinations, combinations_with_replacement, groupby,
+                       permutations, product)
 from typing import Sequence
 
 import pytest
 
 from ramsey_pm import results
-from ramsey_pm.bounds import ceil_div, ceil_third, sorted_targets, standard_formula
+from ramsey_pm.bounds import ceil_div, ceil_third, core_upper, sorted_targets, standard_formula
 from ramsey_pm.coloring import EdgeColoring, mono_pm_profile
 from ramsey_pm.core_ramsey import BlockCover, cover_feasible_with_stats
 from ramsey_pm.graphs import SimpleGraph, mask_of
@@ -102,6 +103,36 @@ def f_d(p, d: int, core_oracle) -> int:
     return max(core_oracle(tuple(sorted((pi - d * xi for pi, xi in zip(targets, xs)),
                                         reverse=True))) + sum(xs)
                for xs in grid)
+
+
+def ranked_f3_maximise(ts: tuple[int, ...], core_oracle) -> tuple[int, tuple[int, ...]]:
+    """(value, first maximising xs) of the f^3 grid of the sorted ts, by
+    the whole-grid ranking that the pruned walk of pm_ramsey._f3_maximise
+    replaced: every distinct shifted multiset, keyed to the first xs that
+    gives it, is ranked by (1-core bound + sum x) descending, then larger
+    sum x, and core_oracle(shifted) is asked in that order while the bound
+    can beat the best value so far.  For testing only.
+    """
+    per_run = []
+    for p, run in groupby(ts):
+        k = len(list(run))
+        per_run.append([(tuple(p - 3 * x for x in xs), xs)
+                        for xs in combinations_with_replacement(range(ceil_third(p)), k)])
+    points: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for choice in product(*per_run):
+        shifted = tuple(sorted(chain.from_iterable(s for s, _ in choice), reverse=True))
+        points.setdefault(shifted, tuple(chain.from_iterable(xs for _, xs in choice)))
+    ranked = sorted(((core_upper(shifted) + sum(xs), sum(xs), shifted, xs)
+                     for shifted, xs in points.items()),
+                    key=lambda point: (-point[0], -point[1]))
+    best = (0, ())
+    for bound, shift, shifted, xs in ranked:
+        if bound <= best[0]:
+            break
+        value = core_oracle(shifted) + shift
+        if value > best[0]:
+            best = value, xs
+    return best
 
 
 def techfact_holds(a: Sequence[int]) -> tuple[bool, bool, bool]:

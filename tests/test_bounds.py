@@ -120,6 +120,21 @@ def test_core_upper_edgecount():
         assert core_upper_edgecount((3,) * r) == want
 
 
+def test_core_upper_edgecount_closed_form_matches_the_scan():
+    # every budget sum_i C(pi-1, 2) = sum_i T(pi-2) from 0 to 199,999, each
+    # as three triangular numbers (Gauss), against the linear scan for the
+    # smallest n with C(n, 2) > budget
+    tri = [a * (a + 1) // 2 for a in range(633)]
+    pairs = {s + t: (b, c) for b, s in enumerate(tri) for c, t in enumerate(tri[:b + 1])}
+    n = 2
+    for budget in range(200_000):
+        while n * (n - 1) // 2 <= budget:
+            n += 1
+        a = next(a for a, t in enumerate(tri) if budget - t in pairs)
+        b, c = pairs[budget - tri[a]]
+        assert core_upper_edgecount((a + 2, b + 2, c + 2)) == n, budget
+
+
 def test_core_upper_degree(rng):
     assert core_upper_degree((4, 4, 4)) == 5
     assert core_upper_degree((3, 3)) == 3

@@ -10,10 +10,10 @@ from ramsey_pm.core_ramsey import BlockCover, exact_core_ramsey
 from ramsey_pm.pm_ramsey import (_cover_as_coloring_for, _f3_maximise, _witness_valid,
                                  clear_core_cache, closed_form_value, core_value,
                                  exact_pm_ramsey, find_lower_witness, verify_upper)
-from ramsey_pm.results import (FormulaUnavailableError, RamseyResult, RouteDisagreementError,
-                               SearchStats)
+from ramsey_pm.results import (BudgetExceededError, FormulaUnavailableError, RamseyResult,
+                               RouteDisagreementError, SearchStats)
 
-from conftest import f_d
+from conftest import f_d, ranked_f3_maximise
 
 
 def _shifted(tv, xs):
@@ -53,6 +53,52 @@ def test_pruned_maximiser_matches_full_scan(rng):
         assert all(0 <= x < ceil_third(p) for p, x in zip(tv, xs))
         assert core == core_value(_shifted(tv, xs)), (tv, xs)
         assert core.value + sum(xs) == value, (tv, xs)
+
+
+def test_walk_matches_the_whole_grid_ranking(monkeypatch):
+    # r <= 4 with entries 1..9: the pruned walk finds the value and first
+    # maximiser of the whole-grid ranking, and asks core_value for the same
+    # keys in the same order
+    from ramsey_pm import pm_ramsey
+    vectors = [tv for r in range(1, 5)
+               for tv in combinations_with_replacement(range(9, 0, -1), r)]
+    assert len(vectors) == 714
+    asked = []
+
+    def recording(shifted, **kw):
+        asked.append(shifted)
+        return core_value(shifted, **kw)
+
+    monkeypatch.setattr(pm_ramsey, "core_value", recording)
+    for tv in vectors:
+        want = ranked_f3_maximise(tv, lambda shifted: recording(shifted).value)
+        want_asked = asked[:]
+        asked.clear()
+        value, xs, _ = _f3_maximise(tv)
+        assert ((value, xs), asked) == (want, want_asked), tv
+        asked.clear()
+
+
+def test_walk_runs_under_the_node_budget():
+    # the walk's nodes count against the budget like a search's: its grid
+    # is far larger than 1,000 nodes, and no 1-core is solved first
+    with pytest.raises(BudgetExceededError, match="f3 walk exceeded 1000 nodes"):
+        exact_pm_ramsey((24,) * 12, "reduction", node_budget=1000)
+
+
+def test_walk_deeper_than_the_default_recursion_limit():
+    # 1,501 targets, one recursion level each; the 2s never shift
+    assert exact_pm_ramsey((7,) + (2,) * 1500, "reduction").value == 7
+
+
+def test_walk_below_the_proven_lower_bound_is_a_fault(monkeypatch):
+    # max(pm_lowers(6*10)) = 16 is the value; with a lower bound one higher
+    # the walk's maximum 16 is refused rather than returned
+    from ramsey_pm import pm_ramsey
+    monkeypatch.setattr(pm_ramsey, "pm_lowers", lambda ts: (15, 17))
+    with pytest.raises(RouteDisagreementError) as err:
+        exact_pm_ramsey((6,) * 10, "reduction")
+    assert err.value.details == {"targets": (6,) * 10, "lower bound": 17, "reduction": 16}
 
 
 def test_every_maximising_grid_point_lifts_to_a_witness(rng):
@@ -373,13 +419,13 @@ def _count_walks(monkeypatch) -> list:
     # the targets of every f^3 grid walk, in order
     from ramsey_pm import pm_ramsey
     walks = []
-    real = pm_ramsey._f3_points
+    real = pm_ramsey._f3_maximise
 
-    def counting(ts):
+    def counting(ts, **kw):
         walks.append(ts)
-        return real(ts)
+        return real(ts, **kw)
 
-    monkeypatch.setattr(pm_ramsey, "_f3_points", counting)
+    monkeypatch.setattr(pm_ramsey, "_f3_maximise", counting)
     return walks
 
 
